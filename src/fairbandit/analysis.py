@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 DEFAULT_INTERVENTION_START = 10
@@ -109,20 +109,62 @@ class CorrelationReport:
     r: float
     n: int
     fisher_z: float
-    comparison: tuple[float, float] | None = None
+
+
+@dataclass(slots=True)
+class PlayerTally:
+    """One player's counts from a single pass over a log's rows.
+
+    The window sums cover days from the intervention start on; misses
+    and sessions cover every scheduled session. Values accumulate in row
+    order.
+    """
+
+    step_sum: float = 0.0
+    attended: int = 0
+    net_top_treatment: int = 0
+    misses: int = 0
+    sessions: int = 0
+    post_motivation: list[int] = field(default_factory=list)
+
+    @property
+    def effort(self) -> float | None:
+        return self.step_sum / self.attended if self.attended else None
+
+    @property
+    def miss_likelihood(self) -> float:
+        return self.misses / self.sessions
+
+
+def log_metrics(
+    log, intervention_start: int = DEFAULT_INTERVENTION_START
+) -> dict[int, PlayerTally]:
+    """Every player's tally from one walk over `log.rows`, keyed by
+    player id in ascending order."""
+    tallies: dict[int, PlayerTally] = {}
+    for row in log.rows:
+        tally = tallies.get(row.player)
+        if tally is None:
+            tally = tallies[row.player] = PlayerTally()
+        tally.sessions += 1
+        if row.missed:
+            tally.misses += 1
+        if row.day < intervention_start:
+            continue
+        tally.net_top_treatment += (row.arm == row.best_arm) - (row.arm == row.worst_arm)
+        if not row.missed:
+            tally.step_sum += row.steps
+            tally.attended += 1
+            if row.post_motivation is not None:
+                tally.post_motivation.append(row.post_motivation)
+    return dict(sorted(tallies.items()))
 
 
 def effort(log, player: int, intervention_start: int = DEFAULT_INTERVENTION_START) -> float | None:
     """Mean steps over the player's attended intervention-window days,
     or None when every intervention day was missed."""
-    steps = [
-        row.steps
-        for row in log.rows
-        if row.player == player and row.day >= intervention_start and not row.missed
-    ]
-    if not steps:
-        return None
-    return sum(steps) / len(steps)
+    tally = log_metrics(log, intervention_start).get(player)
+    return tally.effort if tally else None
 
 
 def net_top_treatment(
@@ -131,23 +173,15 @@ def net_top_treatment(
     """Sessions given the player's predicted-best arm minus sessions given
     their predicted-worst, over the intervention window. Best/worst are
     the model's predictions recorded at decision time."""
-    best = 0
-    worst = 0
-    for row in log.rows:
-        if row.player != player or row.day < intervention_start:
-            continue
-        if row.arm == row.best_arm:
-            best += 1
-        if row.arm == row.worst_arm:
-            worst += 1
-    return best - worst
+    tally = log_metrics(log, intervention_start).get(player)
+    return tally.net_top_treatment if tally else 0
 
 
 def miss_likelihood(log, player: int) -> float:
-    rows = [row for row in log.rows if row.player == player]
-    if not rows:
+    tally = log_metrics(log).get(player)
+    if tally is None:
         raise ValueError(f"no sessions for player {player}")
-    return sum(1 for row in rows if row.missed) / len(rows)
+    return tally.miss_likelihood
 
 
 @dataclass
@@ -174,14 +208,13 @@ def cohort_metrics(
     misses: list[float] = []
     for log in logs:
         prefix = f"{log.name}:" if getattr(log, "name", "") else ""
-        for player in sorted({row.player for row in log.rows}):
-            e = effort(log, player, intervention_start)
-            if e is None:
+        for player, tally in log_metrics(log, intervention_start).items():
+            if tally.effort is None:
                 continue
             labels.append(f"{prefix}p{player}")
-            efforts.append(e)
-            treatments.append(net_top_treatment(log, player, intervention_start))
-            misses.append(miss_likelihood(log, player))
+            efforts.append(tally.effort)
+            treatments.append(tally.net_top_treatment)
+            misses.append(tally.miss_likelihood)
     pr_effort = percentile_rank(efforts)
     pr_treatment = percentile_rank([float(t) for t in treatments])
     return [
@@ -242,7 +275,7 @@ def report_summary(report: DisparityReport) -> dict:
     else:
         z, p = None, None
     finite = lambda x: x if x is None or isinstance(x, int) or math.isfinite(x) else None
-    summary = {
+    return {
         "n": report.correlation.n,
         "pearson_r": report.correlation.r,
         "fisher_z": finite(report.correlation.fisher_z),
@@ -251,8 +284,3 @@ def report_summary(report: DisparityReport) -> dict:
         "mean_signed_disparity": report.mean_signed_disparity,
         "mean_abs_disparity": report.mean_abs_disparity,
     }
-    if report.correlation.comparison is not None:
-        cz, cp = report.correlation.comparison
-        summary["comparison_z"] = cz
-        summary["comparison_p"] = cp
-    return summary

@@ -212,10 +212,6 @@ class ShapleyBanditState:
     def fresh(cls, n_players: int, epsilon: float = 0.01) -> "ShapleyBanditState":
         return cls(csv=[0.0] * n_players, tc=[0] * n_players, epsilon=epsilon)
 
-    @property
-    def n_players(self) -> int:
-        return len(self.csv)
-
 
 def _shares(values: Sequence[float], total: float) -> list[float]:
     return [v / total for v in values]

@@ -14,7 +14,12 @@ import json
 import sys
 from pathlib import Path
 
-from .analysis import disparity_report, report_summary, write_report_csv
+from .analysis import (
+    DEFAULT_INTERVENTION_START,
+    disparity_report,
+    report_summary,
+    write_report_csv,
+)
 from .experiment import ExperimentSpec, run_experiment
 from .scenarios import BUNDLED, load_scenario
 from .simworld import ConfigError, SchemaError, read_log_csv
@@ -32,7 +37,9 @@ def _cmd_run(args) -> int:
                 spec = ExperimentSpec(
                     scenario=spec.scenario,
                     conditions=spec.conditions,
-                    replications=args.replications or spec.replications,
+                    replications=(
+                        args.replications if args.replications is not None else spec.replications
+                    ),
                     base_seed=args.seed if args.seed is not None else spec.base_seed,
                     output_dir=spec.output_dir,
                 )
@@ -43,7 +50,7 @@ def _cmd_run(args) -> int:
         return 2
     out = Path(args.out or spec.output_dir or f"out-{spec.scenario}")
     out.mkdir(parents=True, exist_ok=True)
-    result = run_experiment(spec, out, jobs=args.jobs, intervention_start=args.intervention_start)
+    result = run_experiment(spec, out, jobs=args.jobs)
     print(f"scenario {spec.scenario}: {spec.replications} replication(s) per condition")
     for row in result.condition_summaries:
         print(
@@ -64,6 +71,13 @@ def _cmd_run(args) -> int:
 
 def _num(x) -> str:
     return "n/a" if x is None else f"{x:.3f}"
+
+
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _parse_pair(raw: str, cast):
@@ -140,10 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override base seed")
     p_run.add_argument(
-        "--replications", type=int, default=None, help="override replication count"
+        "--replications", type=_positive_int, default=None, help="override replication count"
     )
-    p_run.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    p_run.add_argument("--intervention-start", type=int, default=10)
+    p_run.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
     p_run.set_defaults(fn=_cmd_run)
 
     p_we = sub.add_parser("worked-example", help="replay the reference calculation")
@@ -171,7 +184,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="disparity report from session-log CSVs")
     p_an.add_argument("logs", nargs="+", help="session-log CSV paths")
     p_an.add_argument("--out", default="analysis-out")
-    p_an.add_argument("--intervention-start", type=int, default=10)
+    p_an.add_argument(
+        "--intervention-start",
+        type=int,
+        default=DEFAULT_INTERVENTION_START,
+        help="first day of the analysis window (session logs carry no config)",
+    )
     p_an.set_defaults(fn=_cmd_analyze)
 
     return parser

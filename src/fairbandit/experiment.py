@@ -31,25 +31,27 @@ from typing import Sequence
 
 from . import __version__
 from .analysis import (
+    DEFAULT_INTERVENTION_START,
     DisparityReport,
     correlation_diff_test,
     disparity_report,
-    effort,
-    miss_likelihood,
+    log_metrics,
     report_summary,
     write_report_csv,
 )
+from .analysis import effort, miss_likelihood  # noqa: F401  patched by name in benchmarks/spans.py
 from .bandit import write_decisions_jsonl
 from .simworld import (
     ConfigError,
     StudyConfig,
     StudyLog,
+    check_keys,
     run_study,
     write_log_csv,
     write_log_summary,
 )
 
-DEFAULT_BATCH_SIZE = 10
+BATCH_SIZE = 10
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentSpec":
+        check_keys(cls, doc, "experiment spec")
         try:
             return cls(
                 scenario=str(doc["scenario"]),
@@ -142,20 +145,18 @@ def run_condition(
 
 
 def batch_median_r(
-    logs: Sequence[StudyLog],
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    intervention_start: int = 10,
+    logs: Sequence[StudyLog], intervention_start: int = DEFAULT_INTERVENTION_START
 ) -> float | None:
     """Median disparity-vs-miss correlation over batches of replications.
 
     A single 2-player study cannot support a correlation, so consecutive
-    replications are pooled into cohorts of `batch_size` studies and the
+    replications are pooled into cohorts of `BATCH_SIZE` studies and the
     correlation is computed per cohort; batches that are degenerate
     (constant disparity or misses) are skipped.
     """
     rs = []
-    for start in range(0, len(logs) - batch_size + 1, batch_size):
-        batch = logs[start : start + batch_size]
+    for start in range(0, len(logs) - BATCH_SIZE + 1, BATCH_SIZE):
+        batch = logs[start : start + BATCH_SIZE]
         try:
             rs.append(disparity_report(batch, intervention_start).correlation.r)
         except ValueError:
@@ -177,17 +178,11 @@ def _condition_summary(
     post_scores = []
     sum_sds = []
     for log in logs:
-        players = sorted({row.player for row in log.rows})
-        for p in players:
-            e = effort(log, p, intervention_start)
-            if e is not None:
-                steps_vs_baseline.append(e - log.baseline_means[p])
-            miss_rates.append(miss_likelihood(log, p))
-        post_scores.extend(
-            row.post_motivation
-            for row in log.rows
-            if not row.missed and row.day >= intervention_start and row.post_motivation is not None
-        )
+        for p, tally in log_metrics(log, intervention_start).items():
+            if tally.effort is not None:
+                steps_vs_baseline.append(tally.effort - log.baseline_means[p])
+            miss_rates.append(tally.miss_likelihood)
+            post_scores.extend(tally.post_motivation)
         if log.final_sum_sd is not None:
             sum_sds.append(log.final_sum_sd)
     mean = lambda xs: sum(xs) / len(xs) if xs else None
@@ -255,10 +250,10 @@ def run_experiment(
     spec: ExperimentSpec,
     out_dir,
     jobs: int = 1,
-    intervention_start: int = 10,
-    batch_size: int = DEFAULT_BATCH_SIZE,
     write_artifacts: bool = True,
 ) -> ExperimentResult:
+    """Run every condition of `spec`, analysing each over its own
+    intervention window (`StudyConfig.intervention_start`)."""
     out = Path(out_dir)
     seeds = replication_seeds(spec)
     files: list[str] = []
@@ -268,13 +263,14 @@ def run_experiment(
 
     for config in spec.conditions:
         name = config.condition.value
+        start = config.intervention_start
         condition_logs = run_condition(config, seeds, jobs)
         logs[name] = condition_logs
         try:
-            reports[name] = disparity_report(condition_logs, intervention_start)
+            reports[name] = disparity_report(condition_logs, start)
         except ValueError:
             reports[name] = None
-        batch_rs[name] = batch_median_r(condition_logs, batch_size, intervention_start)
+        batch_rs[name] = batch_median_r(condition_logs, start)
 
         if write_artifacts:
             cond_dir = out / name
@@ -283,7 +279,7 @@ def run_experiment(
                 rep_dir.mkdir(parents=True, exist_ok=True)
                 write_log_csv(log, rep_dir / "log.csv")
                 write_decisions_jsonl(log.decisions, rep_dir / "decisions.jsonl")
-                write_log_summary(log, rep_dir / "summary.json", intervention_start)
+                write_log_summary(log, rep_dir / "summary.json", start)
                 files += [
                     str((rep_dir / fname).relative_to(out))
                     for fname in ("log.csv", "decisions.jsonl", "summary.json")
@@ -318,7 +314,7 @@ def run_experiment(
             logs[c.condition.value],
             reports[c.condition.value],
             batch_rs[c.condition.value],
-            intervention_start,
+            c.intervention_start,
         )
         for c in spec.conditions
     ]

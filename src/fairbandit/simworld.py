@@ -22,10 +22,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
-from .analysis import percentile_rank
+from .analysis import DEFAULT_INTERVENTION_START, log_metrics, percentile_rank
 from .bandit import (
     Arm,
     Decision,
@@ -48,6 +48,13 @@ from .rng import SplitMix64
 
 class ConfigError(ValueError):
     pass
+
+
+def check_keys(cls, doc: dict, what: str) -> None:
+    """Reject keys of `doc` that name no field of the dataclass `cls`."""
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"{what}: unknown key(s) {unknown}")
 
 
 class Condition(str, Enum):
@@ -149,23 +156,10 @@ class StudyConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StudyConfig":
+        check_keys(cls, doc, "study config")
         try:
             players = tuple(SimPlayer(**p) for p in doc["players"])
-            known = {
-                k: doc[k]
-                for k in (
-                    "seed",
-                    "baseline_days",
-                    "forced_exploration_days",
-                    "total_sessions",
-                    "epsilon",
-                    "step_scale",
-                    "motivation_weight",
-                    "jitter",
-                )
-                if k in doc
-            }
-            return cls(condition=Condition(doc["condition"]), players=players, **known)
+            return cls(**doc | {"condition": Condition(doc["condition"]), "players": players})
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"invalid study config: {exc}") from exc
 
@@ -201,10 +195,6 @@ class StudyLog:
     final_tc_effective: list[int] = field(default_factory=list)
     final_sum_sd: float | None = None
     decisions: list[dict] = field(default_factory=list)
-
-    @property
-    def n_players(self) -> int:
-        return len({row.player for row in self.rows})
 
 
 def compare_steps(own: float, target: float) -> Direction:
@@ -369,34 +359,18 @@ def run_study(config: StudyConfig) -> StudyLog:
             pre, post = motivation_response(player, exposure, world_rng)
             missed = miss_decision(player, disparities[i], world_rng)
             if missed:
-                rows.append(
-                    SessionRow(
-                        day=day,
-                        player=i,
-                        steps=None,
-                        missed=True,
-                        pre_motivation=None,
-                        post_motivation=None,
-                        arm=decision.arm,
-                        mode=decision.mode,
-                        catered_player=decision.catered_player,
-                        artificial_steps=artificial,
-                        best_arm=best_arms[i],
-                        worst_arm=worst_arms[i],
-                        baseline_mean=baseline_means[i],
-                    )
-                )
-                continue
-            day_steps[i] = steps
-            reward = Reward(steps - baseline_means[i], float(post - pre))
-            model.observe(i, decision.arm, reward)
-            day_rewards[i] = reward.combined(config.step_scale, config.motivation_weight)
+                steps = pre = post = None
+            else:
+                day_steps[i] = steps
+                reward = Reward(steps - baseline_means[i], float(post - pre))
+                model.observe(i, decision.arm, reward)
+                day_rewards[i] = reward.combined(config.step_scale, config.motivation_weight)
             rows.append(
                 SessionRow(
                     day=day,
                     player=i,
                     steps=steps,
-                    missed=False,
+                    missed=missed,
                     pre_motivation=pre,
                     post_motivation=post,
                     arm=decision.arm,
@@ -586,19 +560,11 @@ def read_log_csv(path, name: str = "") -> StudyLog:
     return StudyLog(rows=rows, name=name)
 
 
-def log_summary(log: StudyLog, intervention_start: int | None = None) -> dict:
+def log_summary(log: StudyLog, intervention_start: int = DEFAULT_INTERVENTION_START) -> dict:
     """Per-study JSON summary: baselines, final strategy state and the
     headline per-player outcomes."""
-    from .analysis import effort, miss_likelihood
-
-    start = intervention_start if intervention_start is not None else 10
-    players = sorted({row.player for row in log.rows})
-    efforts = {p: effort(log, p, start) for p in players}
-    post = [
-        row.post_motivation
-        for row in log.rows
-        if not row.missed and row.day >= start and row.post_motivation is not None
-    ]
+    tallies = log_metrics(log, intervention_start)
+    post = [score for tally in tallies.values() for score in tally.post_motivation]
     return {
         "condition": log.condition.value if log.condition else None,
         "seed": log.seed,
@@ -608,17 +574,19 @@ def log_summary(log: StudyLog, intervention_start: int | None = None) -> dict:
         "final_tc_effective": log.final_tc_effective,
         "final_sum_sd": log.final_sum_sd,
         "steps_vs_baseline": {
-            str(p): (efforts[p] - log.baseline_means[p]) if efforts[p] is not None else None
-            for p in players
+            str(p): (t.effort - log.baseline_means[p]) if t.effort is not None else None
+            for p, t in tallies.items()
         }
         if log.baseline_means
         else {},
         "post_motivation_mean": sum(post) / len(post) if post else None,
-        "miss_likelihood": {str(p): miss_likelihood(log, p) for p in players},
+        "miss_likelihood": {str(p): t.miss_likelihood for p, t in tallies.items()},
     }
 
 
-def write_log_summary(log: StudyLog, path, intervention_start: int | None = None) -> None:
+def write_log_summary(
+    log: StudyLog, path, intervention_start: int = DEFAULT_INTERVENTION_START
+) -> None:
     with open(path, "w", newline="\n") as fh:
         json.dump(log_summary(log, intervention_start), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from fairbandit.analysis import disparity_report
 from fairbandit.cli import main
-from fairbandit.experiment import ExperimentSpec
+from fairbandit.experiment import ExperimentSpec, run_experiment
 from fairbandit.simworld import Condition, SimPlayer, StudyConfig
 from fairbandit.verification import run_axiom_suite
 
@@ -33,6 +34,14 @@ def tree_hashes(root: Path) -> dict[str, str]:
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+def exit_code(argv) -> int:
+    """main's return value, or the code of the SystemExit it raised."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestRun:
@@ -74,6 +83,18 @@ class TestRun:
     def test_requires_exactly_one_source(self, tmp_path, capsys):
         assert main(["run", "--out", str(tmp_path)]) == 2
         assert "exactly one" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--replications", "0"), ("--replications", "-2"), ("--jobs", "0"), ("--jobs", "-1")],
+    )
+    def test_non_positive_count_flags_exit_2(self, tmp_path, capsys, flag, value):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(tiny_spec_dict()))
+        out = tmp_path / "o"
+        assert exit_code(["run", "--spec", str(spec_path), "--out", str(out), flag, value]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     def test_duplicate_condition_names_rejected(self, tmp_path, capsys):
         doc = tiny_spec_dict()
@@ -200,6 +221,22 @@ class TestSpecLoading:
         assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
         assert "JSON" in capsys.readouterr().err
 
+    def test_misspelled_condition_key_is_config_error(self, tmp_path, capsys):
+        doc = tiny_spec_dict()
+        doc["conditions"][2]["epsilom"] = 0.5
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
+        assert "epsilom" in capsys.readouterr().err
+
+    def test_misspelled_spec_key_is_config_error(self, tmp_path, capsys):
+        doc = tiny_spec_dict()
+        doc["replicatons"] = 7
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
+        assert "replicatons" in capsys.readouterr().err
+
     def test_spec_round_trip(self):
         spec = ExperimentSpec(
             scenario="t",
@@ -214,6 +251,18 @@ class TestSpecLoading:
         )
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec
         assert spec.spec_hash() == ExperimentSpec.from_dict(spec.to_dict()).spec_hash()
+
+    def test_run_window_follows_forced_exploration_days(self, tmp_path):
+        doc = tiny_spec_dict(replications=10)
+        for condition in doc["conditions"]:
+            condition["forced_exploration_days"] = 12
+        result = run_experiment(ExperimentSpec.from_dict(doc), tmp_path, write_artifacts=False)
+        moved = 0
+        for row in result.condition_summaries:
+            logs = result.logs[row["condition"]]
+            assert row["disparity_miss_r"] == disparity_report(logs, 13).correlation.r
+            moved += row["disparity_miss_r"] != disparity_report(logs, 10).correlation.r
+        assert moved
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         spec_path = tmp_path / "spec.json"

@@ -180,6 +180,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             StudyConfig.from_dict({"condition": "greedy"})
 
+    def test_from_dict_rejects_unknown_key(self):
+        doc = config().to_dict() | {"epsilom": 0.5}
+        with pytest.raises(ConfigError, match="epsilom"):
+            StudyConfig.from_dict(doc)
+
 
 class TestRunStudy:
     def test_protocol_shape(self):
