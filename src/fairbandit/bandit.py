@@ -25,7 +25,7 @@ from enum import Enum, IntEnum
 from typing import Iterable, Mapping, Sequence
 
 from .rng import SplitMix64
-from .shapley import AdditiveSteps, CharacteristicFunction, Coalition, shapley_all
+from .shapley import shapley_all  # noqa: F401  patched by name in benchmarks/spans.py
 
 PlayerId = int
 
@@ -280,28 +280,20 @@ def shapley_update(
     state: ShapleyBanditState,
     decision: Decision,
     step_rewards: Mapping[PlayerId, float],
-    v_builder=None,
 ) -> None:
     """Fold one round's observed steps into the strategy state.
 
-    Every observed player's CSV grows by their attribution under the
-    round's characteristic function (additive-steps by default, so the
-    increment equals their own steps). Only an exploit decision with a
-    catered player increments a treatment counter; exploration and
-    forced rounds never do.
+    Every observed player's CSV grows by their Shapley attribution under
+    the deployed additive-steps game (`shapley.AdditiveSteps`), which is
+    exactly their own steps. Only an exploit decision with a catered
+    player increments a treatment counter; exploration and forced rounds
+    never do.
     """
     for player, steps in step_rewards.items():
         if not math.isfinite(steps) or steps < 0:
             raise ValueError(f"step reward for player {player} must be finite and >= 0")
-    if step_rewards:
-        present = sorted(step_rewards)
-        values = [step_rewards[p] for p in present]
-        v: CharacteristicFunction = (
-            AdditiveSteps(values) if v_builder is None else v_builder(values)
-        )
-        phi = shapley_all(v, Coalition.of_size(len(present)))
-        for pos, player in enumerate(present):
-            state.csv[player] += phi[pos]
+    for player, steps in step_rewards.items():
+        state.csv[player] += steps
     if decision.mode is Mode.EXPLOIT and decision.catered_player is not None:
         state.tc[decision.catered_player] += 1
 

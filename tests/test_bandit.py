@@ -27,6 +27,7 @@ from fairbandit.bandit import (
     write_decisions_jsonl,
 )
 from fairbandit.rng import SplitMix64
+from fairbandit.shapley import AdditiveSteps, Coalition, shapley_all
 
 
 def model_with_means(means: dict[int, dict[Arm, float]]) -> RewardModel:
@@ -279,6 +280,28 @@ class TestShapleyUpdate:
         decision = Decision(arm=Arm.BETWEEN, catered_player=None, mode=Mode.FORCED)
         with pytest.raises(ValueError):
             shapley_update(state, decision, {0: -5.0})
+
+    @given(
+        st.dictionaries(
+            st.integers(0, 1), st.floats(0, 1e6, allow_subnormal=False), min_size=1, max_size=2
+        )
+    )
+    @settings(max_examples=100)
+    def test_closed_form_matches_exact_engine(self, step_rewards):
+        state = ShapleyBanditState.fresh(2)
+        decision = Decision(arm=Arm.BETWEEN, catered_player=None, mode=Mode.FORCED)
+        shapley_update(state, decision, step_rewards)
+        present = sorted(step_rewards)
+        phi = shapley_all(
+            AdditiveSteps([step_rewards[p] for p in present]), Coalition.of_size(len(present))
+        )
+        expected = [0.0, 0.0]
+        for pos, player in enumerate(present):
+            expected[player] = phi[pos]
+        # The engine takes a player's marginal value as a difference of
+        # coalition sums, so its rounding error scales with the team total.
+        total = sum(step_rewards.values())
+        assert state.csv == pytest.approx(expected, rel=1e-12, abs=1e-12 * total)
 
     @given(st.lists(st.floats(0, 1e5), min_size=2, max_size=2), st.integers(0, 2**32))
     @settings(max_examples=50)
