@@ -14,12 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .analysis import (
-    DEFAULT_INTERVENTION_START,
-    disparity_report,
-    report_summary,
-    write_report_csv,
-)
+from .analysis import DEFAULT_INTERVENTION_START, disparity_report, report_summary, write_report_csv
 from .experiment import ExperimentSpec, run_experiment
 from .scenarios import BUNDLED, load_scenario
 from .simworld import ConfigError, SchemaError, read_log_csv
@@ -37,9 +32,7 @@ def _cmd_run(args) -> int:
                 spec = ExperimentSpec(
                     scenario=spec.scenario,
                     conditions=spec.conditions,
-                    replications=(
-                        args.replications if args.replications is not None else spec.replications
-                    ),
+                    replications=spec.replications if args.replications is None else args.replications,
                     base_seed=args.seed if args.seed is not None else spec.base_seed,
                     output_dir=spec.output_dir,
                 )
@@ -184,12 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="disparity report from session-log CSVs")
     p_an.add_argument("logs", nargs="+", help="session-log CSV paths")
     p_an.add_argument("--out", default="analysis-out")
-    p_an.add_argument(
-        "--intervention-start",
-        type=int,
-        default=DEFAULT_INTERVENTION_START,
-        help="first day of the analysis window (session logs carry no config)",
-    )
+    p_an.add_argument("--intervention-start", type=int, default=DEFAULT_INTERVENTION_START,
+                      help="first day of the analysis window (session logs carry no config)")
     p_an.set_defaults(fn=_cmd_analyze)
 
     return parser

@@ -52,6 +52,8 @@ class ConfigError(ValueError):
 
 def check_keys(cls, doc: dict, what: str) -> None:
     """Reject keys of `doc` that name no field of the dataclass `cls`."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(doc).__name__}")
     unknown = sorted(set(doc) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"{what}: unknown key(s) {unknown}")

@@ -221,21 +221,20 @@ class TestSpecLoading:
         assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
         assert "JSON" in capsys.readouterr().err
 
-    def test_misspelled_condition_key_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("in_condition, key", [(True, "epsilom"), (False, "replicatons")])
+    def test_misspelled_key_is_config_error(self, tmp_path, capsys, in_condition, key):
         doc = tiny_spec_dict()
-        doc["conditions"][2]["epsilom"] = 0.5
+        (doc["conditions"][2] if in_condition else doc)[key] = 1
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(doc))
         assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
-        assert "epsilom" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
 
-    def test_misspelled_spec_key_is_config_error(self, tmp_path, capsys):
-        doc = tiny_spec_dict()
-        doc["replicatons"] = 7
+    def test_spec_that_is_not_an_object_is_config_error(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(doc))
+        spec_path.write_text("[]")
         assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
-        assert "replicatons" in capsys.readouterr().err
+        assert "JSON object" in capsys.readouterr().err
 
     def test_spec_round_trip(self):
         spec = ExperimentSpec(
