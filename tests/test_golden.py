@@ -37,7 +37,7 @@ def run_digests(args, out: Path) -> dict[str, str]:
 
 
 @pytest.mark.parametrize("run", sorted(RUNS))
-def test_artifact_digests_match_golden(run, tmp_path, capsys):
+def test_artifact_digests_match_golden(run, tmp_path):
     want = json.loads(GOLDEN.read_text())[run]
     got = run_digests(RUNS[run], tmp_path / run)
     assert sorted(got) == sorted(want)
