@@ -8,13 +8,26 @@ with weight |S|! (n - |S| - 1)! / n!. Attributions satisfy efficiency
 (they sum to the full-coalition value), symmetry, nullity and
 additivity, and are the unique allocation that does.
 
-Enumeration is exact: subsets are visited in ascending-bitmask order
-and coalitions larger than a configurable maximum (default 16) are
-rejected rather than approximated.
+Every exact routine reads one table: `CharacteristicFunction.by_mask(n)`
+lists v of all 2^n subsets, indexed by bitmask (bit i set when player i
+is a member). Building it costs 2^n evaluations of v; a table game
+stores nothing else and evaluates nothing. An attribution then costs
+n * 2^(n-1) multiply-adds: each player walks the masks without their
+bit in ascending order, adding the weighted marginal
+table[S | player] - table[S]. Enumeration is exact; coalitions larger
+than a configurable maximum (default 16) are rejected, before any
+table is built, rather than approximated.
+
+The permutation oracle shares the table but not the algorithm: it
+averages each player's marginal over all n! arrival orders, tracking
+the arrived prefix as a mask, so an error in the subset weights or the
+enumeration shows up as a disagreement between the two.
 """
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass, field
 from itertools import permutations
 from math import factorial
@@ -81,6 +94,14 @@ class CharacteristicFunction:
     def __add__(self, other: "CharacteristicFunction") -> "CharacteristicFunction":
         return _SumCharacteristic(self, other)
 
+    def by_mask(self, n: int) -> list[float]:
+        """v of every subset of players 0..n-1, indexed by bitmask: entry m
+        is v({i : bit i of m is set}), so entry 0 is 0."""
+        table = [0.0] * (1 << n)
+        for mask in range(1, 1 << n):
+            table[mask] = self(frozenset(i for i in range(n) if mask >> i & 1))
+        return table
+
 
 class _SumCharacteristic(CharacteristicFunction):
     def __init__(self, a: CharacteristicFunction, b: CharacteristicFunction):
@@ -89,6 +110,9 @@ class _SumCharacteristic(CharacteristicFunction):
 
     def value(self, subset: frozenset[PlayerId]) -> float:
         return self.a(subset) + self.b(subset)
+
+    def by_mask(self, n: int) -> list[float]:
+        return [x + y for x, y in zip(self.a.by_mask(n), self.b.by_mask(n))]
 
 
 class CallableCharacteristic(CharacteristicFunction):
@@ -117,27 +141,93 @@ class AdditiveSteps(CharacteristicFunction):
 
 
 class TableBacked(CharacteristicFunction):
-    """Explicit subset -> value map; every non-empty subset must be present."""
+    """Explicit subset -> value map; every non-empty subset must be present.
 
-    def __init__(self, n_players: int, values: Mapping[frozenset, float]):
+    The values are held only as the `by_mask` list. Rejected: a player
+    count that is not an int from 1 to MAX_EXACT_PLAYERS (checked before
+    anything is allocated), members outside 0..n-1, a member repeated in
+    one subset, two keys for one subset, non-finite values and a
+    non-zero empty-coalition value.
+    """
+
+    def __init__(self, n_players: int, values: Mapping[Iterable[PlayerId], float]):
+        _check_players(n_players)
         self.n_players = n_players
-        table: dict[frozenset, float] = {frozenset(): 0.0}
-        for subset, v in values.items():
-            key = frozenset(subset)
-            if any(not (0 <= i < n_players) for i in key):
-                raise ValueError(f"subset {sorted(key)} has members outside 0..{n_players - 1}")
-            table[key] = float(v)
-        for mask in range(1, 1 << n_players):
-            subset = frozenset(i for i in range(n_players) if mask >> i & 1)
-            if subset not in table:
-                raise ValueError(f"missing value for subset {sorted(subset)}")
-        self._table = table
+        self._values = _mask_table(
+            n_players,
+            ((subset, subset, v) for subset, v in values.items()),
+            lambda subset: f"subset {sorted(subset)}",
+        )
+
+    @classmethod
+    def _of_table(cls, n_players: int, table: list[float]) -> "TableBacked":
+        """Wrap an already validated by-mask list."""
+        game = cls.__new__(cls)
+        game.n_players = n_players
+        game._values = table
+        return game
 
     def value(self, subset: frozenset[PlayerId]) -> float:
+        mask = 0
+        for i in subset:
+            if not 0 <= i < self.n_players:
+                raise ValueError(f"subset {sorted(subset)} not in table")
+            mask |= 1 << i
+        return self._values[mask]
+
+    def by_mask(self, n: int) -> list[float]:
+        if n > self.n_players:
+            raise ValueError(f"table covers {self.n_players} players, not {n}")
+        return self._values[: 1 << n]
+
+
+def _check_players(n) -> None:
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"players must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"players must be at least 1, got {n}")
+    _check_size(n, MAX_EXACT_PLAYERS)
+
+
+def _mask_table(n: int, entries, describe: Callable[[object], str]) -> list[float]:
+    """The by-mask list from (key, members, value) entries; `describe(key)`
+    names the offending entry in every error."""
+    table: list = [None] * (1 << n)
+    for key, members, raw in entries:
+        mask = 0
+        for i in members:
+            if not 0 <= i < n:
+                raise ValueError(f"{describe(key)} has members outside 0..{n - 1}")
+            if mask >> i & 1:
+                raise ValueError(f"{describe(key)} repeats member {i}")
+            mask |= 1 << i
+        if table[mask] is not None:
+            raise ValueError(f"{describe(key)} duplicates an earlier key")
         try:
-            return self._table[subset]
-        except KeyError:
-            raise ValueError(f"subset {sorted(subset)} not in table") from None
+            value = float(raw)
+        except (TypeError, ValueError):
+            raise ValueError(f"{describe(key)} has non-numeric value {raw!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{describe(key)} has non-finite value {raw!r}")
+        if mask == 0 and value != 0.0:
+            raise ValueError(f"{describe(key)}: empty-coalition value must be 0")
+        table[mask] = value
+    table[0] = 0.0
+    if None in table:
+        mask = table.index(None)
+        raise ValueError(
+            f"missing value for subset {[i for i in range(n) if mask >> i & 1]}"
+        )
+    return table
+
+
+def _key_members(key) -> list[int]:
+    if isinstance(key, str):
+        try:
+            return [int(tok) for tok in key.split(",") if tok.strip() != ""]
+        except ValueError:
+            pass
+    raise ValueError(f"key {key!r} is not comma-separated member indices")
 
 
 def load_characteristic(source) -> TableBacked:
@@ -149,9 +239,9 @@ def load_characteristic(source) -> TableBacked:
 
     Keys are comma-separated member indices; the empty-set entry ("")
     may be omitted and defaults to 0. Any other missing subset is an
-    error.
+    error, as is everything `TableBacked` rejects; errors name the key.
     """
-    if isinstance(source, (str, Path)) and Path(str(source)).exists():
+    if isinstance(source, (str, Path)) and os.path.exists(source):
         doc = json.loads(Path(source).read_text())
     elif isinstance(source, str):
         doc = json.loads(source)
@@ -159,15 +249,16 @@ def load_characteristic(source) -> TableBacked:
         doc = source
     if not isinstance(doc, dict) or "players" not in doc or "values" not in doc:
         raise ValueError('characteristic JSON must have "players" and "values" keys')
-    n = int(doc["players"])
-    values = {}
-    for key, v in doc["values"].items():
-        members = frozenset(int(tok) for tok in key.split(",") if tok.strip() != "")
-        values[members] = float(v)
-    empty = values.pop(frozenset(), 0.0)
-    if empty != 0.0:
-        raise ValueError("empty-coalition value must be 0")
-    return TableBacked(n, values)
+    n = doc["players"]
+    _check_players(n)
+    if not isinstance(doc["values"], dict):
+        raise ValueError('"values" must map subset keys to numbers')
+    table = _mask_table(
+        n,
+        ((key, _key_members(key), v) for key, v in doc["values"].items()),
+        lambda key: f"key {key!r}",
+    )
+    return TableBacked._of_table(n, table)
 
 
 def subset_weight(subset_size: int, n: int) -> float:
@@ -182,11 +273,19 @@ def _check_size(n: int, limit: int) -> None:
         )
 
 
-def _subsets_excluding(coalition: Coalition, excluded: tuple[PlayerId, ...]):
-    """All subsets of the coalition minus `excluded`, ascending bitmask order."""
-    others = [p for p in coalition if p not in excluded]
-    for mask in range(1 << len(others)):
-        yield frozenset(others[b] for b in range(len(others)) if mask >> b & 1)
+def _mask_weights(n: int) -> list[float]:
+    """subset_weight(|S|, n) for every mask S that leaves a player out."""
+    weights = [subset_weight(s, n) for s in range(n)] + [0.0]
+    return [weights[mask.bit_count()] for mask in range(1 << n)]
+
+
+def _attribution(table: list[float], weights: list[float], player: PlayerId) -> float:
+    bit = 1 << player
+    total = 0.0
+    for mask in range(len(table)):
+        if not mask & bit:
+            total += weights[mask] * (table[mask | bit] - table[mask])
+    return total
 
 
 def shapley_value(
@@ -201,11 +300,7 @@ def shapley_value(
     _check_size(n, max_players)
     if player not in coalition:
         raise PlayerNotInCoalitionError(f"player {player} not in coalition of {n}")
-    weights = [subset_weight(s, n) for s in range(n)]
-    total = 0.0
-    for subset in _subsets_excluding(coalition, (player,)):
-        total += weights[len(subset)] * (v(subset | {player}) - v(subset))
-    return total
+    return _attribution(v.by_mask(n), _mask_weights(n), player)
 
 
 def shapley_all(
@@ -214,7 +309,11 @@ def shapley_all(
     max_players: int = MAX_EXACT_PLAYERS,
 ) -> list[float]:
     """Attribution vector for every member; sums to v(full coalition)."""
-    return [shapley_value(v, coalition, i, max_players) for i in coalition]
+    n = len(coalition)
+    _check_size(n, max_players)
+    table = v.by_mask(n)
+    weights = _mask_weights(n)
+    return [_attribution(table, weights, i) for i in coalition]
 
 
 def shapley_oracle_permutations(
@@ -226,14 +325,15 @@ def shapley_oracle_permutations(
     """
     n = len(coalition)
     _check_size(n, ORACLE_MAX_PLAYERS)
+    table = v.by_mask(n)
     totals = [0.0] * n
     for order in permutations(coalition):
-        prefix: frozenset = frozenset()
+        prefix = 0
         prev = 0.0
         for player in order:
-            cur = v(prefix | {player})
+            prefix |= 1 << player
+            cur = table[prefix]
             totals[player] += cur - prev
-            prefix = prefix | {player}
             prev = cur
     count = factorial(n)
     return [t / count for t in totals]
@@ -254,16 +354,18 @@ class AxiomReport:
         return self.efficiency and self.symmetry and self.nullity and self.additivity
 
 
-def _interchangeable(v, coalition, i, j, rel) -> bool:
-    for subset in _subsets_excluding(coalition, (i, j)):
-        if not _close(v(subset | {i}), v(subset | {j}), rel):
+def _interchangeable(table: list[float], i: PlayerId, j: PlayerId, rel: float) -> bool:
+    bi, bj = 1 << i, 1 << j
+    for mask in range(len(table)):
+        if not mask & (bi | bj) and not _close(table[mask | bi], table[mask | bj], rel):
             return False
     return True
 
 
-def _is_null(v, coalition, i, rel) -> bool:
-    for subset in _subsets_excluding(coalition, (i,)):
-        if not _close(v(subset | {i}), v(subset), rel):
+def _is_null(table: list[float], i: PlayerId, rel: float) -> bool:
+    bit = 1 << i
+    for mask in range(len(table)):
+        if not mask & bit and not _close(table[mask | bit], table[mask], rel):
             return False
     return True
 
@@ -283,32 +385,32 @@ def check_axioms(
     additive game built from v's singleton values is used.
     """
     phi = shapley_all(v, coalition)
+    table = v.by_mask(len(coalition))
+    grand = table[-1]
     witnesses: dict = {"interchangeable_pairs": [], "null_players": []}
 
-    efficiency = _close(sum(phi), v(coalition.members), rel_tol)
-    witnesses["efficiency"] = {"sum_phi": sum(phi), "grand_value": v(coalition.members)}
+    efficiency = _close(sum(phi), grand, rel_tol)
+    witnesses["efficiency"] = {"sum_phi": sum(phi), "grand_value": grand}
 
     symmetry = True
     for i in coalition:
         for j in coalition:
             if j <= i:
                 continue
-            if _interchangeable(v, coalition, i, j, rel_tol):
+            if _interchangeable(table, i, j, rel_tol):
                 witnesses["interchangeable_pairs"].append((i, j))
                 if not _close(phi[i], phi[j], rel_tol):
                     symmetry = False
 
     nullity = True
     for i in coalition:
-        if _is_null(v, coalition, i, rel_tol):
+        if _is_null(table, i, rel_tol):
             witnesses["null_players"].append(i)
-            if abs(phi[i]) > rel_tol * max(1.0, abs(v(coalition.members))):
+            if abs(phi[i]) > rel_tol * max(1.0, abs(grand)):
                 nullity = False
 
     if additivity_partner is None:
-        additivity_partner = AdditiveSteps(
-            [v(frozenset([i])) for i in coalition]
-        )
+        additivity_partner = AdditiveSteps([table[1 << i] for i in coalition])
     phi_sum = shapley_all(v + additivity_partner, coalition)
     phi_partner = shapley_all(additivity_partner, coalition)
     additivity = all(

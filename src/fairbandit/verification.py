@@ -157,6 +157,8 @@ def run_axiom_suite(
         raise ValueError("max_n above 8 makes the permutation oracle infeasible")
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
+    if trials < 0:
+        raise ValueError(f"trials must be at least 0, got {trials}")
     fn = shapley_fn if shapley_fn is not None else shapley_all
     result = AxiomSuiteResult(trials=trials)
     if trials == 0:

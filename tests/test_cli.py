@@ -131,6 +131,10 @@ class TestAxioms:
         assert main(["axioms", "--trials", "0"]) == 0
         assert "warning" in capsys.readouterr().out.lower()
 
+    def test_negative_trials_rejected(self, capsys):
+        assert main(["axioms", "--trials", "-3"]) == 2
+        assert "trials" in capsys.readouterr().err
+
     def test_max_n_larger_than_oracle_limit_rejected(self, capsys):
         assert main(["axioms", "--max-n", "9"]) == 2
 

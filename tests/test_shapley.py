@@ -1,5 +1,8 @@
+import hashlib
 import json
 import math
+import tracemalloc
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from fairbandit.rng import SplitMix64
 from fairbandit.shapley import (
     AdditiveSteps,
     CallableCharacteristic,
+    MAX_EXACT_PLAYERS,
     Coalition,
     CoalitionTooLargeError,
     PlayerNotInCoalitionError,
@@ -20,7 +24,7 @@ from fairbandit.shapley import (
     shapley_value,
     subset_weight,
 )
-from fairbandit.verification import random_table_game
+from fairbandit.verification import random_table_game, run_axiom_suite
 
 TWO_PLAYER_SUPERADDITIVE = TableBacked(
     2, {frozenset([0]): 10000.0, frozenset([1]): 12000.0, frozenset([0, 1]): 23000.0}
@@ -190,6 +194,49 @@ class TestTableBacked:
     def test_empty_set_is_zero(self):
         assert TWO_PLAYER_SUPERADDITIVE(frozenset()) == 0.0
 
+    def test_two_keys_for_one_subset_rejected(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            TableBacked(2, {(0,): 1.0, (1,): 1.0, (0, 1): 3.0, (1, 0): 9.0})
+
+    def test_non_finite_value_rejected(self):
+        with pytest.raises(ValueError, match=r"subset \[1\]"):
+            TableBacked(2, {frozenset([0]): 1.0, frozenset([1]): math.inf, frozenset([0, 1]): 2.0})
+
+    def test_nonzero_empty_coalition_rejected(self):
+        with pytest.raises(ValueError, match="empty-coalition"):
+            TableBacked(1, {frozenset(): 5.0, frozenset([0]): 1.0})
+
+
+BUILDERS = {
+    "TableBacked": lambda players: TableBacked(players, {frozenset([0]): 1.0}),
+    "load_characteristic": lambda players: load_characteristic(
+        {"players": players, "values": {"0": 1.0}}
+    ),
+}
+
+
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+class TestPlayerCount:
+    @pytest.mark.parametrize("players", [-1, 0, 2.7, True, "2", None])
+    def test_must_be_a_positive_int(self, build, players):
+        with pytest.raises(ValueError, match="players") as err:
+            build(players)
+        assert not isinstance(err.value, CoalitionTooLargeError)
+
+    def test_above_exact_limit_rejected(self, build):
+        with pytest.raises(CoalitionTooLargeError):
+            build(MAX_EXACT_PLAYERS + 1)
+
+    def test_huge_count_rejected_before_allocating(self, build):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CoalitionTooLargeError):
+                build(10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestJsonLoading:
     DOC = {"players": 2, "values": {"0": 10000, "1": 12000, "0,1": 23000}}
@@ -205,6 +252,12 @@ class TestJsonLoading:
         p.write_text(json.dumps(self.DOC))
         assert load_characteristic(p)([1]) == 12000.0
 
+    def test_load_from_string_longer_than_a_file_name(self):
+        values = {",".join(str(i) for i in range(8) if m >> i & 1): 1.0 for m in range(1, 256)}
+        text = json.dumps({"players": 8, "values": values})
+        assert len(text) > 4096
+        assert load_characteristic(text)(range(8)) == 1.0
+
     def test_missing_subset_is_error(self):
         with pytest.raises(ValueError, match="missing value"):
             load_characteristic({"players": 2, "values": {"0": 1.0, "0,1": 2.0}})
@@ -213,6 +266,131 @@ class TestJsonLoading:
         doc = {"players": 1, "values": {"": 5.0, "0": 1.0}}
         with pytest.raises(ValueError, match="empty-coalition"):
             load_characteristic(doc)
+
+    def test_reordered_duplicate_key_rejected(self):
+        doc = {"players": 2, "values": {"0": 1, "1": 1, "0,1": 3, "1,0": 9}}
+        with pytest.raises(ValueError, match="'1,0'"):
+            load_characteristic(doc)
+
+    def test_repeated_member_rejected(self):
+        doc = {"players": 2, "values": {"0": 1, "1": 1, "0,1": 3, "0,0": 9}}
+        with pytest.raises(ValueError, match="'0,0'"):
+            load_characteristic(doc)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity", "many", None])
+    def test_non_finite_or_non_numeric_value_rejected(self, bad):
+        doc = {"players": 2, "values": {"0": 1, "1": bad, "0,1": 3}}
+        with pytest.raises(ValueError, match="'1'"):
+            load_characteristic(doc)
+
+    def test_malformed_key_rejected(self):
+        doc = {"players": 2, "values": {"0": 1, "one": 1, "0,1": 3}}
+        with pytest.raises(ValueError, match="'one'"):
+            load_characteristic(doc)
+
+
+def _old_subsets_excluding(coalition, excluded):
+    others = [p for p in coalition if p not in excluded]
+    for mask in range(1 << len(others)):
+        yield frozenset(others[b] for b in range(len(others)) if mask >> b & 1)
+
+
+def _old_shapley_value(v, coalition, player):
+    """The frozenset enumeration the mask table replaced, kept as the
+    reference for bit-identity."""
+    n = len(coalition)
+    weights = [subset_weight(s, n) for s in range(n)]
+    total = 0.0
+    for subset in _old_subsets_excluding(coalition, (player,)):
+        total += weights[len(subset)] * (v(subset | {player}) - v(subset))
+    return total
+
+
+def _old_oracle(v, coalition):
+    n = len(coalition)
+    totals = [0.0] * n
+    for order in permutations(coalition):
+        prefix = frozenset()
+        prev = 0.0
+        for player in order:
+            cur = v(prefix | {player})
+            totals[player] += cur - prev
+            prefix = prefix | {player}
+            prev = cur
+    return [t / math.factorial(n) for t in totals]
+
+
+def _members(mask, n):
+    return frozenset(i for i in range(n) if mask >> i & 1)
+
+
+def _callable_game(s):
+    return (1.0 + sum(math.sqrt(i + 1.5) for i in sorted(s))) ** 1.7 - len(s) / 3.0
+
+
+def _games(n, seed):
+    """One game of every characteristic-function subclass at size n."""
+    rng = SplitMix64(seed)
+    v = random_table_game(n, rng)
+    partner = random_table_game(n, rng)
+    steps = AdditiveSteps([rng.uniform(0.0, 20000.0) for _ in range(n)])
+    return {
+        "table": v,
+        "sum": v + partner,
+        "nested-sum": v + steps + partner,
+        "additive": steps,
+        "callable": CallableCharacteristic(_callable_game),
+    }
+
+
+class TestMaskTable:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_by_mask_matches_v_for_every_subclass(self, n):
+        for name, v in _games(n, 40 + n).items():
+            table = v.by_mask(n)
+            assert len(table) == 1 << n, name
+            assert table[0] == 0.0
+            for mask in range(1 << n):
+                assert table[mask] == v(_members(mask, n)), (name, mask)
+
+    def test_table_game_serves_its_leading_players(self):
+        v = random_table_game(5, SplitMix64(3))
+        assert v.by_mask(3) == [v(_members(m, 3)) for m in range(8)]
+        with pytest.raises(ValueError, match="5 players"):
+            v.by_mask(6)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_shapley_all_and_value_bit_identical(self, n):
+        coalition = Coalition.of_size(n)
+        for name, v in _games(n, 60 + n).items():
+            want = [_old_shapley_value(v, coalition, i) for i in coalition]
+            assert shapley_all(v, coalition) == want, name
+            for i in coalition:
+                assert shapley_value(v, coalition, i) == want[i], (name, i)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_oracle_bit_identical(self, n):
+        coalition = Coalition.of_size(n)
+        for name, v in _games(n, 80 + n).items():
+            assert shapley_oracle_permutations(v, coalition) == _old_oracle(v, coalition), name
+
+    def test_shapley_all_digest_pinned(self):
+        # sha256 of float.hex of every attribution, taken from the
+        # frozenset enumeration before the mask table replaced it
+        digest = hashlib.sha256()
+        rng = SplitMix64(2024)
+        for n in range(8, 13):
+            v = random_table_game(n, rng)
+            for phi in shapley_all(v, Coalition.of_size(n)):
+                digest.update(float.hex(phi).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "f53dda15d31c5226fcbaa599d549e4060e414381e9db860219d0c7926852f3be"
+        )
+
+
+def test_axiom_suite_rejects_negative_trials():
+    with pytest.raises(ValueError, match="trials"):
+        run_axiom_suite(trials=-3)
 
 
 def test_coalition_requires_contiguous_members():
