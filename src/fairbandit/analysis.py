@@ -81,6 +81,13 @@ def percentile_rank(values: Sequence[float]) -> list[float]:
         raise ValueError("cannot rank an empty list")
     if n == 1:
         return [0.5]
+    if n == 2:
+        # The simulator ranks its two-player team every day. This is the
+        # general path's result: a stable sort puts b first only if b < a.
+        a, b = values
+        if b < a:
+            return [1.0, 0.0]
+        return [0.5, 0.5] if a == b else [0.0, 1.0]
     order = sorted(range(n), key=lambda i: values[i])
     ranks = [0.0] * n
     pos = 0
@@ -197,20 +204,31 @@ class DisparityReport:
 
 
 def cohort_metrics(
-    logs: Sequence, intervention_start: int = DEFAULT_INTERVENTION_START
+    logs: Sequence,
+    intervention_start: int = DEFAULT_INTERVENTION_START,
+    tallies: Sequence[dict[int, PlayerTally]] | None = None,
 ) -> list[PlayerMetrics]:
     """Per-player metrics pooled over every log in the cohort. Players
     with no attended intervention days are excluded. Percentile ranks
-    (and hence disparities) are computed within the pooled cohort."""
+    (and hence disparities) are computed within the pooled cohort. A
+    mean step count that overflows raises ValueError.
+
+    `tallies`, when given, is each log's `log_metrics` over the same
+    window, in log order; otherwise it is computed here.
+    """
+    if tallies is None:
+        tallies = [log_metrics(log, intervention_start) for log in logs]
     labels: list[str] = []
     efforts: list[float] = []
     treatments: list[int] = []
     misses: list[float] = []
-    for log in logs:
+    for log, log_tallies in zip(logs, tallies, strict=True):
         prefix = f"{log.name}:" if getattr(log, "name", "") else ""
-        for player, tally in log_metrics(log, intervention_start).items():
+        for player, tally in log_tallies.items():
             if tally.effort is None:
                 continue
+            if not math.isfinite(tally.effort):
+                raise ValueError(f"{prefix}p{player}: mean steps {tally.effort} is not finite")
             labels.append(f"{prefix}p{player}")
             efforts.append(tally.effort)
             treatments.append(tally.net_top_treatment)
@@ -230,9 +248,11 @@ def cohort_metrics(
 
 
 def disparity_report(
-    logs: Sequence, intervention_start: int = DEFAULT_INTERVENTION_START
+    logs: Sequence,
+    intervention_start: int = DEFAULT_INTERVENTION_START,
+    tallies: Sequence[dict[int, PlayerTally]] | None = None,
 ) -> DisparityReport:
-    metrics = cohort_metrics(logs, intervention_start)
+    metrics = cohort_metrics(logs, intervention_start, tallies)
     if len(metrics) < 3:
         raise ValueError(f"need at least 3 analyzable players, got {len(metrics)}")
     metrics.sort(key=lambda m: (m.disparity, m.player))

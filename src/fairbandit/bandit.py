@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .rng import SplitMix64
 from .shapley import shapley_all  # noqa: F401  patched by name in benchmarks/spans.py
@@ -42,14 +42,20 @@ class Arm(IntEnum):
 
     @property
     def letter(self) -> str:
-        return "ABC"[self.value]
+        return "ABC"[self]
 
     @classmethod
     def from_letter(cls, letter: str) -> "Arm":
-        try:
-            return cls("ABC".index(letter.strip().upper()))
-        except ValueError:
-            raise ValueError(f"unknown arm letter {letter!r}") from None
+        arm = _ARM_BY_LETTER.get(letter.strip().upper())
+        if arm is None:
+            raise ValueError(f"unknown arm letter {letter!r}")
+        return arm
+
+
+# Every arm in ordinal order, so that `_ARMS[i]` is `Arm(i)`. The hot
+# path indexes this tuple instead of iterating or calling the enum.
+_ARMS = tuple(Arm)
+_ARM_BY_LETTER = {arm.letter: arm for arm in _ARMS}
 
 
 class Mode(Enum):
@@ -58,15 +64,13 @@ class Mode(Enum):
     EXPLOIT = "exploit"
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     arm: Arm
     catered_player: PlayerId | None = None
     mode: Mode = Mode.EXPLOIT
 
 
-@dataclass(frozen=True)
-class Reward:
+class Reward(NamedTuple):
     """One session's observed response: step change vs. the player's own
     baseline, and the post-minus-pre change in self-reported motivation."""
 
@@ -116,7 +120,8 @@ class RewardModel:
     Sample means over everything observed so far; unobserved cells
     estimate 0 (rewards are deltas vs. baseline, so "no effect" is the
     natural prior, and forced exploration fills every cell before any
-    exploit decision anyway).
+    exploit decision anyway). Each player's sums, counts and means are
+    lists indexed by `int(arm)`; a mean is updated with its cell.
     """
 
     def __init__(
@@ -126,8 +131,9 @@ class RewardModel:
     ):
         self.step_scale = step_scale
         self.motivation_weight = motivation_weight
-        self._count: dict[tuple[PlayerId, Arm], int] = {}
-        self._sum: dict[tuple[PlayerId, Arm], float] = {}
+        self._sums: dict[PlayerId, list[float]] = {}
+        self._counts: dict[PlayerId, list[int]] = {}
+        self._means: dict[PlayerId, list[float]] = {}
 
     def observe(self, player: PlayerId, arm: Arm, reward: Reward) -> None:
         self.observe_scalar(
@@ -137,25 +143,38 @@ class RewardModel:
     def observe_scalar(self, player: PlayerId, arm: Arm, value: float) -> None:
         if not math.isfinite(value):
             raise ValueError(f"reward must be finite, got {value}")
-        key = (player, arm)
-        self._count[key] = self._count.get(key, 0) + 1
-        self._sum[key] = self._sum.get(key, 0.0) + value
+        sums = self._sums.get(player)
+        if sums is None:
+            sums = self._sums[player] = [0.0] * len(_ARMS)
+            self._counts[player] = [0] * len(_ARMS)
+            self._means[player] = [0.0] * len(_ARMS)
+        counts = self._counts[player]
+        sums[arm] += value
+        counts[arm] += 1
+        self._means[player][arm] = sums[arm] / counts[arm]
 
     def count(self, player: PlayerId, arm: Arm) -> int:
-        return self._count.get((player, arm), 0)
+        counts = self._counts.get(player)
+        return counts[arm] if counts else 0
+
+    def means(self, player: PlayerId) -> list[float]:
+        """The player's estimate for every arm, indexed by `int(arm)`."""
+        means = self._means.get(player)
+        return list(means) if means else [0.0] * len(_ARMS)
 
     def mean(self, player: PlayerId, arm: Arm) -> float:
-        key = (player, arm)
-        n = self._count.get(key, 0)
-        return self._sum[key] / n if n else 0.0
+        means = self._means.get(player)
+        return means[arm] if means else 0.0
 
 
 def _argbest(
     scores: Sequence[float], best: bool, rng: SplitMix64 | None
 ) -> int:
     target = max(scores) if best else min(scores)
+    if rng is None:
+        return scores.index(target)
     tied = [i for i, s in enumerate(scores) if s == target]
-    if rng is not None and len(tied) > 1:
+    if len(tied) > 1:
         return rng.choice(tied)
     return tied[0]
 
@@ -165,13 +184,20 @@ def predict_best_arm(
 ) -> Arm:
     """Arm with the highest estimated reward for this player. Ties break
     to the lowest ordinal by default, or seeded-uniform when `rng` is given."""
-    return Arm(_argbest([model.mean(player, arm) for arm in Arm], True, rng))
+    return _ARMS[_argbest(model.means(player), True, rng)]
 
 
 def predict_worst_arm(
     model: RewardModel, player: PlayerId, rng: SplitMix64 | None = None
 ) -> Arm:
-    return Arm(_argbest([model.mean(player, arm) for arm in Arm], False, rng))
+    return _ARMS[_argbest(model.means(player), False, rng)]
+
+
+def best_and_worst_arms(means: list[float]) -> tuple[Arm, Arm]:
+    """Highest- and lowest-estimate arms of one `RewardModel.means` vector,
+    ties to the lowest ordinal: `predict_best_arm` and `predict_worst_arm`
+    without `rng`, from one read of the model."""
+    return _ARMS[means.index(max(means))], _ARMS[means.index(min(means))]
 
 
 def greedy_select(
@@ -181,12 +207,12 @@ def greedy_select(
     players = list(players)
     if not players:
         raise ValueError("players must be nonempty")
-    sums = [sum(model.mean(p, arm) for p in players) for arm in Arm]
-    return Decision(arm=Arm(_argbest(sums, True, rng)), catered_player=None, mode=Mode.EXPLOIT)
+    sums = [sum(column) for column in zip(*(model.means(p) for p in players))]
+    return Decision(arm=_ARMS[_argbest(sums, True, rng)], catered_player=None, mode=Mode.EXPLOIT)
 
 
 def random_select(rng: SplitMix64) -> Decision:
-    return Decision(arm=Arm(rng.randrange(len(Arm))), catered_player=None, mode=Mode.EXPLORE)
+    return Decision(arm=_ARMS[rng.randrange(len(_ARMS))], catered_player=None, mode=Mode.EXPLORE)
 
 
 @dataclass

@@ -33,6 +33,7 @@ from . import __version__
 from .analysis import (
     DEFAULT_INTERVENTION_START,
     DisparityReport,
+    PlayerTally,
     correlation_diff_test,
     disparity_report,
     log_metrics,
@@ -145,20 +146,25 @@ def run_condition(
 
 
 def batch_median_r(
-    logs: Sequence[StudyLog], intervention_start: int = DEFAULT_INTERVENTION_START
+    logs: Sequence[StudyLog],
+    intervention_start: int = DEFAULT_INTERVENTION_START,
+    tallies: Sequence[dict[int, PlayerTally]] | None = None,
 ) -> float | None:
     """Median disparity-vs-miss correlation over batches of replications.
 
     A single 2-player study cannot support a correlation, so consecutive
     replications are pooled into cohorts of `BATCH_SIZE` studies and the
     correlation is computed per cohort; batches that are degenerate
-    (constant disparity or misses) are skipped.
+    (constant disparity or misses) are skipped. `tallies`, when given,
+    is each log's `log_metrics` over the same window, in log order.
     """
+    if tallies is None:
+        tallies = [log_metrics(log, intervention_start) for log in logs]
     rs = []
     for start in range(0, len(logs) - BATCH_SIZE + 1, BATCH_SIZE):
-        batch = logs[start : start + BATCH_SIZE]
+        batch = slice(start, start + BATCH_SIZE)
         try:
-            rs.append(disparity_report(batch, intervention_start).correlation.r)
+            rs.append(disparity_report(logs[batch], intervention_start, tallies[batch]).correlation.r)
         except ValueError:
             continue
     if not rs:
@@ -169,16 +175,16 @@ def batch_median_r(
 def _condition_summary(
     condition: str,
     logs: Sequence[StudyLog],
+    tallies: Sequence[dict[int, PlayerTally]],
     report: DisparityReport | None,
     batch_r: float | None,
-    intervention_start: int,
 ) -> dict:
     steps_vs_baseline = []
     miss_rates = []
     post_scores = []
     sum_sds = []
-    for log in logs:
-        for p, tally in log_metrics(log, intervention_start).items():
+    for log, log_tallies in zip(logs, tallies, strict=True):
+        for p, tally in log_tallies.items():
             if tally.effort is not None:
                 steps_vs_baseline.append(tally.effort - log.baseline_means[p])
             miss_rates.append(tally.miss_likelihood)
@@ -253,24 +259,27 @@ def run_experiment(
     write_artifacts: bool = True,
 ) -> ExperimentResult:
     """Run every condition of `spec`, analysing each over its own
-    intervention window (`StudyConfig.intervention_start`)."""
+    intervention window (`StudyConfig.intervention_start`). Each log is
+    tallied once (`log_metrics`) and every analysis of it reads that."""
     out = Path(out_dir)
     seeds = replication_seeds(spec)
     files: list[str] = []
     logs: dict[str, list[StudyLog]] = {}
     reports: dict[str, DisparityReport | None] = {}
-    batch_rs: dict[str, float | None] = {}
+    summaries: list[dict] = []
 
     for config in spec.conditions:
         name = config.condition.value
         start = config.intervention_start
         condition_logs = run_condition(config, seeds, jobs)
         logs[name] = condition_logs
+        tallies = [log_metrics(log, start) for log in condition_logs]
         try:
-            reports[name] = disparity_report(condition_logs, start)
+            reports[name] = disparity_report(condition_logs, start, tallies)
         except ValueError:
             reports[name] = None
-        batch_rs[name] = batch_median_r(condition_logs, start)
+        batch_r = batch_median_r(condition_logs, start, tallies)
+        summaries.append(_condition_summary(name, condition_logs, tallies, reports[name], batch_r))
 
         if write_artifacts:
             cond_dir = out / name
@@ -279,7 +288,7 @@ def run_experiment(
                 rep_dir.mkdir(parents=True, exist_ok=True)
                 write_log_csv(log, rep_dir / "log.csv")
                 write_decisions_jsonl(log.decisions, rep_dir / "decisions.jsonl")
-                write_log_summary(log, rep_dir / "summary.json", start)
+                write_log_summary(log, rep_dir / "summary.json", start, tallies[k])
                 files += [
                     str((rep_dir / fname).relative_to(out))
                     for fname in ("log.csv", "decisions.jsonl", "summary.json")
@@ -307,17 +316,6 @@ def run_experiment(
                     "p_value": p,
                 }
             )
-
-    summaries = [
-        _condition_summary(
-            c.condition.value,
-            logs[c.condition.value],
-            reports[c.condition.value],
-            batch_rs[c.condition.value],
-            c.intervention_start,
-        )
-        for c in spec.conditions
-    ]
 
     manifest = RunManifest(spec_hash=spec.spec_hash(), seeds=seeds, files=[])
     result = ExperimentResult(spec, out, logs, summaries, comparison, manifest)

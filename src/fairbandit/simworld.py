@@ -24,8 +24,9 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from typing import NamedTuple
 
-from .analysis import DEFAULT_INTERVENTION_START, log_metrics, percentile_rank
+from .analysis import DEFAULT_INTERVENTION_START, PlayerTally, log_metrics, percentile_rank
 from .bandit import (
     Arm,
     Decision,
@@ -33,11 +34,10 @@ from .bandit import (
     Reward,
     RewardModel,
     ShapleyBanditState,
+    best_and_worst_arms,
     decision_record,
     greedy_select,
     place_artificial_steps,
-    predict_best_arm,
-    predict_worst_arm,
     random_select,
     shapley_select,
     shapley_update,
@@ -71,8 +71,7 @@ class Direction(str, Enum):
     LATERAL = "lateral"
 
 
-@dataclass(frozen=True)
-class Exposure:
+class Exposure(NamedTuple):
     """Comparison direction toward each of a player's two targets."""
 
     artificial: Direction
@@ -166,8 +165,7 @@ class StudyConfig:
             raise ConfigError(f"invalid study config: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class SessionRow:
+class SessionRow(NamedTuple):
     day: int
     player: int
     steps: float | None
@@ -199,12 +197,15 @@ class StudyLog:
     decisions: list[dict] = field(default_factory=list)
 
 
+_UPWARD, _DOWNWARD, _LATERAL = Direction.UPWARD, Direction.DOWNWARD, Direction.LATERAL
+
+
 def compare_steps(own: float, target: float) -> Direction:
     if target > own:
-        return Direction.UPWARD
+        return _UPWARD
     if target < own:
-        return Direction.DOWNWARD
-    return Direction.LATERAL
+        return _DOWNWARD
+    return _LATERAL
 
 
 def exposure_direction(
@@ -220,7 +221,7 @@ def exposure_direction(
     )
 
 
-_DIRECTION_SIGN = {Direction.UPWARD: 1.0, Direction.DOWNWARD: -1.0, Direction.LATERAL: 0.0}
+_DIRECTION_SIGN = {_UPWARD: 1.0, _DOWNWARD: -1.0, _LATERAL: 0.0}
 
 
 def alignment(sco: float, exposure: Exposure) -> float:
@@ -235,7 +236,10 @@ def alignment(sco: float, exposure: Exposure) -> float:
 def step_response(player: SimPlayer, exposure: Exposure, rng: SplitMix64) -> float:
     """Today's steps: baseline plus alignment * effect_size plus noise,
     floored at zero. Always consumes one normal draw."""
-    a = alignment(player.sco, exposure)
+    return _step_response(player, alignment(player.sco, exposure), rng)
+
+
+def _step_response(player: SimPlayer, a: float, rng: SplitMix64) -> float:
     noise = rng.normal(0.0, player.noise_sd)
     return max(0.0, player.baseline_steps + a * player.effect_size + noise)
 
@@ -246,8 +250,11 @@ def motivation_response(
     """Pre/post session motivation on the 1-5 scale. Pre is uniform over
     {2, 3, 4}; post moves one point in the alignment's direction with
     probability |alignment|, clamped to the scale. Draw count is fixed."""
+    return _motivation_response(alignment(player.sco, exposure), rng)
+
+
+def _motivation_response(a: float, rng: SplitMix64) -> tuple[int, int]:
     pre = 2 + rng.randrange(3)
-    a = alignment(player.sco, exposure)
     u = rng.random()
     post = pre
     if u < abs(a):
@@ -325,6 +332,7 @@ def run_study(config: StudyConfig) -> StudyLog:
     rows: list[SessionRow] = []
     decisions: list[dict] = []
 
+    jitter = jitter_rng if config.jitter else None
     for day in range(1, config.total_sessions + 1):
         disparities = _running_disparities(
             observed_steps, best_given, worst_given, any_exploit
@@ -343,30 +351,26 @@ def run_study(config: StudyConfig) -> StudyLog:
                 decision = random_select(decision_rng)
             else:
                 decision = shapley_select(state, model, players, decision_rng)
+        arm = decision.arm
 
-        best_arms = [predict_best_arm(model, p) for p in players]
-        worst_arms = [predict_worst_arm(model, p) for p in players]
-        artificial = place_artificial_steps(
-            decision.arm,
-            last_steps[0],
-            last_steps[1],
-            jitter_rng if config.jitter else None,
-        )
+        best_arms, worst_arms = zip(*(best_and_worst_arms(model.means(p)) for p in players))
+        artificial = place_artificial_steps(arm, last_steps[0], last_steps[1], jitter)
 
         day_rewards: dict[int, float] = {}
         day_steps: dict[int, float] = {}
         for i, player in enumerate(config.players):
             exposure = exposure_direction(last_steps[i], artificial, last_steps[1 - i])
-            steps = step_response(player, exposure, world_rng)
-            pre, post = motivation_response(player, exposure, world_rng)
+            a = alignment(player.sco, exposure)
+            steps = _step_response(player, a, world_rng)
+            pre, post = _motivation_response(a, world_rng)
             missed = miss_decision(player, disparities[i], world_rng)
             if missed:
                 steps = pre = post = None
             else:
                 day_steps[i] = steps
                 reward = Reward(steps - baseline_means[i], float(post - pre))
-                model.observe(i, decision.arm, reward)
                 day_rewards[i] = reward.combined(config.step_scale, config.motivation_weight)
+                model.observe_scalar(i, arm, day_rewards[i])
             rows.append(
                 SessionRow(
                     day=day,
@@ -375,7 +379,7 @@ def run_study(config: StudyConfig) -> StudyLog:
                     missed=missed,
                     pre_motivation=pre,
                     post_motivation=post,
-                    arm=decision.arm,
+                    arm=arm,
                     mode=decision.mode,
                     catered_player=decision.catered_player,
                     artificial_steps=artificial,
@@ -389,16 +393,16 @@ def run_study(config: StudyConfig) -> StudyLog:
         if decision.mode is Mode.EXPLOIT:
             any_exploit = True
             for i in players:
-                if decision.arm == best_arms[i]:
+                if arm == best_arms[i]:
                     tc_effective[i] += 1
         for i, steps in day_steps.items():
             observed_steps[i].append(steps)
             last_steps[i] = steps
         if day >= config.intervention_start:
             for i in players:
-                if decision.arm == best_arms[i]:
+                if arm == best_arms[i]:
                     best_given[i] += 1
-                if decision.arm == worst_arms[i]:
+                if arm == worst_arms[i]:
                     worst_given[i] += 1
 
         decisions.append(decision_record(day, decision, state, day_rewards))
@@ -479,34 +483,87 @@ def write_log_csv(log: StudyLog, path) -> None:
             )
 
 
-def _parse_field(raw: str, kind: str, line: int, column: str):
+def _flag(raw: str) -> bool:
+    if raw == "1":
+        return True
+    if raw == "0":
+        return False
+    raise ValueError(f"expected 0 or 1, got {raw!r}")
+
+
+def _opt_int(raw: str) -> int | None:
+    return int(raw) if raw else None
+
+
+def _opt_float(raw: str) -> float | None:
+    return float(raw) if raw else None
+
+
+_MODE_BY_VALUE = {mode.value: mode for mode in Mode}
+
+
+def _mode(raw: str) -> Mode:
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "opt_int":
-            return int(raw) if raw != "" else None
-        if kind == "float":
-            return float(raw)
-        if kind == "opt_float":
-            return float(raw) if raw != "" else None
-        if kind == "bool":
-            if raw in ("0", "1"):
-                return raw == "1"
-            raise ValueError(f"expected 0 or 1, got {raw!r}")
-        if kind == "arm":
-            return Arm.from_letter(raw)
-        if kind == "mode":
-            return Mode(raw)
-    except ValueError as exc:
-        raise SchemaError(f"line {line}, column {column!r}: {exc}") from None
-    raise AssertionError(kind)
+        return _MODE_BY_VALUE[raw]
+    except KeyError:
+        raise ValueError(f"{raw!r} is not a valid Mode") from None
+
+
+# One parser per LOG_COLUMNS entry, in that order; each raises ValueError.
+_PARSERS = (
+    int,
+    int,
+    _opt_float,
+    _flag,
+    _opt_int,
+    _opt_int,
+    Arm.from_letter,
+    _mode,
+    _opt_int,
+    float,
+    Arm.from_letter,
+    Arm.from_letter,
+    float,
+)
+
+
+def _field_error(record: list[str], line: int) -> SchemaError:
+    """The error for the first field of `record` that does not parse."""
+    for column, parse, raw in zip(LOG_COLUMNS, _PARSERS, record):
+        try:
+            parse(raw)
+        except ValueError as exc:
+            return SchemaError(f"line {line}, column {column!r}: {exc}")
+    raise AssertionError("every field parses")
+
+
+def _row_error(row: SessionRow) -> tuple[str, str] | None:
+    """(column, reason) for a parsed row that no simulation can write:
+    a step count that is negative or not finite, or a missed session
+    with data (or an attended one without steps)."""
+    if row.missed:
+        if row.steps is not None:
+            return "steps", "a missed session has steps"
+        if row.pre_motivation is not None or row.post_motivation is not None:
+            return "pre_motivation", "a missed session has motivation scores"
+    elif row.steps is None:
+        return "steps", "an attended session has no steps"
+    elif not 0.0 <= row.steps < math.inf:
+        return "steps", f"{row.steps!r} is not a finite non-negative step count"
+    if not 0.0 <= row.artificial_steps < math.inf:
+        return "artificial_steps", f"{row.artificial_steps!r} is not a finite non-negative step count"
+    if not 0.0 <= row.baseline_mean < math.inf:
+        return "baseline_mean", f"{row.baseline_mean!r} is not a finite non-negative step count"
+    return None
 
 
 def read_log_csv(path, name: str = "") -> StudyLog:
     """Parse a session log CSV, validating the documented schema.
 
-    Header mismatches and unparseable values raise SchemaError with the
-    offending column (and line) named.
+    Header mismatches, unparseable values, step counts that are negative
+    or not finite, a missed session with data or an attended one without
+    steps, and a repeated (day, player) pair raise SchemaError naming
+    the offending line and column.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -526,46 +583,39 @@ def read_log_csv(path, name: str = "") -> StudyLog:
                 detail.append(f"column order must be {LOG_COLUMNS}")
             raise SchemaError("bad header: " + "; ".join(detail))
         rows = []
+        first_line: dict[tuple[int, int], int] = {}
         for lineno, record in enumerate(reader, start=2):
             if len(record) != len(LOG_COLUMNS):
                 raise SchemaError(
                     f"line {lineno}: expected {len(LOG_COLUMNS)} fields, got {len(record)}"
                 )
-            value = dict(zip(LOG_COLUMNS, record))
-            rows.append(
-                SessionRow(
-                    day=_parse_field(value["day"], "int", lineno, "day"),
-                    player=_parse_field(value["player"], "int", lineno, "player"),
-                    steps=_parse_field(value["steps"], "opt_float", lineno, "steps"),
-                    missed=_parse_field(value["missed"], "bool", lineno, "missed"),
-                    pre_motivation=_parse_field(
-                        value["pre_motivation"], "opt_int", lineno, "pre_motivation"
-                    ),
-                    post_motivation=_parse_field(
-                        value["post_motivation"], "opt_int", lineno, "post_motivation"
-                    ),
-                    arm=_parse_field(value["arm"], "arm", lineno, "arm"),
-                    mode=_parse_field(value["mode"], "mode", lineno, "mode"),
-                    catered_player=_parse_field(
-                        value["catered_player"], "opt_int", lineno, "catered_player"
-                    ),
-                    artificial_steps=_parse_field(
-                        value["artificial_steps"], "float", lineno, "artificial_steps"
-                    ),
-                    best_arm=_parse_field(value["best_arm"], "arm", lineno, "best_arm"),
-                    worst_arm=_parse_field(value["worst_arm"], "arm", lineno, "worst_arm"),
-                    baseline_mean=_parse_field(
-                        value["baseline_mean"], "float", lineno, "baseline_mean"
-                    ),
+            try:
+                row = SessionRow._make([parse(raw) for parse, raw in zip(_PARSERS, record)])
+            except ValueError:
+                raise _field_error(record, lineno) from None
+            problem = _row_error(row)
+            if problem is not None:
+                raise SchemaError(f"line {lineno}, column {problem[0]!r}: {problem[1]}")
+            first = first_line.setdefault((row.day, row.player), lineno)
+            if first != lineno:
+                raise SchemaError(
+                    f"line {lineno}, columns 'day', 'player': day {row.day} player"
+                    f" {row.player} repeats line {first}"
                 )
-            )
+            rows.append(row)
     return StudyLog(rows=rows, name=name)
 
 
-def log_summary(log: StudyLog, intervention_start: int = DEFAULT_INTERVENTION_START) -> dict:
+def log_summary(
+    log: StudyLog,
+    intervention_start: int = DEFAULT_INTERVENTION_START,
+    tallies: dict[int, PlayerTally] | None = None,
+) -> dict:
     """Per-study JSON summary: baselines, final strategy state and the
-    headline per-player outcomes."""
-    tallies = log_metrics(log, intervention_start)
+    headline per-player outcomes. `tallies`, when given, is the log's
+    `log_metrics` over the same window."""
+    if tallies is None:
+        tallies = log_metrics(log, intervention_start)
     post = [score for tally in tallies.values() for score in tally.post_motivation]
     return {
         "condition": log.condition.value if log.condition else None,
@@ -587,8 +637,11 @@ def log_summary(log: StudyLog, intervention_start: int = DEFAULT_INTERVENTION_ST
 
 
 def write_log_summary(
-    log: StudyLog, path, intervention_start: int = DEFAULT_INTERVENTION_START
+    log: StudyLog,
+    path,
+    intervention_start: int = DEFAULT_INTERVENTION_START,
+    tallies: dict[int, PlayerTally] | None = None,
 ) -> None:
     with open(path, "w", newline="\n") as fh:
-        json.dump(log_summary(log, intervention_start), fh, indent=2, sort_keys=True)
+        json.dump(log_summary(log, intervention_start, tallies), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -13,6 +13,7 @@ from fairbandit.bandit import (
     RewardModel,
     ShapleyBanditState,
     ZeroTotalCSVError,
+    best_and_worst_arms,
     decision_record,
     disparity_sum_if_catered,
     greedy_select,
@@ -72,6 +73,11 @@ class TestPlacement:
         with pytest.raises(ValueError):
             Arm.from_letter("D")
 
+    @pytest.mark.parametrize("letter", ["", " ", "AB", "BC", "ABC"])
+    def test_arm_letter_must_be_one_letter(self, letter):
+        with pytest.raises(ValueError, match="unknown arm letter"):
+            Arm.from_letter(letter)
+
 
 class TestRewardModel:
     def test_first_observation_sets_mean(self):
@@ -103,6 +109,91 @@ class TestRewardModel:
         model = RewardModel()
         with pytest.raises(ValueError):
             model.observe_scalar(0, Arm.BETWEEN, float("nan"))
+
+
+class DictRewardModel:
+    """The (player, arm)-keyed dict layout RewardModel had before its
+    per-player lists; the reference the list layout must match."""
+
+    def __init__(self):
+        self._count = {}
+        self._sum = {}
+
+    def observe_scalar(self, player, arm, value):
+        key = (player, arm)
+        self._count[key] = self._count.get(key, 0) + 1
+        self._sum[key] = self._sum.get(key, 0.0) + value
+
+    def count(self, player, arm):
+        return self._count.get((player, arm), 0)
+
+    def mean(self, player, arm):
+        key = (player, arm)
+        n = self._count.get(key, 0)
+        return self._sum[key] / n if n else 0.0
+
+
+def reference_argbest(scores, best, rng):
+    target = max(scores) if best else min(scores)
+    tied = [i for i, s in enumerate(scores) if s == target]
+    if rng is not None and len(tied) > 1:
+        return rng.choice(tied)
+    return tied[0]
+
+
+def reference_predict(model, player, best, rng=None):
+    return Arm(reference_argbest([model.mean(player, arm) for arm in Arm], best, rng))
+
+
+def reference_greedy(model, players, rng=None):
+    sums = [sum(model.mean(p, arm) for p in players) for arm in Arm]
+    return Arm(reference_argbest(sums, True, rng))
+
+
+OBSERVED_VALUES = st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0]) | st.floats(-1e6, 1e6)
+
+
+class TestRewardModelLayout:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        observations=st.lists(
+            st.tuples(st.integers(0, 2), st.sampled_from(list(Arm)), OBSERVED_VALUES), max_size=40
+        ),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_matches_dict_layout(self, observations, seed):
+        model, reference = RewardModel(), DictRewardModel()
+        for player, arm, value in observations:
+            model.observe_scalar(player, arm, value)
+            reference.observe_scalar(player, arm, value)
+        players = [0, 1, 2, 3]  # player 3 is never observed
+        for player in players:
+            means = model.means(player)
+            for arm in Arm:
+                want = reference.mean(player, arm)
+                assert means[arm].hex() == want.hex()
+                assert model.mean(player, arm).hex() == want.hex()
+                assert model.count(player, arm) == reference.count(player, arm)
+            best = reference_predict(reference, player, True)
+            worst = reference_predict(reference, player, False)
+            assert predict_best_arm(model, player) is best
+            assert predict_worst_arm(model, player) is worst
+            assert best_and_worst_arms(means) == (best, worst)
+            rng, reference_rng = SplitMix64(seed), SplitMix64(seed)
+            assert predict_best_arm(model, player, rng) is reference_predict(
+                reference, player, True, reference_rng
+            )
+            assert rng.next_u64() == reference_rng.next_u64()
+        for team in ([0, 1], [1, 0], [0, 1, 2, 3], [3]):
+            assert greedy_select(model, team).arm is reference_greedy(reference, team)
+            rng, reference_rng = SplitMix64(seed), SplitMix64(seed)
+            assert greedy_select(model, team, rng).arm is reference_greedy(reference, team, reference_rng)
+            assert rng.next_u64() == reference_rng.next_u64()
+
+    def test_means_is_a_copy(self):
+        model = model_with_means(CONFLICT_MEANS)
+        model.means(0)[Arm.ABOVE_HIGHER] = 99.0
+        assert model.mean(0, Arm.ABOVE_HIGHER) == 10.0
 
 
 class TestArmPrediction:

@@ -1,8 +1,16 @@
+import contextlib
+import csv
 import hashlib
+import io
 import json
+import math
+import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fairbandit.analysis import disparity_report
 from fairbandit.cli import main
@@ -216,6 +224,88 @@ class TestAnalyze:
         assert main(["analyze", str(path), "--out", str(tmp_path / "r"),
                      "--intervention-start", "3"]) == 2
         assert "at least 3" in capsys.readouterr().err
+
+
+FUZZ_VALUES = st.one_of(
+    st.sampled_from(
+        ["", "0", "1", "-1", "2", "-5", "nan", "-nan", "inf", "-inf", "1e308",
+         "1.7976931348623157e308", "5e-324", "-0.0", "A", "c", "D", " b ", "AB",
+         "exploit", "forced", "explore", "x", "3.5", "99999999999999999999"]
+    ),
+    st.floats().map(repr),
+    st.integers(-5, 30).map(str),
+    st.text(alphabet="0123456789.-+eEinfaABC ", max_size=6),
+)
+
+
+def edited_csv(text: str, edits, duplicate: int | None, drop: int | None) -> str:
+    lines = text.splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    for row, column, value in edits:
+        rows[row % len(rows)][column] = value
+    if duplicate is not None:
+        rows.append(list(rows[duplicate % len(rows)]))
+    if drop is not None:
+        del rows[drop % len(rows)]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([lines[0].split(","), *rows])
+    return out.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    edits=st.lists(
+        st.tuples(st.integers(0, 11), st.integers(0, 12), FUZZ_VALUES), min_size=1, max_size=4
+    ),
+    duplicate=st.none() | st.integers(0, 11),
+    drop=st.none() | st.integers(0, 11),
+)
+# two finite step counts whose sum overflows a player's effort
+@example(edits=[(2, 2, "1.7976931348623157e308"), (3, 2, "1e308")], duplicate=None, drop=None)
+def test_analyze_fuzz_rejects_or_reports_finite(edits, duplicate, drop):
+    """Any edit of a valid log is rejected with a message (exit 2) or
+    gives a report whose every number is finite."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.csv"
+        path.write_text(edited_csv(TestAnalyze.HAND_CSV, edits, duplicate, drop))
+        out = Path(tmp) / "report"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["analyze", str(path), "--out", str(out), "--intervention-start", "3"])
+        if code == 2:
+            assert err.getvalue().startswith("analyze: ")
+            return
+        assert code == 0
+        with open(out / "report.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) >= 3
+        for row in rows:
+            assert all(math.isfinite(float(cell)) for cell in row[1:]), row
+        report = json.loads((out / "report.json").read_text())
+        for key, value in report.items():
+            assert value is None or math.isfinite(value), (key, value)
+
+
+def test_run_tallies_each_log_once(tmp_path, monkeypatch):
+    import fairbandit.analysis as analysis
+    import fairbandit.experiment as experiment
+    import fairbandit.simworld as simworld
+
+    calls = Counter()
+    log_metrics = analysis.log_metrics
+
+    def counting(log, *args, **kwargs):
+        calls[id(log)] += 1
+        return log_metrics(log, *args, **kwargs)
+
+    for module in (analysis, experiment, simworld):
+        monkeypatch.setattr(module, "log_metrics", counting)
+    spec = ExperimentSpec.from_dict(tiny_spec_dict(replications=20))
+    result = run_experiment(spec, tmp_path / "out")
+    logs = [log for condition_logs in result.logs.values() for log in condition_logs]
+    assert len(logs) == 60
+    assert (tmp_path / "out" / "shapley" / "rep_0019" / "summary.json").exists()
+    assert calls == Counter({id(log): 1 for log in logs})
 
 
 class TestSpecLoading:

@@ -6,7 +6,9 @@ import pytest
 
 from fairbandit.bandit import Arm, Mode
 from fairbandit.rng import SplitMix64
+from fairbandit.scenarios import load_scenario
 from fairbandit.simworld import (
+    LOG_COLUMNS,
     Condition,
     ConfigError,
     Direction,
@@ -362,6 +364,80 @@ class TestLogSerialization:
         with pytest.raises(SchemaError, match="line 2.*arm"):
             read_log_csv(path)
 
+    def write_edited(self, tmp_path, edit):
+        """The log of `make_log` as CSV lines, passed through `edit`."""
+        path = tmp_path / "log.csv"
+        write_log_csv(self.make_log(), path)
+        lines = [line.split(",") for line in path.read_text().splitlines()]
+        edit(lines)
+        path.write_text("\n".join(",".join(cells) for cells in lines) + "\n")
+        return path
+
+    @staticmethod
+    def first_line(lines, missed: str) -> int:
+        return next(k for k, cells in enumerate(lines) if k and cells[3] == missed)
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("steps", "nan"),
+            ("steps", "-5"),
+            ("steps", "inf"),
+            ("artificial_steps", "nan"),
+            ("artificial_steps", "-1.0"),
+            ("baseline_mean", "inf"),
+            ("baseline_mean", "-inf"),
+        ],
+    )
+    def test_non_finite_or_negative_value_names_line_and_column(self, tmp_path, column, value):
+        index = LOG_COLUMNS.index(column)
+
+        def edit(lines):
+            k = self.first_line(lines, missed="0")
+            lines[k][index] = value
+            edit.line = k + 1
+
+        path = self.write_edited(tmp_path, edit)
+        with pytest.raises(SchemaError, match=f"line {edit.line}, column '{column}'"):
+            read_log_csv(path)
+
+    def test_missed_session_with_steps_is_schema_error(self, tmp_path):
+        def edit(lines):
+            k = self.first_line(lines, missed="0")
+            lines[k][LOG_COLUMNS.index("missed")] = "1"
+            edit.line = k + 1
+
+        path = self.write_edited(tmp_path, edit)
+        with pytest.raises(SchemaError, match=f"line {edit.line}, column 'steps'"):
+            read_log_csv(path)
+
+    def test_attended_session_without_steps_is_schema_error(self, tmp_path):
+        def edit(lines):
+            k = self.first_line(lines, missed="1")
+            lines[k][LOG_COLUMNS.index("missed")] = "0"
+            edit.line = k + 1
+
+        path = self.write_edited(tmp_path, edit)
+        with pytest.raises(SchemaError, match=f"line {edit.line}, column 'steps'"):
+            read_log_csv(path)
+
+    def test_duplicated_day_and_player_is_schema_error(self, tmp_path):
+        def edit(lines):
+            lines.append(list(lines[5]))
+            edit.line = len(lines)
+
+        path = self.write_edited(tmp_path, edit)
+        with pytest.raises(SchemaError, match=f"line {edit.line}, columns 'day', 'player'.*line 6"):
+            read_log_csv(path)
+
+    def test_empty_arm_letter_is_schema_error(self, tmp_path):
+        def edit(lines):
+            lines[1][LOG_COLUMNS.index("best_arm")] = ""
+
+        path = self.write_edited(tmp_path, edit)
+        with pytest.raises(SchemaError, match="line 2, column 'best_arm'"):
+            read_log_csv(path)
+
     def test_summary_fields(self):
         log = self.make_log()
         summary = log_summary(log)
@@ -369,3 +445,35 @@ class TestLogSerialization:
         assert len(summary["baseline_means"]) == 2
         assert set(summary["miss_likelihood"]) == {"0", "1"}
         assert summary["final_sum_sd"] is not None
+
+
+# next_u64 calls per run_study at seeds 0-4, recorded before the reward
+# model moved to per-player lists. The day loop may get cheaper, but
+# every draw stays: a faster engine has to consume this same budget.
+DRAWS_PER_STUDY = {
+    ("conflict-cohort", "control"): [245, 245, 245, 245, 245],
+    ("conflict-cohort", "greedy"): [233, 233, 233, 233, 233],
+    ("conflict-cohort", "shapley"): [245, 245, 246, 246, 246],
+    ("study-protocol", "control"): [266, 266, 266, 266, 266],
+    ("study-protocol", "greedy"): [254, 254, 254, 254, 254],
+    ("study-protocol", "shapley"): [266, 266, 267, 267, 267],
+}
+
+
+@pytest.mark.parametrize("scenario, condition", sorted(DRAWS_PER_STUDY))
+def test_random_draws_per_study_unchanged(monkeypatch, scenario, condition):
+    draws = [0]
+    next_u64 = SplitMix64.next_u64
+
+    def counting(self):
+        draws[0] += 1
+        return next_u64(self)
+
+    monkeypatch.setattr(SplitMix64, "next_u64", counting)
+    cfg = next(c for c in load_scenario(scenario).conditions if c.condition.value == condition)
+    got = []
+    for seed in range(5):
+        draws[0] = 0
+        run_study(replace(cfg, seed=seed))
+        got.append(draws[0])
+    assert got == DRAWS_PER_STUDY[scenario, condition]
