@@ -81,13 +81,6 @@ def percentile_rank(values: Sequence[float]) -> list[float]:
         raise ValueError("cannot rank an empty list")
     if n == 1:
         return [0.5]
-    if n == 2:
-        # The simulator ranks its two-player team every day. This is the
-        # general path's result: a stable sort puts b first only if b < a.
-        a, b = values
-        if b < a:
-            return [1.0, 0.0]
-        return [0.5, 0.5] if a == b else [0.0, 1.0]
     order = sorted(range(n), key=lambda i: values[i])
     ranks = [0.0] * n
     pos = 0

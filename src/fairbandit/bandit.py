@@ -193,13 +193,6 @@ def predict_worst_arm(
     return _ARMS[_argbest(model.means(player), False, rng)]
 
 
-def best_and_worst_arms(means: list[float]) -> tuple[Arm, Arm]:
-    """Highest- and lowest-estimate arms of one `RewardModel.means` vector,
-    ties to the lowest ordinal: `predict_best_arm` and `predict_worst_arm`
-    without `rng`, from one read of the model."""
-    return _ARMS[means.index(max(means))], _ARMS[means.index(min(means))]
-
-
 def greedy_select(
     model: RewardModel, players: Iterable[PlayerId], rng: SplitMix64 | None = None
 ) -> Decision:

@@ -31,7 +31,6 @@ from typing import Sequence
 
 from . import __version__
 from .analysis import (
-    DEFAULT_INTERVENTION_START,
     DisparityReport,
     PlayerTally,
     correlation_diff_test,
@@ -146,25 +145,21 @@ def run_condition(
 
 
 def batch_median_r(
-    logs: Sequence[StudyLog],
-    intervention_start: int = DEFAULT_INTERVENTION_START,
-    tallies: Sequence[dict[int, PlayerTally]] | None = None,
+    logs: Sequence[StudyLog], tallies: Sequence[dict[int, PlayerTally]]
 ) -> float | None:
     """Median disparity-vs-miss correlation over batches of replications.
 
     A single 2-player study cannot support a correlation, so consecutive
     replications are pooled into cohorts of `BATCH_SIZE` studies and the
     correlation is computed per cohort; batches that are degenerate
-    (constant disparity or misses) are skipped. `tallies`, when given,
-    is each log's `log_metrics` over the same window, in log order.
+    (constant disparity or misses) are skipped. `tallies` is each log's
+    `log_metrics` over the analysis window, in log order.
     """
-    if tallies is None:
-        tallies = [log_metrics(log, intervention_start) for log in logs]
     rs = []
     for start in range(0, len(logs) - BATCH_SIZE + 1, BATCH_SIZE):
         batch = slice(start, start + BATCH_SIZE)
         try:
-            rs.append(disparity_report(logs[batch], intervention_start, tallies[batch]).correlation.r)
+            rs.append(disparity_report(logs[batch], tallies=tallies[batch]).correlation.r)
         except ValueError:
             continue
     if not rs:
@@ -278,7 +273,7 @@ def run_experiment(
             reports[name] = disparity_report(condition_logs, start, tallies)
         except ValueError:
             reports[name] = None
-        batch_r = batch_median_r(condition_logs, start, tallies)
+        batch_r = batch_median_r(condition_logs, tallies)
         summaries.append(_condition_summary(name, condition_logs, tallies, reports[name], batch_r))
 
         if write_artifacts:
@@ -288,7 +283,7 @@ def run_experiment(
                 rep_dir.mkdir(parents=True, exist_ok=True)
                 write_log_csv(log, rep_dir / "log.csv")
                 write_decisions_jsonl(log.decisions, rep_dir / "decisions.jsonl")
-                write_log_summary(log, rep_dir / "summary.json", start, tallies[k])
+                write_log_summary(log, rep_dir / "summary.json", tallies[k])
                 files += [
                     str((rep_dir / fname).relative_to(out))
                     for fname in ("log.csv", "decisions.jsonl", "summary.json")

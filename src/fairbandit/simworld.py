@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import NamedTuple
 
-from .analysis import DEFAULT_INTERVENTION_START, PlayerTally, log_metrics, percentile_rank
+from .analysis import PlayerTally, percentile_rank
 from .bandit import (
     Arm,
     Decision,
@@ -34,10 +34,11 @@ from .bandit import (
     Reward,
     RewardModel,
     ShapleyBanditState,
-    best_and_worst_arms,
     decision_record,
     greedy_select,
     place_artificial_steps,
+    predict_best_arm,
+    predict_worst_arm,
     random_select,
     shapley_select,
     shapley_update,
@@ -197,15 +198,12 @@ class StudyLog:
     decisions: list[dict] = field(default_factory=list)
 
 
-_UPWARD, _DOWNWARD, _LATERAL = Direction.UPWARD, Direction.DOWNWARD, Direction.LATERAL
-
-
 def compare_steps(own: float, target: float) -> Direction:
     if target > own:
-        return _UPWARD
+        return Direction.UPWARD
     if target < own:
-        return _DOWNWARD
-    return _LATERAL
+        return Direction.DOWNWARD
+    return Direction.LATERAL
 
 
 def exposure_direction(
@@ -221,7 +219,7 @@ def exposure_direction(
     )
 
 
-_DIRECTION_SIGN = {_UPWARD: 1.0, _DOWNWARD: -1.0, _LATERAL: 0.0}
+_DIRECTION_SIGN = {Direction.UPWARD: 1.0, Direction.DOWNWARD: -1.0, Direction.LATERAL: 0.0}
 
 
 def alignment(sco: float, exposure: Exposure) -> float:
@@ -353,7 +351,8 @@ def run_study(config: StudyConfig) -> StudyLog:
                 decision = shapley_select(state, model, players, decision_rng)
         arm = decision.arm
 
-        best_arms, worst_arms = zip(*(best_and_worst_arms(model.means(p)) for p in players))
+        best_arms = [predict_best_arm(model, p) for p in players]
+        worst_arms = [predict_worst_arm(model, p) for p in players]
         artificial = place_artificial_steps(arm, last_steps[0], last_steps[1], jitter)
 
         day_rewards: dict[int, float] = {}
@@ -545,7 +544,8 @@ def _row_error(row: SessionRow) -> tuple[str, str] | None:
         if row.steps is not None:
             return "steps", "a missed session has steps"
         if row.pre_motivation is not None or row.post_motivation is not None:
-            return "pre_motivation", "a missed session has motivation scores"
+            column = "pre_motivation" if row.pre_motivation is not None else "post_motivation"
+            return column, "a missed session has motivation scores"
     elif row.steps is None:
         return "steps", "an attended session has no steps"
     elif not 0.0 <= row.steps < math.inf:
@@ -606,16 +606,10 @@ def read_log_csv(path, name: str = "") -> StudyLog:
     return StudyLog(rows=rows, name=name)
 
 
-def log_summary(
-    log: StudyLog,
-    intervention_start: int = DEFAULT_INTERVENTION_START,
-    tallies: dict[int, PlayerTally] | None = None,
-) -> dict:
+def log_summary(log: StudyLog, tallies: dict[int, PlayerTally]) -> dict:
     """Per-study JSON summary: baselines, final strategy state and the
-    headline per-player outcomes. `tallies`, when given, is the log's
-    `log_metrics` over the same window."""
-    if tallies is None:
-        tallies = log_metrics(log, intervention_start)
+    headline per-player outcomes. `tallies` is the log's `log_metrics`
+    over the analysis window."""
     post = [score for tally in tallies.values() for score in tally.post_motivation]
     return {
         "condition": log.condition.value if log.condition else None,
@@ -636,12 +630,7 @@ def log_summary(
     }
 
 
-def write_log_summary(
-    log: StudyLog,
-    path,
-    intervention_start: int = DEFAULT_INTERVENTION_START,
-    tallies: dict[int, PlayerTally] | None = None,
-) -> None:
+def write_log_summary(log: StudyLog, path, tallies: dict[int, PlayerTally]) -> None:
     with open(path, "w", newline="\n") as fh:
-        json.dump(log_summary(log, intervention_start, tallies), fh, indent=2, sort_keys=True)
+        json.dump(log_summary(log, tallies), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -138,32 +138,6 @@ class TestPercentileRank:
     def test_bounded(self, values):
         assert all(0.0 <= r <= 1.0 for r in percentile_rank(values))
 
-    @staticmethod
-    def general_rank(values):
-        """percentile_rank's sort-and-scan path, which it skips for two values."""
-        n = len(values)
-        order = sorted(range(n), key=lambda i: values[i])
-        ranks = [0.0] * n
-        pos = 0
-        while pos < n:
-            end = pos
-            while end + 1 < n and values[order[end + 1]] == values[order[pos]]:
-                end += 1
-            for k in range(pos, end + 1):
-                ranks[order[k]] = (pos + end) / 2.0 / (n - 1)
-            pos = end + 1
-        return ranks
-
-    @given(
-        st.lists(
-            st.floats() | st.integers(-3, 3) | st.sampled_from([0.0, -0.0, math.inf]),
-            min_size=2,
-            max_size=2,
-        )
-    )
-    def test_pair_matches_general_path(self, pair):
-        assert percentile_rank(pair) == self.general_rank(pair)
-
 
 class TestPearson:
     def test_perfect_positive(self):

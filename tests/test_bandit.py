@@ -13,7 +13,6 @@ from fairbandit.bandit import (
     RewardModel,
     ShapleyBanditState,
     ZeroTotalCSVError,
-    best_and_worst_arms,
     decision_record,
     disparity_sum_if_catered,
     greedy_select,
@@ -178,7 +177,6 @@ class TestRewardModelLayout:
             worst = reference_predict(reference, player, False)
             assert predict_best_arm(model, player) is best
             assert predict_worst_arm(model, player) is worst
-            assert best_and_worst_arms(means) == (best, worst)
             rng, reference_rng = SplitMix64(seed), SplitMix64(seed)
             assert predict_best_arm(model, player, rng) is reference_predict(
                 reference, player, True, reference_rng

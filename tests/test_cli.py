@@ -289,7 +289,6 @@ def test_analyze_fuzz_rejects_or_reports_finite(edits, duplicate, drop):
 def test_run_tallies_each_log_once(tmp_path, monkeypatch):
     import fairbandit.analysis as analysis
     import fairbandit.experiment as experiment
-    import fairbandit.simworld as simworld
 
     calls = Counter()
     log_metrics = analysis.log_metrics
@@ -298,7 +297,7 @@ def test_run_tallies_each_log_once(tmp_path, monkeypatch):
         calls[id(log)] += 1
         return log_metrics(log, *args, **kwargs)
 
-    for module in (analysis, experiment, simworld):
+    for module in (analysis, experiment):
         monkeypatch.setattr(module, "log_metrics", counting)
     spec = ExperimentSpec.from_dict(tiny_spec_dict(replications=20))
     result = run_experiment(spec, tmp_path / "out")

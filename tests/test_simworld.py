@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from fairbandit.analysis import log_metrics
 from fairbandit.bandit import Arm, Mode
 from fairbandit.rng import SplitMix64
 from fairbandit.scenarios import load_scenario
@@ -411,6 +412,21 @@ class TestLogSerialization:
         with pytest.raises(SchemaError, match=f"line {edit.line}, column 'steps'"):
             read_log_csv(path)
 
+    @pytest.mark.parametrize(
+        "pre, post, column",
+        [("3", "", "pre_motivation"), ("", "4", "post_motivation"), ("3", "4", "pre_motivation")],
+    )
+    def test_missed_session_with_motivation_names_the_set_column(self, tmp_path, pre, post, column):
+        def edit(lines):
+            k = self.first_line(lines, missed="1")
+            lines[k][LOG_COLUMNS.index("pre_motivation")] = pre
+            lines[k][LOG_COLUMNS.index("post_motivation")] = post
+            edit.line = k + 1
+
+        path = self.write_edited(tmp_path, edit)
+        with pytest.raises(SchemaError, match=f"line {edit.line}, column '{column}'"):
+            read_log_csv(path)
+
     def test_attended_session_without_steps_is_schema_error(self, tmp_path):
         def edit(lines):
             k = self.first_line(lines, missed="1")
@@ -440,7 +456,7 @@ class TestLogSerialization:
 
     def test_summary_fields(self):
         log = self.make_log()
-        summary = log_summary(log)
+        summary = log_summary(log, log_metrics(log))
         assert summary["condition"] == "shapley"
         assert len(summary["baseline_means"]) == 2
         assert set(summary["miss_likelihood"]) == {"0", "1"}
