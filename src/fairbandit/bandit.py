@@ -29,9 +29,6 @@ from .shapley import shapley_all  # noqa: F401  patched by name in benchmarks/sp
 
 PlayerId = int
 
-DEFAULT_STEP_SCALE = 1000.0
-DEFAULT_MOTIVATION_WEIGHT = 1.0
-
 
 class Arm(IntEnum):
     """Placement of the artificial teammate's reported steps."""
@@ -77,11 +74,7 @@ class Reward(NamedTuple):
     step_delta: float
     motivation_delta: float = 0.0
 
-    def combined(
-        self,
-        step_scale: float = DEFAULT_STEP_SCALE,
-        motivation_weight: float = DEFAULT_MOTIVATION_WEIGHT,
-    ) -> float:
+    def combined(self, step_scale: float, motivation_weight: float) -> float:
         return self.step_delta / step_scale + motivation_weight * self.motivation_delta
 
 
@@ -124,21 +117,10 @@ class RewardModel:
     lists indexed by `int(arm)`; a mean is updated with its cell.
     """
 
-    def __init__(
-        self,
-        step_scale: float = DEFAULT_STEP_SCALE,
-        motivation_weight: float = DEFAULT_MOTIVATION_WEIGHT,
-    ):
-        self.step_scale = step_scale
-        self.motivation_weight = motivation_weight
+    def __init__(self):
         self._sums: dict[PlayerId, list[float]] = {}
         self._counts: dict[PlayerId, list[int]] = {}
         self._means: dict[PlayerId, list[float]] = {}
-
-    def observe(self, player: PlayerId, arm: Arm, reward: Reward) -> None:
-        self.observe_scalar(
-            player, arm, reward.combined(self.step_scale, self.motivation_weight)
-        )
 
     def observe_scalar(self, player: PlayerId, arm: Arm, value: float) -> None:
         if not math.isfinite(value):
@@ -167,41 +149,28 @@ class RewardModel:
         return means[arm] if means else 0.0
 
 
-def _argbest(
-    scores: Sequence[float], best: bool, rng: SplitMix64 | None
-) -> int:
-    target = max(scores) if best else min(scores)
-    if rng is None:
-        return scores.index(target)
-    tied = [i for i, s in enumerate(scores) if s == target]
-    if len(tied) > 1:
-        return rng.choice(tied)
-    return tied[0]
+def _argbest(scores: Sequence[float], best: bool) -> int:
+    """Index of the highest (or lowest) score; ties go to the lowest index."""
+    return scores.index(max(scores) if best else min(scores))
 
 
-def predict_best_arm(
-    model: RewardModel, player: PlayerId, rng: SplitMix64 | None = None
-) -> Arm:
+def predict_best_arm(model: RewardModel, player: PlayerId) -> Arm:
     """Arm with the highest estimated reward for this player. Ties break
-    to the lowest ordinal by default, or seeded-uniform when `rng` is given."""
-    return _ARMS[_argbest(model.means(player), True, rng)]
+    to the lowest ordinal."""
+    return _ARMS[_argbest(model.means(player), True)]
 
 
-def predict_worst_arm(
-    model: RewardModel, player: PlayerId, rng: SplitMix64 | None = None
-) -> Arm:
-    return _ARMS[_argbest(model.means(player), False, rng)]
+def predict_worst_arm(model: RewardModel, player: PlayerId) -> Arm:
+    return _ARMS[_argbest(model.means(player), False)]
 
 
-def greedy_select(
-    model: RewardModel, players: Iterable[PlayerId], rng: SplitMix64 | None = None
-) -> Decision:
+def greedy_select(model: RewardModel, players: Iterable[PlayerId]) -> Decision:
     """The arm maximizing the summed estimated reward over all players."""
     players = list(players)
     if not players:
         raise ValueError("players must be nonempty")
     sums = [sum(column) for column in zip(*(model.means(p) for p in players))]
-    return Decision(arm=_ARMS[_argbest(sums, True, rng)], catered_player=None, mode=Mode.EXPLOIT)
+    return Decision(arm=_ARMS[_argbest(sums, True)], catered_player=None, mode=Mode.EXPLOIT)
 
 
 def random_select(rng: SplitMix64) -> Decision:

@@ -20,10 +20,11 @@ Output layout (all paths recorded in manifest.json)::
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import median
@@ -45,7 +46,7 @@ from .simworld import (
     ConfigError,
     StudyConfig,
     StudyLog,
-    check_keys,
+    check_doc,
     run_study,
     write_log_csv,
     write_log_summary,
@@ -81,13 +82,13 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentSpec":
-        check_keys(cls, doc, "experiment spec")
+        check_doc(cls, doc, "experiment spec")
         try:
             return cls(
-                scenario=str(doc["scenario"]),
+                scenario=doc["scenario"],
                 conditions=tuple(StudyConfig.from_dict(c) for c in doc["conditions"]),
-                replications=int(doc["replications"]),
-                base_seed=int(doc.get("base_seed", 0)),
+                replications=doc["replications"],
+                base_seed=doc.get("base_seed", 0),
                 output_dir=doc.get("output_dir"),
             )
         except KeyError as exc:
@@ -131,14 +132,11 @@ def _run_one(config: StudyConfig) -> StudyLog:
 
 
 def run_condition(
-    config: StudyConfig, seeds: Sequence[int], jobs: int = 1
+    config: StudyConfig, seeds: Sequence[int], pool: Executor | None = None
 ) -> list[StudyLog]:
+    """One log per seed, run in `pool` when one is given."""
     configs = [replace(config, seed=seed) for seed in seeds]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            logs = list(pool.map(_run_one, configs))
-    else:
-        logs = [run_study(c) for c in configs]
+    logs = list((pool.map if pool is not None else map)(_run_one, configs))
     for k, log in enumerate(logs):
         log.name = f"{config.condition.value}/rep_{k:04d}"
     return logs
@@ -255,7 +253,8 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run every condition of `spec`, analysing each over its own
     intervention window (`StudyConfig.intervention_start`). Each log is
-    tallied once (`log_metrics`) and every analysis of it reads that."""
+    tallied once (`log_metrics`) and every analysis of it reads that.
+    With `jobs` > 1 every condition's studies run in one process pool."""
     out = Path(out_dir)
     seeds = replication_seeds(spec)
     files: list[str] = []
@@ -263,10 +262,11 @@ def run_experiment(
     reports: dict[str, DisparityReport | None] = {}
     summaries: list[dict] = []
 
-    for config in spec.conditions:
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        runs = [run_condition(config, seeds, pool) for config in spec.conditions]
+    for config, condition_logs in zip(spec.conditions, runs):
         name = config.condition.value
         start = config.intervention_start
-        condition_logs = run_condition(config, seeds, jobs)
         logs[name] = condition_logs
         tallies = [log_metrics(log, start) for log in condition_logs]
         try:

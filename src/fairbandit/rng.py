@@ -58,9 +58,6 @@ class SplitMix64:
             if u < limit:
                 return u % n
 
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
     def shuffle(self, seq: list) -> None:
         """In-place Fisher-Yates shuffle."""
         for i in range(len(seq) - 1, 0, -1):

@@ -49,8 +49,8 @@ class PlayerNotInCoalitionError(ValueError):
     pass
 
 
-def _close(a: float, b: float, rel: float = REL_TOL) -> bool:
-    return abs(a - b) <= rel * max(1.0, abs(a), abs(b))
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= REL_TOL * max(1.0, abs(a), abs(b))
 
 
 @dataclass(frozen=True)
@@ -288,29 +288,20 @@ def _attribution(table: list[float], weights: list[float], player: PlayerId) -> 
     return total
 
 
-def shapley_value(
-    v: CharacteristicFunction,
-    coalition: Coalition,
-    player: PlayerId,
-    max_players: int = MAX_EXACT_PLAYERS,
-) -> float:
+def shapley_value(v: CharacteristicFunction, coalition: Coalition, player: PlayerId) -> float:
     """Exact attribution for one player: the weighted average, over all
     subsets S excluding them, of the marginal value v(S + player) - v(S)."""
     n = len(coalition)
-    _check_size(n, max_players)
+    _check_size(n, MAX_EXACT_PLAYERS)
     if player not in coalition:
         raise PlayerNotInCoalitionError(f"player {player} not in coalition of {n}")
     return _attribution(v.by_mask(n), _mask_weights(n), player)
 
 
-def shapley_all(
-    v: CharacteristicFunction,
-    coalition: Coalition,
-    max_players: int = MAX_EXACT_PLAYERS,
-) -> list[float]:
+def shapley_all(v: CharacteristicFunction, coalition: Coalition) -> list[float]:
     """Attribution vector for every member; sums to v(full coalition)."""
     n = len(coalition)
-    _check_size(n, max_players)
+    _check_size(n, MAX_EXACT_PLAYERS)
     table = v.by_mask(n)
     weights = _mask_weights(n)
     return [_attribution(table, weights, i) for i in coalition]
@@ -354,18 +345,18 @@ class AxiomReport:
         return self.efficiency and self.symmetry and self.nullity and self.additivity
 
 
-def _interchangeable(table: list[float], i: PlayerId, j: PlayerId, rel: float) -> bool:
+def _interchangeable(table: list[float], i: PlayerId, j: PlayerId) -> bool:
     bi, bj = 1 << i, 1 << j
     for mask in range(len(table)):
-        if not mask & (bi | bj) and not _close(table[mask | bi], table[mask | bj], rel):
+        if not mask & (bi | bj) and not _close(table[mask | bi], table[mask | bj]):
             return False
     return True
 
 
-def _is_null(table: list[float], i: PlayerId, rel: float) -> bool:
+def _is_null(table: list[float], i: PlayerId) -> bool:
     bit = 1 << i
     for mask in range(len(table)):
-        if not mask & bit and not _close(table[mask | bit], table[mask], rel):
+        if not mask & bit and not _close(table[mask | bit], table[mask]):
             return False
     return True
 
@@ -374,7 +365,6 @@ def check_axioms(
     v: CharacteristicFunction,
     coalition: Coalition,
     additivity_partner: CharacteristicFunction | None = None,
-    rel_tol: float = REL_TOL,
 ) -> AxiomReport:
     """Verify efficiency, symmetry, nullity and additivity on one game.
 
@@ -389,7 +379,7 @@ def check_axioms(
     grand = table[-1]
     witnesses: dict = {"interchangeable_pairs": [], "null_players": []}
 
-    efficiency = _close(sum(phi), grand, rel_tol)
+    efficiency = _close(sum(phi), grand)
     witnesses["efficiency"] = {"sum_phi": sum(phi), "grand_value": grand}
 
     symmetry = True
@@ -397,16 +387,16 @@ def check_axioms(
         for j in coalition:
             if j <= i:
                 continue
-            if _interchangeable(table, i, j, rel_tol):
+            if _interchangeable(table, i, j):
                 witnesses["interchangeable_pairs"].append((i, j))
-                if not _close(phi[i], phi[j], rel_tol):
+                if not _close(phi[i], phi[j]):
                     symmetry = False
 
     nullity = True
     for i in coalition:
-        if _is_null(table, i, rel_tol):
+        if _is_null(table, i):
             witnesses["null_players"].append(i)
-            if abs(phi[i]) > rel_tol * max(1.0, abs(grand)):
+            if abs(phi[i]) > REL_TOL * max(1.0, abs(grand)):
                 nullity = False
 
     if additivity_partner is None:
@@ -414,7 +404,7 @@ def check_axioms(
     phi_sum = shapley_all(v + additivity_partner, coalition)
     phi_partner = shapley_all(additivity_partner, coalition)
     additivity = all(
-        _close(phi_sum[i], phi[i] + phi_partner[i], rel_tol) for i in coalition
+        _close(phi_sum[i], phi[i] + phi_partner[i]) for i in coalition
     )
     witnesses["additivity"] = {"phi_sum": phi_sum}
 

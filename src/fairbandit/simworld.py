@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import NamedTuple
@@ -51,13 +52,34 @@ class ConfigError(ValueError):
     pass
 
 
-def check_keys(cls, doc: dict, what: str) -> None:
-    """Reject keys of `doc` that name no field of the dataclass `cls`."""
+def _is_number(value) -> bool:
+    # JSON true/false load as bool, a subclass of int, so no number takes one.
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# What a JSON value must be to fill a field of each annotated type.
+_ACCEPTS = {
+    "int": ("an integer", lambda v: _is_number(v) and isinstance(v, int)),
+    "float": ("a finite number", lambda v: _is_number(v) and abs(v) <= sys.float_info.max),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
+}
+
+
+def check_doc(cls, doc: dict, what: str) -> None:
+    """Reject keys of `doc` that name no field of the dataclass `cls`, and
+    values of its int, float, bool and str fields that are not of that type."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be a JSON object, got {type(doc).__name__}")
     unknown = sorted(set(doc) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"{what}: unknown key(s) {unknown}")
+    for f in fields(cls):
+        if f.name in doc and f.type in _ACCEPTS:
+            expected, accepts = _ACCEPTS[f.type]
+            if not accepts(doc[f.name]):
+                raise ConfigError(f"{what}: {f.name} must be {expected}, got {doc[f.name]!r}")
 
 
 class Condition(str, Enum):
@@ -107,6 +129,11 @@ class SimPlayer:
         if self.effect_size < 0:
             raise ConfigError("effect_size must be non-negative")
 
+    @classmethod
+    def from_dict(cls, doc: dict) -> "SimPlayer":
+        check_doc(cls, doc, "player")
+        return cls(**doc)
+
 
 @dataclass(frozen=True)
 class StudyConfig:
@@ -137,6 +164,8 @@ class StudyConfig:
             raise ConfigError("forced_exploration_days cannot exceed total_sessions")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ConfigError("epsilon must be in [0, 1]")
+        if not self.step_scale > 0:
+            raise ConfigError("step_scale must be positive")
 
     @property
     def intervention_start(self) -> int:
@@ -158,9 +187,9 @@ class StudyConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StudyConfig":
-        check_keys(cls, doc, "study config")
+        check_doc(cls, doc, "study config")
         try:
-            players = tuple(SimPlayer(**p) for p in doc["players"])
+            players = tuple(SimPlayer.from_dict(p) for p in doc["players"])
             return cls(**doc | {"condition": Condition(doc["condition"]), "players": players})
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"invalid study config: {exc}") from exc
@@ -318,7 +347,7 @@ def run_study(config: StudyConfig) -> StudyLog:
     last_steps = [samples[-1] for samples in baseline_samples]
 
     schedule = _forced_schedule(config.forced_exploration_days, decision_rng)
-    model = RewardModel(config.step_scale, config.motivation_weight)
+    model = RewardModel()
     state = ShapleyBanditState.fresh(n, epsilon=config.epsilon)
     players = list(range(n))
     tc_effective = [0] * n
@@ -494,6 +523,16 @@ def _opt_int(raw: str) -> int | None:
     return int(raw) if raw else None
 
 
+def _opt_score(raw: str) -> int | None:
+    """A motivation score on the 1-5 scale, or None for an empty field."""
+    if not raw:
+        return None
+    score = int(raw)
+    if not 1 <= score <= 5:
+        raise ValueError(f"score {score} is outside the 1-5 scale")
+    return score
+
+
 def _opt_float(raw: str) -> float | None:
     return float(raw) if raw else None
 
@@ -514,8 +553,8 @@ _PARSERS = (
     int,
     _opt_float,
     _flag,
-    _opt_int,
-    _opt_int,
+    _opt_score,
+    _opt_score,
     Arm.from_letter,
     _mode,
     _opt_int,
@@ -538,8 +577,10 @@ def _field_error(record: list[str], line: int) -> SchemaError:
 
 def _row_error(row: SessionRow) -> tuple[str, str] | None:
     """(column, reason) for a parsed row that no simulation can write:
-    a step count that is negative or not finite, or a missed session
-    with data (or an attended one without steps)."""
+    a day below 1, a step count that is negative or not finite, or a
+    missed session with data (or an attended one without steps)."""
+    if row.day < 1:
+        return "day", f"day {row.day} is below 1"
     if row.missed:
         if row.steps is not None:
             return "steps", "a missed session has steps"
@@ -560,10 +601,11 @@ def _row_error(row: SessionRow) -> tuple[str, str] | None:
 def read_log_csv(path, name: str = "") -> StudyLog:
     """Parse a session log CSV, validating the documented schema.
 
-    Header mismatches, unparseable values, step counts that are negative
-    or not finite, a missed session with data or an attended one without
-    steps, and a repeated (day, player) pair raise SchemaError naming
-    the offending line and column.
+    Header mismatches, unparseable values, a day below 1, step counts
+    that are negative or not finite, motivation scores outside 1-5, a
+    missed session with data or an attended one without steps, a
+    repeated (day, player) pair and a `catered_player` that has no rows
+    raise SchemaError naming the offending line and column.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -603,6 +645,13 @@ def read_log_csv(path, name: str = "") -> StudyLog:
                     f" {row.player} repeats line {first}"
                 )
             rows.append(row)
+    players = {row.player for row in rows}
+    for lineno, row in enumerate(rows, start=2):
+        if row.catered_player is not None and row.catered_player not in players:
+            raise SchemaError(
+                f"line {lineno}, column 'catered_player': player {row.catered_player}"
+                " has no rows in the log"
+            )
     return StudyLog(rows=rows, name=name)
 
 

@@ -24,6 +24,7 @@ from .bandit import (
 )
 from .rng import SplitMix64
 from .shapley import (
+    REL_TOL,
     AxiomReport,
     Coalition,
     TableBacked,
@@ -131,12 +132,12 @@ class AxiomSuiteResult:
         return not self.failures
 
 
-def random_table_game(n: int, rng: SplitMix64, low: float = -100.0, high: float = 100.0) -> TableBacked:
-    """Random characteristic function with uniform subset values."""
+def random_table_game(n: int, rng: SplitMix64) -> TableBacked:
+    """Random characteristic function with subset values uniform in [-100, 100)."""
     values = {}
     for mask in range(1, 1 << n):
         subset = frozenset(i for i in range(n) if mask >> i & 1)
-        values[subset] = rng.uniform(low, high)
+        values[subset] = rng.uniform(-100.0, 100.0)
     return TableBacked(n, values)
 
 
@@ -145,7 +146,6 @@ def run_axiom_suite(
     max_n: int = 6,
     seed: int = 0,
     shapley_fn: Callable[..., list[float]] | None = None,
-    rel_tol: float = 1e-9,
 ) -> AxiomSuiteResult:
     """Check the four axioms and oracle equivalence on random games.
 
@@ -181,7 +181,7 @@ def run_axiom_suite(
         phi = fn(v, coalition)
         oracle = shapley_oracle_permutations(v, coalition)
         for i, (a, b) in enumerate(zip(phi, oracle)):
-            if abs(a - b) > rel_tol * max(1.0, abs(a), abs(b)):
+            if abs(a - b) > REL_TOL * max(1.0, abs(a), abs(b)):
                 result.failures.append(
                     f"trial {t}: player {i} diverges from the permutation oracle: {a} vs {b}"
                 )

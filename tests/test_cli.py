@@ -148,7 +148,7 @@ class TestAxioms:
 
     def test_broken_implementation_detected(self):
         # injected non-efficient attribution must fail the suite
-        def broken(v, coalition, max_players=16):
+        def broken(v, coalition):
             return [0.0 for _ in coalition]
 
         result = run_axiom_suite(trials=10, max_n=4, seed=1, shapley_fn=broken)
@@ -323,6 +323,36 @@ class TestSpecLoading:
         assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [
+            ("condition", "jitter", "false"),
+            ("condition", "jitter", 0),
+            ("spec", "replications", 2.7),
+            ("spec", "replications", True),
+            ("spec", "base_seed", "5"),
+            ("spec", "scenario", ["a"]),
+            ("spec", "output_dir", 5),
+            ("condition", "baseline_days", 2.5),
+            ("condition", "total_sessions", 21.0),
+            ("condition", "seed", None),
+            ("condition", "step_scale", "1000"),
+            ("condition", "step_scale", 0),
+            ("player", "baseline_steps", float("inf")),
+            ("player", "sco", False),
+        ],
+    )
+    def test_mistyped_value_is_config_error(self, tmp_path, capsys, where, key, value):
+        doc = tiny_spec_dict()
+        target = {"spec": doc, "condition": doc["conditions"][1],
+                  "player": doc["conditions"][1]["players"][0]}[where]
+        target[key] = value
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o" / "greedy").exists()
+
     def test_spec_that_is_not_an_object_is_config_error(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text("[]")
@@ -363,3 +393,21 @@ class TestSpecLoading:
         assert main(["run", "--spec", str(spec_path), "--out", str(serial)]) == 0
         assert main(["run", "--spec", str(spec_path), "--out", str(parallel), "--jobs", "2"]) == 0
         assert tree_hashes(serial) == tree_hashes(parallel)
+
+    @pytest.mark.parametrize("jobs, pools", [(1, 0), (2, 1)])
+    def test_one_pool_per_run(self, tmp_path, monkeypatch, jobs, pools):
+        import fairbandit.experiment as experiment
+
+        started = []
+
+        class CountingPool(experiment.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(tiny_spec_dict(replications=4)))
+        argv = ["run", "--spec", str(spec_path), "--out", str(tmp_path / "o"), "--jobs", str(jobs)]
+        assert main(argv) == 0
+        assert started == [jobs] * pools

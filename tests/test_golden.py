@@ -3,7 +3,8 @@
 A change to any artifact byte fails here, so a refactor that claims to
 preserve behaviour has to preserve these digests, and a change that
 moves an artifact on purpose has to update `golden_digests.json` and
-declare why. Regenerate the file with
+declare why. Each run is checked serially and at `--jobs 2` against
+the same digests. Regenerate the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -36,10 +37,14 @@ def run_digests(args, out: Path) -> dict[str, str]:
     }
 
 
-@pytest.mark.parametrize("run", sorted(RUNS))
-def test_artifact_digests_match_golden(run, tmp_path):
+@pytest.mark.parametrize(
+    "run, jobs",
+    [pytest.param(run, jobs, id=run if jobs == 1 else f"{run}-jobs{jobs}")
+     for jobs in (1, 2) for run in sorted(RUNS)],
+)
+def test_artifact_digests_match_golden(run, jobs, tmp_path):
     want = json.loads(GOLDEN.read_text())[run]
-    got = run_digests(RUNS[run], tmp_path / run)
+    got = run_digests([*RUNS[run], "--jobs", str(jobs)], tmp_path / run)
     assert sorted(got) == sorted(want)
     changed = sorted(path for path in want if got[path] != want[path])
     assert not changed, f"{len(changed)} artifact(s) changed, first {changed[:5]}"

@@ -388,6 +388,13 @@ class TestLogSerialization:
             ("artificial_steps", "-1.0"),
             ("baseline_mean", "inf"),
             ("baseline_mean", "-inf"),
+            ("day", "0"),
+            ("day", "-4"),
+            ("pre_motivation", "-7"),
+            ("pre_motivation", "0"),
+            ("post_motivation", "99"),
+            ("post_motivation", "6"),
+            ("catered_player", "12"),
         ],
     )
     def test_non_finite_or_negative_value_names_line_and_column(self, tmp_path, column, value):
