@@ -1,76 +1,8 @@
 """Fairness-aware multi-armed bandits with Shapley-value attribution,
-a seeded team-study simulator, and the disparity analysis pipeline."""
+a seeded team-study simulator, and the disparity analysis pipeline.
+
+The package root holds only ``__version__``; import every other name
+from its submodule, e.g. ``from fairbandit.shapley import shapley_all``.
+"""
 
 __version__ = "0.1.0"
-
-from .analysis import (
-    CorrelationReport,
-    DisparityReport,
-    PlayerMetrics,
-    correlation_diff_test,
-    correlation_significance,
-    disparity_report,
-    effort,
-    fisher_z,
-    miss_likelihood,
-    net_top_treatment,
-    normal_cdf,
-    pearson_r,
-    percentile_rank,
-    slope_diff_test,
-)
-from .bandit import (
-    Arm,
-    Decision,
-    Mode,
-    Reward,
-    RewardModel,
-    ShapleyBanditState,
-    ZeroTotalCSVError,
-    disparity_sum_if_catered,
-    greedy_select,
-    place_artificial_steps,
-    predict_best_arm,
-    predict_worst_arm,
-    random_select,
-    shapley_disparity,
-    shapley_select,
-    shapley_update,
-    team_disparity_sum,
-)
-from .experiment import ExperimentSpec, RunManifest, run_experiment
-from .rng import SplitMix64
-from .shapley import (
-    AdditiveSteps,
-    AxiomReport,
-    CharacteristicFunction,
-    Coalition,
-    CoalitionTooLargeError,
-    PlayerNotInCoalitionError,
-    TableBacked,
-    check_axioms,
-    load_characteristic,
-    shapley_all,
-    shapley_oracle_permutations,
-    shapley_value,
-    subset_weight,
-)
-from .simworld import (
-    Condition,
-    ConfigError,
-    Direction,
-    Exposure,
-    SchemaError,
-    SessionRow,
-    SimPlayer,
-    StudyConfig,
-    StudyLog,
-    exposure_direction,
-    miss_decision,
-    motivation_response,
-    read_log_csv,
-    run_study,
-    step_response,
-    write_log_csv,
-)
-from .verification import run_axiom_suite, verify_worked_example

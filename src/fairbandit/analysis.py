@@ -226,6 +226,8 @@ def cohort_metrics(
             efforts.append(tally.effort)
             treatments.append(tally.net_top_treatment)
             misses.append(tally.miss_likelihood)
+    if not labels:
+        return []
     pr_effort = percentile_rank(efforts)
     pr_treatment = percentile_rank([float(t) for t in treatments])
     return [

@@ -42,7 +42,11 @@ def _cmd_run(args) -> int:
         print(f"run: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out or spec.output_dir or f"out-{spec.scenario}")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"run: cannot create output directory {out}: {exc.strerror}", file=sys.stderr)
+        return 2
     result = run_experiment(spec, out, jobs=args.jobs)
     print(f"scenario {spec.scenario}: {spec.replications} replication(s) per condition")
     for row in result.condition_summaries:
@@ -81,7 +85,11 @@ def _parse_pair(raw: str, cast):
 
 
 def _cmd_worked_example(args) -> int:
-    result = verify_worked_example(csv=args.csv, tc=args.tc, tolerance=args.tolerance)
+    try:
+        result = verify_worked_example(csv=args.csv, tc=args.tc, tolerance=args.tolerance)
+    except ValueError as exc:
+        print(f"worked-example: {exc}", file=sys.stderr)
+        return 2
     for line in result.lines():
         print(line)
     print("worked example:", "PASS" if result.passed else "FAIL")
@@ -177,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="disparity report from session-log CSVs")
     p_an.add_argument("logs", nargs="+", help="session-log CSV paths")
     p_an.add_argument("--out", default="analysis-out")
-    p_an.add_argument("--intervention-start", type=int, default=DEFAULT_INTERVENTION_START,
+    p_an.add_argument("--intervention-start", type=_positive_int, default=DEFAULT_INTERVENTION_START,
                       help="first day of the analysis window (session logs carry no config)")
     p_an.set_defaults(fn=_cmd_analyze)
 

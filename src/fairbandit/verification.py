@@ -10,6 +10,7 @@ caters to player 2 and pulls that player's best arm (C).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -87,7 +88,18 @@ def verify_worked_example(
     tc: Sequence[int] = WORKED_EXAMPLE_TC,
     tolerance: float = 1e-3,
 ) -> WorkedExampleResult:
-    """Recompute every number in the reference example and compare."""
+    """Recompute every number in the reference example and compare.
+
+    Raises ValueError for inputs that leave a share undefined (a
+    negative or non-finite CSV, a negative TC, a zero total) or make the
+    comparison vacuous (a negative, infinite or NaN tolerance).
+    """
+    if not all(0.0 <= c < math.inf for c in csv) or not 0.0 < sum(csv) < math.inf:
+        raise ValueError(f"csv must be finite and non-negative with a positive total, got {tuple(csv)}")
+    if any(t < 0 for t in tc) or sum(tc) <= 0:
+        raise ValueError(f"tc must be non-negative with a positive total, got {tuple(tc)}")
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
     state = ShapleyBanditState(csv=list(csv), tc=list(tc), epsilon=0.0)
     expected = WORKED_EXAMPLE_EXPECTED
     checks: list[Check] = []

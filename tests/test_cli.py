@@ -104,6 +104,15 @@ class TestRun:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_naming_a_regular_file_exits_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(tiny_spec_dict()))
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        assert main(["run", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
+        assert out.read_text() == "not a directory\n"
+
     def test_duplicate_condition_names_rejected(self, tmp_path, capsys):
         doc = tiny_spec_dict()
         doc["conditions"] = [doc["conditions"][1], doc["conditions"][1]]
@@ -128,6 +137,27 @@ class TestWorkedExample:
 
     def test_tight_tolerance_still_passes(self):
         assert main(["worked-example", "--tolerance", "1e-3"]) == 0
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--csv", "nan,1"],
+            ["--csv", "inf,1"],
+            ["--csv=0,0"],
+            ["--csv=-5,3"],
+            ["--tc=-1,2"],
+            ["--tc", "0,0"],
+            ["--tolerance", "nan"],
+            ["--tolerance", "-1"],
+            ["--tolerance", "inf", "--csv", "1,2"],
+        ],
+        ids=" ".join,
+    )
+    def test_undefined_or_vacuous_input_exits_2(self, capsys, flags):
+        assert main(["worked-example", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("worked-example: ")
+        assert "PASS" not in captured.out
 
 
 class TestAxioms:
@@ -224,6 +254,23 @@ class TestAnalyze:
         assert main(["analyze", str(path), "--out", str(tmp_path / "r"),
                      "--intervention-start", "3"]) == 2
         assert "at least 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("start", ["0", "-3"])
+    def test_non_positive_intervention_start_exits_2(self, tmp_path, capsys, start):
+        path = tmp_path / "hand.csv"
+        path.write_text(self.HAND_CSV)
+        out = tmp_path / "r"
+        assert exit_code(["analyze", str(path), "--out", str(out),
+                          f"--intervention-start={start}"]) == 2
+        assert "--intervention-start" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_window_past_every_log_reports_zero_players(self, tmp_path, capsys):
+        path = tmp_path / "hand.csv"
+        path.write_text(self.HAND_CSV)
+        assert main(["analyze", str(path), "--out", str(tmp_path / "r"),
+                     "--intervention-start", "99"]) == 2
+        assert "need at least 3 analyzable players, got 0" in capsys.readouterr().err
 
 
 FUZZ_VALUES = st.one_of(

@@ -1,8 +1,12 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -397,3 +401,18 @@ def test_coalition_requires_contiguous_members():
     with pytest.raises(ValueError):
         Coalition((0, 2))
     assert list(Coalition.of_size(3)) == [0, 1, 2]
+
+
+def test_importing_shapley_loads_no_pipeline_module():
+    # A fresh interpreter, because the test process has imported every module.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import fairbandit.shapley, sys; "
+        "print(' '.join(m for m in ('fairbandit.experiment', 'fairbandit.simworld', "
+        "'fairbandit.analysis', 'concurrent.futures.process') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == []
