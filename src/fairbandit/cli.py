@@ -114,6 +114,12 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"analyze: cannot create output directory {out}: {exc.strerror}", file=sys.stderr)
+        return 2
     logs = []
     for path in args.logs:
         try:
@@ -126,8 +132,6 @@ def _cmd_analyze(args) -> int:
     except ValueError as exc:
         print(f"analyze: {exc}", file=sys.stderr)
         return 2
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_report_csv(report, out / "report.csv")
     (out / "report.json").write_text(
         json.dumps(report_summary(report), indent=2, sort_keys=True) + "\n"

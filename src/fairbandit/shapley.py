@@ -19,16 +19,24 @@ than a configurable maximum (default 16) are rejected, before any
 table is built, rather than approximated.
 
 The permutation oracle shares the table but not the algorithm: it
-averages each player's marginal over all n! arrival orders, tracking
-the arrived prefix as a mask, so an error in the subset weights or the
-enumeration shows up as a disagreement between the two.
+averages each player's marginal over all n! arrival orders, so an error
+in the subset weights or the enumeration shows up as a disagreement
+between the two. The orders are walked once per n, in `permutations`
+order, into an arrival table that records, for every player and every
+order, the mask of the players who arrived before them. A call then
+forms each player's marginal gain over every mask and totals the gains
+the table lists, one per order, left to right with `reduce`: `sum()`
+compensates float addition on CPython 3.12, which would change the
+last bits.
 """
 from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache, reduce
 from itertools import permutations
 from math import factorial
 from pathlib import Path
@@ -307,6 +315,19 @@ def shapley_all(v: CharacteristicFunction, coalition: Coalition) -> list[float]:
     return [_attribution(table, weights, i) for i in coalition]
 
 
+@lru_cache(maxsize=None)
+def _players_ahead(n: int) -> tuple[bytes, ...]:
+    """For each player, the mask of the players who arrived before them
+    in every arrival order of 0..n-1, listed in `permutations` order."""
+    ahead = [bytearray() for _ in range(n)]
+    for order in permutations(range(n)):
+        prefix = 0
+        for player in order:
+            ahead[player].append(prefix)
+            prefix |= 1 << player
+    return tuple(bytes(masks) for masks in ahead)
+
+
 def shapley_oracle_permutations(
     v: CharacteristicFunction, coalition: Coalition
 ) -> list[float]:
@@ -317,17 +338,13 @@ def shapley_oracle_permutations(
     n = len(coalition)
     _check_size(n, ORACLE_MAX_PLAYERS)
     table = v.by_mask(n)
-    totals = [0.0] * n
-    for order in permutations(coalition):
-        prefix = 0
-        prev = 0.0
-        for player in order:
-            prefix |= 1 << player
-            cur = table[prefix]
-            totals[player] += cur - prev
-            prev = cur
     count = factorial(n)
-    return [t / count for t in totals]
+    phi = []
+    for player, ahead in enumerate(_players_ahead(n)):
+        bit = 1 << player
+        gain = [table[mask | bit] - table[mask] for mask in range(len(table))]
+        phi.append(reduce(operator.add, map(gain.__getitem__, ahead), 0.0) / count)
+    return phi
 
 
 @dataclass

@@ -19,6 +19,7 @@ happen in a fixed per-day order whether or not the session is missed.
 """
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
@@ -598,6 +599,35 @@ def _row_error(row: SessionRow) -> tuple[str, str] | None:
     return None
 
 
+def _records(fh, path):
+    """The CSV records of the open log `fh`, raising SchemaError for
+    text the reader cannot decode or split."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise SchemaError(f"line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        line = _undecodable_line(path, fh.encoding)
+        raise SchemaError(f"line {line}: not {fh.encoding} text ({exc.reason})") from None
+
+
+def _undecodable_line(path, encoding: str) -> int:
+    """The first line of `path` that `encoding` cannot decode. The text
+    layer decodes ahead in chunks, so its own position can be lines
+    short of the bad byte."""
+    decoder = codecs.getincrementaldecoder(encoding)()
+    lineno = 1
+    with open(path, "rb") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                decoder.decode(line)
+            decoder.decode(b"", final=True)
+        except UnicodeDecodeError:
+            pass
+    return lineno
+
+
 def read_log_csv(path, name: str = "") -> StudyLog:
     """Parse a session log CSV, validating the documented schema.
 
@@ -605,10 +635,12 @@ def read_log_csv(path, name: str = "") -> StudyLog:
     that are negative or not finite, motivation scores outside 1-5, a
     missed session with data or an attended one without steps, a
     repeated (day, player) pair and a `catered_player` that has no rows
-    raise SchemaError naming the offending line and column.
+    raise SchemaError naming the offending line and column. So do bytes
+    that are not text in the locale's encoding and CSV the reader cannot
+    split (a field over the csv module's size limit), naming the line.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _records(fh, path)
         try:
             header = next(reader)
         except StopIteration:

@@ -247,6 +247,37 @@ class TestAnalyze:
         assert "missing columns" in err
         assert "missed" in err
 
+    @pytest.mark.parametrize(
+        "tail, message",
+        [
+            (b"1,\xff\n", "line 14: not utf-8 text"),
+            (b"1," + b"9" * 131073 + b"\n", "line 14: field larger than field limit"),
+        ],
+        ids=["undecodable-byte", "oversized-field"],
+    )
+    def test_undecodable_or_unsplittable_log_is_schema_error(self, tmp_path, capsys, tail, message):
+        path = tmp_path / "broken.csv"
+        path.write_bytes(self.HAND_CSV.encode() + tail)
+        assert main(["analyze", str(path), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.lower().startswith(f"analyze: {path}: {message}".lower())
+
+    def test_out_naming_a_regular_file_exits_2_before_reading_logs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import fairbandit.cli as cli
+
+        read = []
+        monkeypatch.setattr(cli, "read_log_csv", lambda *a, **k: read.append(a))
+        path = tmp_path / "hand.csv"
+        path.write_text(self.HAND_CSV)
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        assert main(["analyze", str(path), "--out", str(out)]) == 2
+        assert f"analyze: cannot create output directory {out}" in capsys.readouterr().err
+        assert read == []
+        assert out.read_text() == "not a directory\n"
+
     def test_too_few_players_is_error(self, tmp_path, capsys):
         path = tmp_path / "two.csv"
         lines = [line for line in self.HAND_CSV.splitlines() if not line.startswith(("1,2", "2,2", "3,2", "4,2"))]

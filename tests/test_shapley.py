@@ -372,10 +372,14 @@ class TestMaskTable:
             for i in coalition:
                 assert shapley_value(v, coalition, i) == want[i], (name, i)
 
-    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_oracle_bit_identical(self, n):
         coalition = Coalition.of_size(n)
-        for name, v in _games(n, 80 + n).items():
+        games = _games(n, 80 + n)
+        if n == 8:
+            # the frozenset reference takes ~0.3 s per game at n = 8
+            games = {"table": games["table"]}
+        for name, v in games.items():
             assert shapley_oracle_permutations(v, coalition) == _old_oracle(v, coalition), name
 
     def test_shapley_all_digest_pinned(self):
