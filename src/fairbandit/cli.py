@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -113,7 +114,30 @@ def _cmd_axioms(args) -> int:
     return 0 if result.passed else 1
 
 
+def _log_names(paths: list[str]) -> list[str]:
+    """Each log's report label: its file stem, or, when two logs share a
+    stem, its path below the logs' longest common directory without the
+    suffix (`rep_0003/log`)."""
+    stems = [Path(path).stem for path in paths]
+    if len(set(stems)) == len(stems):
+        return stems
+    absolute = [os.path.abspath(path) for path in paths]
+    root = os.path.commonpath([os.path.dirname(path) for path in absolute])
+    return [os.path.splitext(os.path.relpath(path, root))[0] for path in absolute]
+
+
 def _cmd_analyze(args) -> int:
+    seen = set()
+    for path in args.logs:
+        try:
+            stat = os.stat(path)
+        except OSError:
+            continue  # reading it below names the error
+        key = (stat.st_dev, stat.st_ino)
+        if key in seen:
+            print(f"analyze: {path}: given twice", file=sys.stderr)
+            return 2
+        seen.add(key)
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -121,9 +145,9 @@ def _cmd_analyze(args) -> int:
         print(f"analyze: cannot create output directory {out}: {exc.strerror}", file=sys.stderr)
         return 2
     logs = []
-    for path in args.logs:
+    for path, name in zip(args.logs, _log_names(args.logs)):
         try:
-            logs.append(read_log_csv(path, name=Path(path).stem))
+            logs.append(read_log_csv(path, name=name))
         except (SchemaError, OSError) as exc:
             print(f"analyze: {path}: {exc}", file=sys.stderr)
             return 2

@@ -26,7 +26,7 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .analysis import PlayerTally, percentile_rank
 from .bandit import (
@@ -639,6 +639,54 @@ def read_log_csv(path, name: str = "") -> StudyLog:
     that are not text in the locale's encoding and CSV the reader cannot
     split (a field over the csv module's size limit), naming the line.
     """
+    rows = _parse_columns(path)
+    if rows is None:
+        _raise_first_error(path)
+    return StudyLog(rows=rows, name=name)
+
+
+def _parse_columns(path) -> list[SessionRow] | None:
+    """The rows of the log at `path`, or None if the log breaks the schema.
+
+    A log repeats a handful of strings in most columns, so each column
+    parses every distinct string once and maps its fields through the
+    results. This pass only detects a problem; `_raise_first_error`
+    names it.
+    """
+    try:
+        with open(path, newline="") as fh:
+            records = list(_records(fh, path))
+    except SchemaError:
+        return None
+    if not records or records[0] != LOG_COLUMNS:
+        return None
+    del records[0]
+    width = len(LOG_COLUMNS)
+    if any(len(record) != width for record in records):
+        return None
+    if not records:
+        return []
+    columns = []
+    for parse, raw_column in zip(_PARSERS, zip(*records)):
+        try:
+            parsed = {raw: parse(raw) for raw in set(raw_column)}
+        except ValueError:
+            return None
+        columns.append([parsed[raw] for raw in raw_column])
+    rows = list(map(SessionRow._make, zip(*columns)))
+    if any(map(_row_error, rows)):
+        return None
+    days, players, catered = columns[0], columns[1], columns[8]
+    if len(set(zip(days, players))) != len(rows):
+        return None
+    if set(catered).difference(players, (None,)):
+        return None
+    return rows
+
+
+def _raise_first_error(path) -> NoReturn:
+    """Raise the SchemaError for the first problem of the log at `path`,
+    in line order, reading it a line at a time."""
     with open(path, newline="") as fh:
         reader = _records(fh, path)
         try:
@@ -684,7 +732,7 @@ def read_log_csv(path, name: str = "") -> StudyLog:
                 f"line {lineno}, column 'catered_player': player {row.catered_player}"
                 " has no rows in the log"
             )
-    return StudyLog(rows=rows, name=name)
+    raise AssertionError(f"{path} breaks no schema rule")
 
 
 def log_summary(log: StudyLog, tallies: dict[int, PlayerTally]) -> dict:

@@ -29,6 +29,7 @@ from .shapley import (
     AxiomReport,
     Coalition,
     TableBacked,
+    _check_players,
     check_axioms,
     shapley_all,
     shapley_oracle_permutations,
@@ -146,11 +147,9 @@ class AxiomSuiteResult:
 
 def random_table_game(n: int, rng: SplitMix64) -> TableBacked:
     """Random characteristic function with subset values uniform in [-100, 100)."""
-    values = {}
-    for mask in range(1, 1 << n):
-        subset = frozenset(i for i in range(n) if mask >> i & 1)
-        values[subset] = rng.uniform(-100.0, 100.0)
-    return TableBacked(n, values)
+    _check_players(n)
+    table = [0.0] + [rng.uniform(-100.0, 100.0) for _mask in range(1, 1 << n)]
+    return TableBacked._of_table(n, table)
 
 
 def run_axiom_suite(

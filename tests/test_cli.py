@@ -278,6 +278,62 @@ class TestAnalyze:
         assert read == []
         assert out.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("spelling", ["same", "dotdot", "symlink", "hardlink"])
+    def test_log_given_twice_exits_2_before_reading_logs(
+        self, tmp_path, capsys, monkeypatch, spelling
+    ):
+        import fairbandit.cli as cli
+
+        read = []
+        monkeypatch.setattr(cli, "read_log_csv", lambda *a, **k: read.append(a))
+        path = tmp_path / "hand.csv"
+        path.write_text(self.HAND_CSV)
+        other = tmp_path / "other.csv"
+        other.write_text(self.HAND_CSV)
+        (tmp_path / "sub").mkdir()
+        twice = {
+            "same": path,
+            "dotdot": tmp_path / "sub" / ".." / "hand.csv",
+            "symlink": tmp_path / "sub" / "symlink.csv",
+            "hardlink": tmp_path / "sub" / "hardlink.csv",
+        }[spelling]
+        if spelling == "symlink":
+            twice.symlink_to(path)
+        if spelling == "hardlink":
+            twice.hardlink_to(path)
+        out = tmp_path / "r"
+        assert main(["analyze", str(path), str(other), str(twice), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"analyze: {twice}: given twice\n"
+        assert read == []
+        assert not out.exists()
+
+    def test_missing_log_exits_2_naming_the_os_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert main(["analyze", str(missing), str(missing), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"analyze: {missing}: [Errno 2] No such file or directory"
+        )
+
+    def test_shared_stems_are_labelled_by_path_below_common_directory(self, tmp_path):
+        paths = []
+        for rep in ("rep_0000", "rep_0001"):
+            path = tmp_path / "greedy" / rep / "log.csv"
+            path.parent.mkdir(parents=True)
+            path.write_text(self.HAND_CSV)
+            paths.append(str(path))
+        extra = tmp_path / "greedy" / "extra.csv"
+        extra.write_text(self.HAND_CSV)
+        out = tmp_path / "r"
+        assert main(["analyze", *paths, str(extra), "--out", str(out),
+                     "--intervention-start", "3"]) == 0
+        with open(out / "report.csv", newline="") as fh:
+            labels = sorted(rec["player"] for rec in csv.DictReader(fh))
+        assert labels == sorted(
+            f"{log}:p{player}"
+            for log in ("rep_0000/log", "rep_0001/log", "extra")
+            for player in range(3)
+        )
+
     def test_too_few_players_is_error(self, tmp_path, capsys):
         path = tmp_path / "two.csv"
         lines = [line for line in self.HAND_CSV.splitlines() if not line.startswith(("1,2", "2,2", "3,2", "4,2"))]
