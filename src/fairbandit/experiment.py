@@ -67,6 +67,8 @@ class ExperimentSpec:
         object.__setattr__(self, "conditions", tuple(self.conditions))
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
+        if not self.conditions:
+            raise ConfigError("an experiment needs at least one condition")
         names = [c.condition.value for c in self.conditions]
         if len(set(names)) != len(names):
             raise ConfigError(f"condition names must be unique, got {names}")
@@ -83,6 +85,10 @@ class ExperimentSpec:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentSpec":
         check_doc(cls, doc, "experiment spec")
+        if not isinstance(doc.get("conditions", []), list):
+            raise ConfigError(
+                f"experiment spec: conditions must be a list of objects, got {doc['conditions']!r}"
+            )
         try:
             return cls(
                 scenario=doc["scenario"],
@@ -97,7 +103,11 @@ class ExperimentSpec:
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
         try:
-            doc = json.loads(Path(path).read_text())
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read spec {path}: {exc.strerror}") from exc
+        try:
+            doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"spec is not valid JSON: {exc}") from exc
         return cls.from_dict(doc)

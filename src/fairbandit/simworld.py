@@ -19,14 +19,15 @@ happen in a fixed per-day order whether or not the session is missed.
 """
 from __future__ import annotations
 
-import codecs
 import csv
+import io
 import json
+import locale
 import math
 import sys
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 from .analysis import PlayerTally, percentile_rank
 from .bandit import (
@@ -157,6 +158,8 @@ class StudyConfig:
             raise ConfigError("the three-arm environment needs exactly 2 human players")
         if self.baseline_days < 1:
             raise ConfigError("baseline_days must be >= 1")
+        if self.forced_exploration_days < 0:
+            raise ConfigError("forced_exploration_days must be >= 0")
         if self.forced_exploration_days % len(Arm) != 0:
             raise ConfigError(
                 "forced_exploration_days must divide evenly across the 3 arms"
@@ -261,27 +264,18 @@ def alignment(sco: float, exposure: Exposure) -> float:
     ) / 2.0
 
 
-def step_response(player: SimPlayer, exposure: Exposure, rng: SplitMix64) -> float:
-    """Today's steps: baseline plus alignment * effect_size plus noise,
-    floored at zero. Always consumes one normal draw."""
-    return _step_response(player, alignment(player.sco, exposure), rng)
-
-
-def _step_response(player: SimPlayer, a: float, rng: SplitMix64) -> float:
+def step_response(player: SimPlayer, a: float, rng: SplitMix64) -> float:
+    """Today's steps for preference alignment `a` (see `alignment`):
+    baseline plus a * effect_size plus noise, floored at zero. Always
+    consumes one normal draw."""
     noise = rng.normal(0.0, player.noise_sd)
     return max(0.0, player.baseline_steps + a * player.effect_size + noise)
 
 
-def motivation_response(
-    player: SimPlayer, exposure: Exposure, rng: SplitMix64
-) -> tuple[int, int]:
+def motivation_response(a: float, rng: SplitMix64) -> tuple[int, int]:
     """Pre/post session motivation on the 1-5 scale. Pre is uniform over
-    {2, 3, 4}; post moves one point in the alignment's direction with
-    probability |alignment|, clamped to the scale. Draw count is fixed."""
-    return _motivation_response(alignment(player.sco, exposure), rng)
-
-
-def _motivation_response(a: float, rng: SplitMix64) -> tuple[int, int]:
+    {2, 3, 4}; post moves one point in the direction of alignment `a`
+    with probability |a|, clamped to the scale. Draw count is fixed."""
     pre = 2 + rng.randrange(3)
     u = rng.random()
     post = pre
@@ -390,8 +384,8 @@ def run_study(config: StudyConfig) -> StudyLog:
         for i, player in enumerate(config.players):
             exposure = exposure_direction(last_steps[i], artificial, last_steps[1 - i])
             a = alignment(player.sco, exposure)
-            steps = _step_response(player, a, world_rng)
-            pre, post = _motivation_response(a, world_rng)
+            steps = step_response(player, a, world_rng)
+            pre, post = motivation_response(a, world_rng)
             missed = miss_decision(player, disparities[i], world_rng)
             if missed:
                 steps = pre = post = None
@@ -566,16 +560,6 @@ _PARSERS = (
 )
 
 
-def _field_error(record: list[str], line: int) -> SchemaError:
-    """The error for the first field of `record` that does not parse."""
-    for column, parse, raw in zip(LOG_COLUMNS, _PARSERS, record):
-        try:
-            parse(raw)
-        except ValueError as exc:
-            return SchemaError(f"line {line}, column {column!r}: {exc}")
-    raise AssertionError("every field parses")
-
-
 def _row_error(row: SessionRow) -> tuple[str, str] | None:
     """(column, reason) for a parsed row that no simulation can write:
     a day below 1, a step count that is negative or not finite, or a
@@ -599,33 +583,38 @@ def _row_error(row: SessionRow) -> tuple[str, str] | None:
     return None
 
 
-def _records(fh, path):
-    """The CSV records of the open log `fh`, raising SchemaError for
-    text the reader cannot decode or split."""
-    reader = csv.reader(fh)
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise SchemaError(f"line {reader.line_num}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        line = _undecodable_line(path, fh.encoding)
-        raise SchemaError(f"line {line}: not {fh.encoding} text ({exc.reason})") from None
-
-
-def _undecodable_line(path, encoding: str) -> int:
-    """The first line of `path` that `encoding` cannot decode. The text
-    layer decodes ahead in chunks, so its own position can be lines
-    short of the bad byte."""
-    decoder = codecs.getincrementaldecoder(encoding)()
-    lineno = 1
+def _read_records(path) -> tuple[list[list[str]], SchemaError | None]:
+    """The CSV records of the log at `path`, read and decoded once, and
+    the SchemaError for bytes that are not text in the encoding `open`
+    defaults to, or for CSV the reader cannot split. The records stop
+    before the line that raised it, as a line-at-a-time reader's would."""
     with open(path, "rb") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                decoder.decode(line)
-            decoder.decode(b"", final=True)
-        except UnicodeDecodeError:
-            pass
-    return lineno
+        data = fh.read()
+    encoding = locale.getpreferredencoding(False)
+    try:
+        text, cut = data.decode(encoding), None
+    except UnicodeDecodeError as exc:
+        text = data[: data.rfind(b"\n", 0, exc.start) + 1].decode(encoding)
+        line = data.count(b"\n", 0, exc.start) + 1
+        cut = SchemaError(f"line {line}: not {encoding} text ({exc.reason})")
+    reader = csv.reader(_lines_then_raise(text, cut))
+    records = []
+    try:
+        for record in reader:
+            records.append(record)
+    except csv.Error as exc:
+        cut = SchemaError(f"line {reader.line_num}: {exc}")
+    except SchemaError:
+        pass
+    return records, cut
+
+
+def _lines_then_raise(text: str, error: SchemaError | None):
+    """The lines of `text` as a file opened with newline="" yields them,
+    then `error`, so that the CSV reader drops a record it cut open."""
+    yield from io.StringIO(text, newline="")
+    if error is not None:
+        raise error
 
 
 def read_log_csv(path, name: str = "") -> StudyLog:
@@ -638,101 +627,86 @@ def read_log_csv(path, name: str = "") -> StudyLog:
     raise SchemaError naming the offending line and column. So do bytes
     that are not text in the locale's encoding and CSV the reader cannot
     split (a field over the csv module's size limit), naming the line.
-    """
-    rows = _parse_columns(path)
-    if rows is None:
-        _raise_first_error(path)
-    return StudyLog(rows=rows, name=name)
-
-
-def _parse_columns(path) -> list[SessionRow] | None:
-    """The rows of the log at `path`, or None if the log breaks the schema.
+    The error raised is the first problem in line order, except that a
+    `catered_player` with no rows is only named when nothing else is
+    wrong, as it takes the whole log to find.
 
     A log repeats a handful of strings in most columns, so each column
     parses every distinct string once and maps its fields through the
-    results. This pass only detects a problem; `_raise_first_error`
-    names it.
+    results. The rows are walked one at a time only to name a problem
+    that a check over the whole log found.
     """
-    try:
-        with open(path, newline="") as fh:
-            records = list(_records(fh, path))
-    except SchemaError:
-        return None
-    if not records or records[0] != LOG_COLUMNS:
-        return None
-    del records[0]
-    width = len(LOG_COLUMNS)
-    if any(len(record) != width for record in records):
-        return None
+    records, cut = _read_records(path)
     if not records:
-        return []
-    columns = []
-    for parse, raw_column in zip(_PARSERS, zip(*records)):
-        try:
-            parsed = {raw: parse(raw) for raw in set(raw_column)}
-        except ValueError:
-            return None
-        columns.append([parsed[raw] for raw in raw_column])
-    rows = list(map(SessionRow._make, zip(*columns)))
-    if any(map(_row_error, rows)):
-        return None
-    days, players, catered = columns[0], columns[1], columns[8]
-    if len(set(zip(days, players))) != len(rows):
-        return None
-    if set(catered).difference(players, (None,)):
-        return None
-    return rows
-
-
-def _raise_first_error(path) -> NoReturn:
-    """Raise the SchemaError for the first problem of the log at `path`,
-    in line order, reading it a line at a time."""
-    with open(path, newline="") as fh:
-        reader = _records(fh, path)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("empty file: missing header") from None
-        if header != LOG_COLUMNS:
-            missing = [c for c in LOG_COLUMNS if c not in header]
-            extra = [c for c in header if c not in LOG_COLUMNS]
-            detail = []
-            if missing:
-                detail.append(f"missing columns {missing}")
-            if extra:
-                detail.append(f"unexpected columns {extra}")
-            if not detail:
-                detail.append(f"column order must be {LOG_COLUMNS}")
-            raise SchemaError("bad header: " + "; ".join(detail))
-        rows = []
-        first_line: dict[tuple[int, int], int] = {}
-        for lineno, record in enumerate(reader, start=2):
-            if len(record) != len(LOG_COLUMNS):
-                raise SchemaError(
-                    f"line {lineno}: expected {len(LOG_COLUMNS)} fields, got {len(record)}"
-                )
+        raise cut or SchemaError("empty file: missing header")
+    header, *records = records
+    if header != LOG_COLUMNS:
+        missing = [c for c in LOG_COLUMNS if c not in header]
+        extra = [c for c in header if c not in LOG_COLUMNS]
+        detail = []
+        if missing:
+            detail.append(f"missing columns {missing}")
+        if extra:
+            detail.append(f"unexpected columns {extra}")
+        if not detail:
+            detail.append(f"column order must be {LOG_COLUMNS}")
+        raise SchemaError("bad header: " + "; ".join(detail))
+    # Like a read error, a record of the wrong width or with a field that
+    # does not parse ends the rows: only a problem on an earlier line, or
+    # an earlier such record, is named before it.
+    width = len(LOG_COLUMNS)
+    stop = next((k for k, record in enumerate(records) if len(record) != width), len(records))
+    if stop < len(records):
+        cut = SchemaError(f"line {stop + 2}: expected {width} fields, got {len(records[stop])}")
+    raw_columns = list(zip(*records[:stop])) or [()] * width
+    values = []
+    for column, parse, raws in zip(LOG_COLUMNS, _PARSERS, raw_columns):
+        parsed, failed = {}, {}
+        for raw in set(raws):
             try:
-                row = SessionRow._make([parse(raw) for parse, raw in zip(_PARSERS, record)])
-            except ValueError:
-                raise _field_error(record, lineno) from None
-            problem = _row_error(row)
-            if problem is not None:
-                raise SchemaError(f"line {lineno}, column {problem[0]!r}: {problem[1]}")
-            first = first_line.setdefault((row.day, row.player), lineno)
-            if first != lineno:
-                raise SchemaError(
-                    f"line {lineno}, columns 'day', 'player': day {row.day} player"
-                    f" {row.player} repeats line {first}"
-                )
-            rows.append(row)
-    players = {row.player for row in rows}
-    for lineno, row in enumerate(rows, start=2):
-        if row.catered_player is not None and row.catered_player not in players:
-            raise SchemaError(
-                f"line {lineno}, column 'catered_player': player {row.catered_player}"
-                " has no rows in the log"
+                parsed[raw] = parse(raw)
+            except ValueError as exc:
+                failed[raw] = exc
+        values.append(parsed)
+        if failed:
+            bad = next(k for k, raw in enumerate(raws) if raw in failed)
+            if bad < stop:
+                stop = bad
+                cut = SchemaError(f"line {bad + 2}, column {column!r}: {failed[raws[bad]]}")
+    columns = [
+        list(map(parsed.__getitem__, raws[:stop])) for parsed, raws in zip(values, raw_columns)
+    ]
+    rows = list(map(SessionRow._make, zip(*columns)))
+    days, players, catered = columns[0], columns[1], columns[8]
+    if any(map(_row_error, rows)) or len(set(zip(days, players))) != len(rows):
+        raise _first_row_problem(rows)
+    if cut is not None:
+        raise cut
+    strays = set(catered).difference(players, (None,))
+    if strays:
+        line = next(k for k, player in enumerate(catered, start=2) if player in strays)
+        raise SchemaError(
+            f"line {line}, column 'catered_player': player {catered[line - 2]}"
+            " has no rows in the log"
+        )
+    return StudyLog(rows=rows, name=name)
+
+
+def _first_row_problem(rows: list[SessionRow]) -> SchemaError:
+    """The error for the first row that `_row_error` rejects or whose
+    (day, player) pair repeats an earlier row's."""
+    first_line: dict[tuple[int, int], int] = {}
+    for line, row in enumerate(rows, start=2):
+        problem = _row_error(row)
+        if problem is not None:
+            return SchemaError(f"line {line}, column {problem[0]!r}: {problem[1]}")
+        first = first_line.setdefault((row.day, row.player), line)
+        if first != line:
+            return SchemaError(
+                f"line {line}, columns 'day', 'player': day {row.day} player"
+                f" {row.player} repeats line {first}"
             )
-    raise AssertionError(f"{path} breaks no schema rule")
+    raise AssertionError("every row is valid and unique")
 
 
 def log_summary(log: StudyLog, tallies: dict[int, PlayerTally]) -> dict:

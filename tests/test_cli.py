@@ -493,6 +493,30 @@ class TestSpecLoading:
         assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
         assert "JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_spec_path_is_config_error(self, tmp_path, capsys, kind):
+        spec_path = tmp_path / "spec.json"
+        if kind == "directory":
+            spec_path.mkdir()
+        assert exit_code(["run", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
+        assert f"run: cannot read spec {spec_path}: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("conditions", [5, {"greedy": {}}, None])
+    def test_conditions_that_are_not_a_list_are_config_error(self, tmp_path, capsys, conditions):
+        doc = tiny_spec_dict() | {"conditions": conditions}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        assert exit_code(["run", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
+        assert "run: experiment spec: conditions must be a list" in capsys.readouterr().err
+
+    def test_spec_without_conditions_is_config_error(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(tiny_spec_dict() | {"conditions": []}))
+        assert exit_code(["run", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
+        assert "run: an experiment needs at least one condition" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_spec_round_trip(self):
         spec = ExperimentSpec(
             scenario="t",

@@ -1,3 +1,6 @@
+import csv
+import io
+import locale
 import math
 import statistics
 import tempfile
@@ -22,9 +25,7 @@ from fairbandit.simworld import (
     SessionRow,
     SimPlayer,
     StudyConfig,
-    _field_error,
     _PARSERS,
-    _records,
     _row_error,
     alignment,
     exposure_direction,
@@ -82,19 +83,19 @@ class TestStepResponse:
 
     def test_upward_responder_boosted(self):
         p = player(sco=1.0, effect_size=500.0)
-        assert step_response(p, self.UP_UP, SplitMix64(0)) == pytest.approx(10500.0)
+        assert step_response(p, alignment(p.sco, self.UP_UP), SplitMix64(0)) == pytest.approx(10500.0)
 
     def test_downward_responder_suppressed(self):
         p = player(sco=-1.0, effect_size=500.0)
-        assert step_response(p, self.UP_UP, SplitMix64(0)) == pytest.approx(9500.0)
+        assert step_response(p, alignment(p.sco, self.UP_UP), SplitMix64(0)) == pytest.approx(9500.0)
 
     def test_null_responder_unmoved(self):
         p = player(sco=0.0, effect_size=500.0)
-        assert step_response(p, self.UP_UP, SplitMix64(0)) == pytest.approx(10000.0)
+        assert step_response(p, alignment(p.sco, self.UP_UP), SplitMix64(0)) == pytest.approx(10000.0)
 
     def test_floored_at_zero(self):
         p = player(baseline_steps=100.0, sco=-1.0, effect_size=5000.0)
-        assert step_response(p, self.UP_UP, SplitMix64(0)) == 0.0
+        assert step_response(p, alignment(p.sco, self.UP_UP), SplitMix64(0)) == 0.0
 
 
 class TestMotivationResponse:
@@ -102,14 +103,14 @@ class TestMotivationResponse:
         p = player(sco=1.0)
         rng = SplitMix64(3)
         for _ in range(50):
-            pre, post = motivation_response(p, TestStepResponse.UP_UP, rng)
+            pre, post = motivation_response(alignment(p.sco, TestStepResponse.UP_UP), rng)
             assert post == min(5, pre + 1)
 
     def test_zero_alignment_keeps_pre(self):
         p = player(sco=0.0)
         rng = SplitMix64(4)
         for _ in range(50):
-            pre, post = motivation_response(p, TestStepResponse.UP_UP, rng)
+            pre, post = motivation_response(alignment(p.sco, TestStepResponse.UP_UP), rng)
             assert post == pre
 
     def test_scale_bounds_over_many_draws(self):
@@ -123,7 +124,7 @@ class TestMotivationResponse:
         for i in range(10000):
             p = players[i % len(players)]
             e = exposures[i % len(exposures)]
-            pre, post = motivation_response(p, e, rng)
+            pre, post = motivation_response(alignment(p.sco, e), rng)
             assert 1 <= pre <= 5
             assert 1 <= post <= 5
 
@@ -164,6 +165,11 @@ class TestConfigValidation:
     def test_forced_days_must_divide_across_arms(self):
         with pytest.raises(ConfigError):
             config(forced_exploration_days=8)
+
+    def test_forced_days_cannot_be_negative(self):
+        # -3 divides evenly across the arms, so only its sign rejects it.
+        with pytest.raises(ConfigError, match="forced_exploration_days must be >= 0"):
+            config(forced_exploration_days=-3)
 
     def test_forced_cannot_exceed_total(self):
         with pytest.raises(ConfigError):
@@ -470,6 +476,45 @@ class TestLogSerialization:
         with pytest.raises(SchemaError, match="line 2, column 'best_arm'"):
             read_log_csv(path)
 
+    def test_first_problem_in_line_order_includes_undecodable_bytes(self, tmp_path):
+        cfg = load_scenario("conflict-cohort").conditions[1]
+        path = tmp_path / "log.csv"
+        write_log_csv(run_study(cfg), path)
+        lines = path.read_bytes().split(b"\n")
+        cells = lines[4].split(b",")
+        cells[LOG_COLUMNS.index("arm")] = b"Z"
+        lines[4] = b",".join(cells)
+        lines[30] = b"\xff" + lines[30]
+        path.write_bytes(b"\n".join(lines))
+        assert path.stat().st_size < 8192
+        with pytest.raises(SchemaError, match="^line 5, column 'arm': "):
+            read_log_csv(path)
+
+    @pytest.mark.parametrize("edit", [None, "field", "undecodable"])
+    def test_log_is_opened_once(self, tmp_path, monkeypatch, edit):
+        path = tmp_path / "log.csv"
+        write_log_csv(self.make_log(), path)
+        data = path.read_bytes()
+        if edit == "field":
+            data = data.replace(b",forced,", b",sideways,", 1)
+        elif edit == "undecodable":
+            data = data.replace(b"\n", b"\n\xff", 1)
+        path.write_bytes(data)
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        if edit is None:
+            read_log_csv(path)
+        else:
+            with pytest.raises(SchemaError, match="^line 2"):
+                read_log_csv(path)
+        assert opened == [path]
+
     def test_summary_fields(self):
         log = self.make_log()
         summary = log_summary(log, log_metrics(log))
@@ -512,10 +557,28 @@ def test_random_draws_per_study_unchanged(monkeypatch, scenario, condition):
 
 
 def read_log_rows_per_line(path) -> list[SessionRow]:
-    """The rows of the log at `path`, parsed a line at a time: the
-    reader as it was before it parsed by column, kept as the oracle."""
-    with open(path, newline="") as fh:
-        reader = _records(fh, path)
+    """The rows of the log at `path`, decoded, split and parsed a line
+    at a time, so that the first problem in line order is the one
+    raised: the reader as it was before it parsed by column, kept as the
+    oracle."""
+    encoding = locale.getpreferredencoding(False)
+
+    def text_lines(fh):
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                text = line.decode(encoding)
+            except UnicodeDecodeError as exc:
+                raise SchemaError(f"line {lineno}: not {encoding} text ({exc.reason})") from None
+            yield from io.StringIO(text, newline="")
+
+    def records(reader):
+        try:
+            yield from reader
+        except csv.Error as exc:
+            raise SchemaError(f"line {reader.line_num}: {exc}") from None
+
+    with open(path, "rb") as fh:
+        reader = records(csv.reader(text_lines(fh)))
         try:
             header = next(reader)
         except StopIteration:
@@ -538,10 +601,13 @@ def read_log_rows_per_line(path) -> list[SessionRow]:
                 raise SchemaError(
                     f"line {lineno}: expected {len(LOG_COLUMNS)} fields, got {len(record)}"
                 )
-            try:
-                row = SessionRow._make([parse(raw) for parse, raw in zip(_PARSERS, record)])
-            except ValueError:
-                raise _field_error(record, lineno) from None
+            values = []
+            for column, parse, raw in zip(LOG_COLUMNS, _PARSERS, record):
+                try:
+                    values.append(parse(raw))
+                except ValueError as exc:
+                    raise SchemaError(f"line {lineno}, column {column!r}: {exc}") from None
+            row = SessionRow._make(values)
             problem = _row_error(row)
             if problem is not None:
                 raise SchemaError(f"line {lineno}, column {problem[0]!r}: {problem[1]}")
@@ -648,18 +714,27 @@ def edit_log(draw, records, kind) -> None:
         del records[1:]
     elif kind == "undecodable after field error":
         record[COLUMN["mode"]] = "sideways"
-        # Past 8 KB of padding the bad byte lies in a later block of the
-        # text layer's decoding than the field error.
+        # With or without 8 KB of padding between them, the field error
+        # comes first.
         if draw(st.booleans()):
             records.append(["x" * 9000])
         records.append(["1", "\udcff"])
+    elif kind == "undecodable byte":
+        record[draw(st.integers(0, len(record) - 1))] += "\udcff"
+    elif kind == "open quote":
+        # The quoted field runs on to the end of the file, or to a line
+        # that does not decode.
+        column = draw(st.integers(0, len(record) - 1))
+        record[column] = '"' + record[column]
+    elif kind == "line break":
+        record[draw(st.integers(0, len(record) - 1))] += draw(st.sampled_from(["\r", "\r\n"]))
     else:
         raise AssertionError(kind)
 
 
 LOG_EDITS = ["bad int", "empty field", "score", "arm", "missed with steps", "repeated pair",
              "unknown catered player", "field count", "trailing blank line", "header only",
-             "undecodable after field error"]
+             "undecodable after field error", "undecodable byte", "open quote", "line break"]
 
 
 @settings(max_examples=200, deadline=None)
