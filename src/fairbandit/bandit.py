@@ -75,7 +75,17 @@ class Reward(NamedTuple):
     motivation_delta: float = 0.0
 
     def combined(self, step_scale: float, motivation_weight: float) -> float:
-        return self.step_delta / step_scale + motivation_weight * self.motivation_delta
+        return combined_reward(
+            self.step_delta, self.motivation_delta, step_scale, motivation_weight
+        )
+
+
+def combined_reward(
+    step_delta: float, motivation_delta: float, step_scale: float, motivation_weight: float
+) -> float:
+    """The scalar a bandit learns from: the step change in units of
+    `step_scale` plus the weighted motivation change."""
+    return step_delta / step_scale + motivation_weight * motivation_delta
 
 
 class ZeroTotalCSVError(ValueError):
@@ -154,14 +164,25 @@ def _argbest(scores: Sequence[float], best: bool) -> int:
     return scores.index(max(scores) if best else min(scores))
 
 
+_NO_ESTIMATES = (0.0,) * len(_ARMS)
+
+
+def predict_arms(model: RewardModel, player: PlayerId) -> tuple[Arm, Arm]:
+    """The arms with the highest and the lowest estimated reward for this
+    player, from one read of its estimates. Ties break to the lowest
+    ordinal."""
+    means = model._means.get(player, _NO_ESTIMATES)
+    return _ARMS[_argbest(means, True)], _ARMS[_argbest(means, False)]
+
+
 def predict_best_arm(model: RewardModel, player: PlayerId) -> Arm:
     """Arm with the highest estimated reward for this player. Ties break
     to the lowest ordinal."""
-    return _ARMS[_argbest(model.means(player), True)]
+    return predict_arms(model, player)[0]
 
 
 def predict_worst_arm(model: RewardModel, player: PlayerId) -> Arm:
-    return _ARMS[_argbest(model.means(player), False)]
+    return predict_arms(model, player)[1]
 
 
 def greedy_select(model: RewardModel, players: Iterable[PlayerId]) -> Decision:

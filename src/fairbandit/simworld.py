@@ -34,14 +34,13 @@ from .bandit import (
     Arm,
     Decision,
     Mode,
-    Reward,
     RewardModel,
     ShapleyBanditState,
+    combined_reward,
     decision_record,
     greedy_select,
     place_artificial_steps,
-    predict_best_arm,
-    predict_worst_arm,
+    predict_arms,
     random_select,
     shapley_select,
     shapley_update,
@@ -84,6 +83,16 @@ def check_doc(cls, doc: dict, what: str) -> None:
                 raise ConfigError(f"{what}: {f.name} must be {expected}, got {doc[f.name]!r}")
 
 
+def _check_finite(obj, *names: str) -> None:
+    """Reject a value of the named attributes that `check_doc` would
+    reject for a float field: NaN, an infinity, or not a number."""
+    expected, accepts = _ACCEPTS["float"]
+    for name in names:
+        value = getattr(obj, name)
+        if not accepts(value):
+            raise ConfigError(f"{name} must be {expected}, got {value!r}")
+
+
 class Condition(str, Enum):
     CONTROL = "control"
     GREEDY = "greedy"
@@ -122,6 +131,9 @@ class SimPlayer:
     adherence_slope: float = 0.0
 
     def __post_init__(self):
+        _check_finite(
+            self, "baseline_steps", "noise_sd", "effect_size", "adherence_intercept", "adherence_slope"
+        )
         if self.baseline_steps <= 0:
             raise ConfigError("baseline_steps must be positive")
         if self.noise_sd < 0:
@@ -168,6 +180,7 @@ class StudyConfig:
             raise ConfigError("forced_exploration_days cannot exceed total_sessions")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ConfigError("epsilon must be in [0, 1]")
+        _check_finite(self, "step_scale", "motivation_weight")
         if not self.step_scale > 0:
             raise ConfigError("step_scale must be positive")
 
@@ -231,12 +244,18 @@ class StudyLog:
     decisions: list[dict] = field(default_factory=list)
 
 
+def comparison_sign(own: float, target: float) -> int:
+    """1 for a target with strictly more steps than `own` (upward), -1
+    for strictly fewer (downward), 0 for equal (lateral)."""
+    return (target > own) - (target < own)
+
+
+_DIRECTION_BY_SIGN = {1: Direction.UPWARD, -1: Direction.DOWNWARD, 0: Direction.LATERAL}
+_SIGN_BY_DIRECTION = {direction: sign for sign, direction in _DIRECTION_BY_SIGN.items()}
+
+
 def compare_steps(own: float, target: float) -> Direction:
-    if target > own:
-        return Direction.UPWARD
-    if target < own:
-        return Direction.DOWNWARD
-    return Direction.LATERAL
+    return _DIRECTION_BY_SIGN[comparison_sign(own, target)]
 
 
 def exposure_direction(
@@ -252,16 +271,18 @@ def exposure_direction(
     )
 
 
-_DIRECTION_SIGN = {Direction.UPWARD: 1.0, Direction.DOWNWARD: -1.0, Direction.LATERAL: 0.0}
+def sign_alignment(sco: float, artificial_sign: int, teammate_sign: int) -> float:
+    """Mean preference alignment over the two targets, given each
+    target's `comparison_sign`: sco for upward, -sco for downward, 0 for
+    lateral."""
+    return (artificial_sign * sco + teammate_sign * sco) / 2.0
 
 
 def alignment(sco: float, exposure: Exposure) -> float:
-    """Mean preference alignment over the two targets: sco for an upward
-    target, -sco for downward, 0 for lateral."""
-    return (
-        _DIRECTION_SIGN[exposure.artificial] * sco
-        + _DIRECTION_SIGN[exposure.teammate] * sco
-    ) / 2.0
+    """`sign_alignment` of the exposure's two directions."""
+    return sign_alignment(
+        sco, _SIGN_BY_DIRECTION[exposure.artificial], _SIGN_BY_DIRECTION[exposure.teammate]
+    )
 
 
 def step_response(player: SimPlayer, a: float, rng: SplitMix64) -> float:
@@ -355,16 +376,22 @@ def run_study(config: StudyConfig) -> StudyLog:
     decisions: list[dict] = []
 
     jitter = jitter_rng if config.jitter else None
+    condition = config.condition
+    forced_days = config.forced_exploration_days
+    intervention_start = config.intervention_start
+    step_scale = config.step_scale
+    motivation_weight = config.motivation_weight
+    team = [(i, player, player.sco, baseline_means[i]) for i, player in enumerate(config.players)]
     for day in range(1, config.total_sessions + 1):
         disparities = _running_disparities(
             observed_steps, best_given, worst_given, any_exploit
         )
 
-        if day <= config.forced_exploration_days:
-            decision = Decision(arm=schedule[day - 1], catered_player=None, mode=Mode.FORCED)
-        elif config.condition is Condition.CONTROL:
+        if day <= forced_days:
+            decision = Decision(schedule[day - 1], None, Mode.FORCED)
+        elif condition is Condition.CONTROL:
             decision = random_select(decision_rng)
-        elif config.condition is Condition.GREEDY:
+        elif condition is Condition.GREEDY:
             decision = greedy_select(model, players)
         else:
             if sum(state.csv) <= 0:
@@ -373,17 +400,20 @@ def run_study(config: StudyConfig) -> StudyLog:
                 decision = random_select(decision_rng)
             else:
                 decision = shapley_select(state, model, players, decision_rng)
-        arm = decision.arm
+        arm, catered, mode = decision
 
-        best_arms = [predict_best_arm(model, p) for p in players]
-        worst_arms = [predict_worst_arm(model, p) for p in players]
+        predicted = [predict_arms(model, p) for p in players]
         artificial = place_artificial_steps(arm, last_steps[0], last_steps[1], jitter)
 
         day_rewards: dict[int, float] = {}
         day_steps: dict[int, float] = {}
-        for i, player in enumerate(config.players):
-            exposure = exposure_direction(last_steps[i], artificial, last_steps[1 - i])
-            a = alignment(player.sco, exposure)
+        # place_artificial_steps has rejected negative steps of either
+        # player, and never places a negative count.
+        for i, player, sco, baseline_mean in team:
+            own = last_steps[i]
+            a = sign_alignment(
+                sco, comparison_sign(own, artificial), comparison_sign(own, last_steps[1 - i])
+            )
             steps = step_response(player, a, world_rng)
             pre, post = motivation_response(a, world_rng)
             missed = miss_decision(player, disparities[i], world_rng)
@@ -391,41 +421,34 @@ def run_study(config: StudyConfig) -> StudyLog:
                 steps = pre = post = None
             else:
                 day_steps[i] = steps
-                reward = Reward(steps - baseline_means[i], float(post - pre))
-                day_rewards[i] = reward.combined(config.step_scale, config.motivation_weight)
-                model.observe_scalar(i, arm, day_rewards[i])
+                reward = combined_reward(
+                    steps - baseline_mean, float(post - pre), step_scale, motivation_weight
+                )
+                day_rewards[i] = reward
+                model.observe_scalar(i, arm, reward)
+            best, worst = predicted[i]
             rows.append(
                 SessionRow(
-                    day=day,
-                    player=i,
-                    steps=steps,
-                    missed=missed,
-                    pre_motivation=pre,
-                    post_motivation=post,
-                    arm=arm,
-                    mode=decision.mode,
-                    catered_player=decision.catered_player,
-                    artificial_steps=artificial,
-                    best_arm=best_arms[i],
-                    worst_arm=worst_arms[i],
-                    baseline_mean=baseline_means[i],
+                    day, i, steps, missed, pre, post, arm, mode, catered,
+                    artificial, best, worst, baseline_mean,
                 )
             )
 
         shapley_update(state, decision, day_steps)
-        if decision.mode is Mode.EXPLOIT:
+        if mode is Mode.EXPLOIT:
             any_exploit = True
             for i in players:
-                if arm == best_arms[i]:
+                if arm is predicted[i][0]:
                     tc_effective[i] += 1
         for i, steps in day_steps.items():
             observed_steps[i].append(steps)
             last_steps[i] = steps
-        if day >= config.intervention_start:
+        if day >= intervention_start:
             for i in players:
-                if arm == best_arms[i]:
+                best, worst = predicted[i]
+                if arm is best:
                     best_given[i] += 1
-                if arm == worst_arms[i]:
+                if arm is worst:
                     worst_given[i] += 1
 
         decisions.append(decision_record(day, decision, state, day_rewards))
@@ -583,11 +606,12 @@ def _row_error(row: SessionRow) -> tuple[str, str] | None:
     return None
 
 
-def _read_records(path) -> tuple[list[list[str]], SchemaError | None]:
-    """The CSV records of the log at `path`, read and decoded once, and
-    the SchemaError for bytes that are not text in the encoding `open`
-    defaults to, or for CSV the reader cannot split. The records stop
-    before the line that raised it, as a line-at-a-time reader's would."""
+def _read_records(path) -> tuple[str, list[list[str]], SchemaError | None]:
+    """The text of the log at `path` and its CSV records, read and
+    decoded once, and the SchemaError for bytes that are not text in the
+    encoding `open` defaults to, or for CSV the reader cannot split. The
+    text and records stop before the line that raised it, as a
+    line-at-a-time reader's would."""
     with open(path, "rb") as fh:
         data = fh.read()
     encoding = locale.getpreferredencoding(False)
@@ -603,10 +627,10 @@ def _read_records(path) -> tuple[list[list[str]], SchemaError | None]:
         for record in reader:
             records.append(record)
     except csv.Error as exc:
-        cut = SchemaError(f"line {reader.line_num}: {exc}")
+        cut = SchemaError(f"line {_line_numbers(text)[reader.line_num - 1]}: {exc}")
     except SchemaError:
         pass
-    return records, cut
+    return text, records, cut
 
 
 def _lines_then_raise(text: str, error: SchemaError | None):
@@ -615,6 +639,33 @@ def _lines_then_raise(text: str, error: SchemaError | None):
     yield from io.StringIO(text, newline="")
     if error is not None:
         raise error
+
+
+def _line_numbers(text: str) -> list[int]:
+    """The physical line of each line that the CSV reader reads from
+    `text`, then the line after the last. Only "\n" ends a physical
+    line; a bare "\r" ends a CSV line too."""
+    numbers, number = [], 1
+    for line in io.StringIO(text, newline=""):
+        numbers.append(number)
+        number += line.endswith("\n")
+    numbers.append(number)
+    return numbers
+
+
+def _record_lines(text: str) -> list[int]:
+    """The physical line on which each CSV record of `text` starts, the
+    header first. A quoted field can hold line breaks, so a record can
+    span lines."""
+    numbers = _line_numbers(text)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    starts = [numbers[0]]
+    try:
+        for _ in reader:
+            starts.append(numbers[reader.line_num])
+    except csv.Error:
+        pass
+    return starts
 
 
 def read_log_csv(path, name: str = "") -> StudyLog:
@@ -629,14 +680,15 @@ def read_log_csv(path, name: str = "") -> StudyLog:
     split (a field over the csv module's size limit), naming the line.
     The error raised is the first problem in line order, except that a
     `catered_player` with no rows is only named when nothing else is
-    wrong, as it takes the whole log to find.
+    wrong, as it takes the whole log to find. Lines are physical lines
+    of the file: a record names the line it starts on.
 
     A log repeats a handful of strings in most columns, so each column
     parses every distinct string once and maps its fields through the
     results. The rows are walked one at a time only to name a problem
     that a check over the whole log found.
     """
-    records, cut = _read_records(path)
+    text, records, cut = _read_records(path)
     if not records:
         raise cut or SchemaError("empty file: missing header")
     header, *records = records
@@ -651,13 +703,21 @@ def read_log_csv(path, name: str = "") -> StudyLog:
         if not detail:
             detail.append(f"column order must be {LOG_COLUMNS}")
         raise SchemaError("bad header: " + "; ".join(detail))
+    starts: list[int] = []
+
+    def line(k: int) -> int:
+        """The physical line of data record `k`, found only for an error."""
+        if not starts:
+            starts.extend(_record_lines(text)[1:])
+        return starts[k]
+
     # Like a read error, a record of the wrong width or with a field that
     # does not parse ends the rows: only a problem on an earlier line, or
     # an earlier such record, is named before it.
     width = len(LOG_COLUMNS)
     stop = next((k for k, record in enumerate(records) if len(record) != width), len(records))
     if stop < len(records):
-        cut = SchemaError(f"line {stop + 2}: expected {width} fields, got {len(records[stop])}")
+        cut = SchemaError(f"line {line(stop)}: expected {width} fields, got {len(records[stop])}")
     raw_columns = list(zip(*records[:stop])) or [()] * width
     values = []
     for column, parse, raws in zip(LOG_COLUMNS, _PARSERS, raw_columns):
@@ -672,39 +732,40 @@ def read_log_csv(path, name: str = "") -> StudyLog:
             bad = next(k for k, raw in enumerate(raws) if raw in failed)
             if bad < stop:
                 stop = bad
-                cut = SchemaError(f"line {bad + 2}, column {column!r}: {failed[raws[bad]]}")
+                cut = SchemaError(f"line {line(bad)}, column {column!r}: {failed[raws[bad]]}")
     columns = [
         list(map(parsed.__getitem__, raws[:stop])) for parsed, raws in zip(values, raw_columns)
     ]
     rows = list(map(SessionRow._make, zip(*columns)))
     days, players, catered = columns[0], columns[1], columns[8]
     if any(map(_row_error, rows)) or len(set(zip(days, players))) != len(rows):
-        raise _first_row_problem(rows)
+        raise _first_row_problem(rows, line)
     if cut is not None:
         raise cut
     strays = set(catered).difference(players, (None,))
     if strays:
-        line = next(k for k, player in enumerate(catered, start=2) if player in strays)
+        k = next(k for k, player in enumerate(catered) if player in strays)
         raise SchemaError(
-            f"line {line}, column 'catered_player': player {catered[line - 2]}"
+            f"line {line(k)}, column 'catered_player': player {catered[k]}"
             " has no rows in the log"
         )
     return StudyLog(rows=rows, name=name)
 
 
-def _first_row_problem(rows: list[SessionRow]) -> SchemaError:
+def _first_row_problem(rows: list[SessionRow], line) -> SchemaError:
     """The error for the first row that `_row_error` rejects or whose
-    (day, player) pair repeats an earlier row's."""
-    first_line: dict[tuple[int, int], int] = {}
-    for line, row in enumerate(rows, start=2):
+    (day, player) pair repeats an earlier row's; `line(k)` is the
+    physical line of row `k`."""
+    first_row: dict[tuple[int, int], int] = {}
+    for k, row in enumerate(rows):
         problem = _row_error(row)
         if problem is not None:
-            return SchemaError(f"line {line}, column {problem[0]!r}: {problem[1]}")
-        first = first_line.setdefault((row.day, row.player), line)
-        if first != line:
+            return SchemaError(f"line {line(k)}, column {problem[0]!r}: {problem[1]}")
+        first = first_row.setdefault((row.day, row.player), k)
+        if first != k:
             return SchemaError(
-                f"line {line}, columns 'day', 'player': day {row.day} player"
-                f" {row.player} repeats line {first}"
+                f"line {line(k)}, columns 'day', 'player': day {row.day} player"
+                f" {row.player} repeats line {line(first)}"
             )
     raise AssertionError("every row is valid and unique")
 

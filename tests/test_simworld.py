@@ -12,7 +12,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairbandit.analysis import log_metrics
-from fairbandit.bandit import Arm, Mode
+from fairbandit.bandit import (
+    Arm,
+    Decision,
+    Mode,
+    RewardModel,
+    ShapleyBanditState,
+    decision_record,
+    greedy_select,
+    place_artificial_steps,
+    predict_best_arm,
+    predict_worst_arm,
+    random_select,
+    shapley_select,
+    shapley_update,
+    team_disparity_sum,
+)
 from fairbandit.rng import SplitMix64
 from fairbandit.scenarios import load_scenario
 from fairbandit.simworld import (
@@ -25,8 +40,11 @@ from fairbandit.simworld import (
     SessionRow,
     SimPlayer,
     StudyConfig,
+    StudyLog,
     _PARSERS,
+    _forced_schedule,
     _row_error,
+    _running_disparities,
     alignment,
     exposure_direction,
     log_summary,
@@ -188,6 +206,21 @@ class TestConfigValidation:
             player(sco=1.5)
         with pytest.raises(ConfigError):
             player(noise_sd=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name",
+        ["baseline_steps", "noise_sd", "effect_size", "adherence_intercept", "adherence_slope"],
+    )
+    def test_player_rejects_non_finite_number(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be a finite number, got {value!r}$"):
+            player(**{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["step_scale", "motivation_weight"])
+    def test_config_rejects_non_finite_number(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be a finite number, got {value!r}$"):
+            config(**{name: value})
 
     def test_dict_round_trip(self):
         cfg = config(condition=Condition.SHAPLEY, seed=42, jitter=True)
@@ -476,6 +509,31 @@ class TestLogSerialization:
         with pytest.raises(SchemaError, match="line 2, column 'best_arm'"):
             read_log_csv(path)
 
+    def test_error_names_the_physical_line_a_record_starts_on(self, tmp_path):
+        def edit(lines):
+            # Line 2's record runs on to line 3, so the sixth record
+            # starts on physical line 7.
+            lines[1][LOG_COLUMNS.index("artificial_steps")] = '"100\n"'
+            lines[5][LOG_COLUMNS.index("arm")] = "Z"
+
+        path = self.write_edited(tmp_path, edit)
+        with pytest.raises(SchemaError, match="^line 7, column 'arm': "):
+            read_log_csv(path)
+
+    def test_csv_error_names_the_physical_line(self, tmp_path):
+        def edit(lines):
+            # A bare carriage return ends a CSV line but not a physical one.
+            lines[1][LOG_COLUMNS.index("artificial_steps")] = '"100\r"'
+            lines[3][LOG_COLUMNS.index("mode")] = "x" * 200
+
+        path = self.write_edited(tmp_path, edit)
+        limit = csv.field_size_limit(100)
+        try:
+            with pytest.raises(SchemaError, match="^line 4: field larger than field limit"):
+                read_log_csv(path)
+        finally:
+            csv.field_size_limit(limit)
+
     def test_first_problem_in_line_order_includes_undecodable_bytes(self, tmp_path):
         cfg = load_scenario("conflict-cohort").conditions[1]
         path = tmp_path / "log.csv"
@@ -556,12 +614,216 @@ def test_random_draws_per_study_unchanged(monkeypatch, scenario, condition):
     assert got == DRAWS_PER_STUDY[scenario, condition]
 
 
+def oracle_alignment(sco: float, own: float, artificial: float, teammate: float) -> float:
+    """Preference alignment through per-target Direction members and
+    float signs, as `run_study` computed it before it compared plain
+    numbers."""
+
+    def direction(target: float) -> Direction:
+        if target > own:
+            return Direction.UPWARD
+        if target < own:
+            return Direction.DOWNWARD
+        return Direction.LATERAL
+
+    if min(own, artificial, teammate) < 0:
+        raise ValueError("steps must be non-negative")
+    sign = {Direction.UPWARD: 1.0, Direction.DOWNWARD: -1.0, Direction.LATERAL: 0.0}
+    return (sign[direction(artificial)] * sco + sign[direction(teammate)] * sco) / 2.0
+
+
+def run_study_by_objects(config: StudyConfig) -> StudyLog:
+    """`run_study` as it was before its day loop ran on plain numbers:
+    an Exposure per player-day, four `predict_*` calls a day, a reward
+    tuple and keyword-built rows. Kept as the oracle."""
+    n = len(config.players)
+    base = SplitMix64(config.seed)
+    decision_rng = base.spawn()
+    world_rng = base.spawn()
+    jitter_rng = base.spawn()
+
+    baseline_samples: list[list[float]] = [[] for _ in range(n)]
+    for _day in range(config.baseline_days):
+        for i, p in enumerate(config.players):
+            steps = max(0.0, p.baseline_steps + world_rng.normal(0.0, p.noise_sd))
+            baseline_samples[i].append(steps)
+    baseline_means = [sum(s) / len(s) for s in baseline_samples]
+    last_steps = [samples[-1] for samples in baseline_samples]
+
+    schedule = _forced_schedule(config.forced_exploration_days, decision_rng)
+    model = RewardModel()
+    state = ShapleyBanditState.fresh(n, epsilon=config.epsilon)
+    players = list(range(n))
+    tc_effective = [0] * n
+    observed_steps: list[list[float]] = [[] for _ in range(n)]
+    best_given = [0] * n
+    worst_given = [0] * n
+    any_exploit = False
+    rows: list[SessionRow] = []
+    decisions: list[dict] = []
+
+    jitter = jitter_rng if config.jitter else None
+    for day in range(1, config.total_sessions + 1):
+        disparities = _running_disparities(observed_steps, best_given, worst_given, any_exploit)
+        if day <= config.forced_exploration_days:
+            decision = Decision(arm=schedule[day - 1], catered_player=None, mode=Mode.FORCED)
+        elif config.condition is Condition.CONTROL:
+            decision = random_select(decision_rng)
+        elif config.condition is Condition.GREEDY:
+            decision = greedy_select(model, players)
+        elif sum(state.csv) <= 0:
+            decision = random_select(decision_rng)
+        else:
+            decision = shapley_select(state, model, players, decision_rng)
+        arm = decision.arm
+
+        best_arms = [predict_best_arm(model, p) for p in players]
+        worst_arms = [predict_worst_arm(model, p) for p in players]
+        artificial = place_artificial_steps(arm, last_steps[0], last_steps[1], jitter)
+
+        day_rewards: dict[int, float] = {}
+        day_steps: dict[int, float] = {}
+        for i, p in enumerate(config.players):
+            a = oracle_alignment(p.sco, last_steps[i], artificial, last_steps[1 - i])
+            steps = step_response(p, a, world_rng)
+            pre, post = motivation_response(a, world_rng)
+            missed = miss_decision(p, disparities[i], world_rng)
+            if missed:
+                steps = pre = post = None
+            else:
+                day_steps[i] = steps
+                step_delta, motivation_delta = steps - baseline_means[i], float(post - pre)
+                day_rewards[i] = (
+                    step_delta / config.step_scale + config.motivation_weight * motivation_delta
+                )
+                model.observe_scalar(i, arm, day_rewards[i])
+            rows.append(
+                SessionRow(
+                    day=day,
+                    player=i,
+                    steps=steps,
+                    missed=missed,
+                    pre_motivation=pre,
+                    post_motivation=post,
+                    arm=arm,
+                    mode=decision.mode,
+                    catered_player=decision.catered_player,
+                    artificial_steps=artificial,
+                    best_arm=best_arms[i],
+                    worst_arm=worst_arms[i],
+                    baseline_mean=baseline_means[i],
+                )
+            )
+
+        shapley_update(state, decision, day_steps)
+        if decision.mode is Mode.EXPLOIT:
+            any_exploit = True
+            for i in players:
+                if arm == best_arms[i]:
+                    tc_effective[i] += 1
+        for i, steps in day_steps.items():
+            observed_steps[i].append(steps)
+            last_steps[i] = steps
+        if day >= config.intervention_start:
+            for i in players:
+                if arm == best_arms[i]:
+                    best_given[i] += 1
+                if arm == worst_arms[i]:
+                    worst_given[i] += 1
+        decisions.append(decision_record(day, decision, state, day_rewards))
+
+    audit_tc = state.tc if config.condition is Condition.SHAPLEY else tc_effective
+    try:
+        final_sum_sd = team_disparity_sum(state.csv, audit_tc)
+    except ValueError:
+        final_sum_sd = None
+    return StudyLog(
+        rows=rows,
+        condition=config.condition,
+        seed=config.seed,
+        baseline_means=baseline_means,
+        final_csv=list(state.csv),
+        final_tc=list(state.tc),
+        final_tc_effective=tc_effective,
+        final_sum_sd=final_sum_sd,
+        decisions=decisions,
+    )
+
+
+def exact(value) -> tuple[str, str]:
+    """A value's type and spelling, telling -0.0 from 0.0."""
+    return type(value).__name__, value.hex() if type(value) is float else repr(value)
+
+
+@st.composite
+def study_config(draw) -> StudyConfig:
+    """Configs reaching every branch of the day loop: noiseless equal
+    players (lateral comparisons), sco at -1, 0 and 1, always-explore
+    and never-explore strategies, no or short forced exploration, jitter
+    on and off, and players who miss every session."""
+
+    def sim_player() -> SimPlayer:
+        return SimPlayer(
+            baseline_steps=draw(st.sampled_from([8400.0, 10000.0, 10600.0, 1.0])),
+            noise_sd=draw(st.sampled_from([0.0, 0.0, 1000.0, 2500.0])),
+            sco=draw(st.sampled_from([-1.0, 0.0, 1.0, -0.0, 0.9, -0.4])),
+            effect_size=draw(st.sampled_from([0.0, 400.0, 1700.0, 1e5])),
+            adherence_intercept=draw(st.sampled_from([-20.0, -1.1, 0.0, 20.0])),
+            adherence_slope=draw(st.sampled_from([0.0, 2.0, 50.0])),
+        )
+
+    forced = draw(st.sampled_from([0, 3, 9]))
+    return StudyConfig(
+        condition=draw(st.sampled_from(list(Condition))),
+        players=(sim_player(), sim_player()),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        baseline_days=draw(st.integers(1, 4)),
+        forced_exploration_days=forced,
+        total_sessions=draw(st.integers(forced, 24)),
+        epsilon=draw(st.sampled_from([0.0, 0.01, 0.5, 1.0])),
+        step_scale=draw(st.sampled_from([1000.0, 1.0, 0.5])),
+        motivation_weight=draw(st.sampled_from([1.0, 0.0, -0.0, -2.0])),
+        jitter=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=study_config())
+def test_run_study_matches_object_oracle(cfg):
+    """Same rows, field for field and bit for bit, same decisions, same
+    final state and the same number of draws as the oracle."""
+    logs, draws = [], []
+    next_u64 = SplitMix64.next_u64
+    for run in (run_study, run_study_by_objects):
+        count = [0]
+
+        def counting(self):
+            count[0] += 1
+            return next_u64(self)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SplitMix64, "next_u64", counting)
+            logs.append(run(cfg))
+        draws.append(count[0])
+    got, want = logs
+    assert [list(map(exact, row)) for row in got.rows] == [
+        list(map(exact, row)) for row in want.rows
+    ]
+    assert repr(got.decisions) == repr(want.decisions)
+    for name in ("baseline_means", "final_csv", "final_tc", "final_tc_effective", "final_sum_sd"):
+        assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+    assert (got.condition, got.seed) == (want.condition, want.seed)
+    assert draws[0] == draws[1]
+
+
 def read_log_rows_per_line(path) -> list[SessionRow]:
     """The rows of the log at `path`, decoded, split and parsed a line
     at a time, so that the first problem in line order is the one
     raised: the reader as it was before it parsed by column, kept as the
-    oracle."""
+    oracle. Lines are physical lines of the file, split at b"\n"; a
+    record is named by the line it starts on."""
     encoding = locale.getpreferredencoding(False)
+    physical: list[int] = []  # the physical line of each line the CSV reader reads
 
     def text_lines(fh):
         for lineno, line in enumerate(fh, start=1):
@@ -569,18 +831,24 @@ def read_log_rows_per_line(path) -> list[SessionRow]:
                 text = line.decode(encoding)
             except UnicodeDecodeError as exc:
                 raise SchemaError(f"line {lineno}: not {encoding} text ({exc.reason})") from None
-            yield from io.StringIO(text, newline="")
+            for part in io.StringIO(text, newline=""):
+                physical.append(lineno)
+                yield part
 
     def records(reader):
+        """(start line, record) for each record."""
+        read = 0
         try:
-            yield from reader
+            for record in reader:
+                yield physical[read], record
+                read = reader.line_num
         except csv.Error as exc:
-            raise SchemaError(f"line {reader.line_num}: {exc}") from None
+            raise SchemaError(f"line {physical[reader.line_num - 1]}: {exc}") from None
 
     with open(path, "rb") as fh:
         reader = records(csv.reader(text_lines(fh)))
         try:
-            header = next(reader)
+            _, header = next(reader)
         except StopIteration:
             raise SchemaError("empty file: missing header") from None
         if header != LOG_COLUMNS:
@@ -595,8 +863,9 @@ def read_log_rows_per_line(path) -> list[SessionRow]:
                 detail.append(f"column order must be {LOG_COLUMNS}")
             raise SchemaError("bad header: " + "; ".join(detail))
         rows = []
-        first_line: dict[tuple[int, int], int] = {}
-        for lineno, record in enumerate(reader, start=2):
+        lines = []
+        first_row: dict[tuple[int, int], int] = {}
+        for lineno, record in reader:
             if len(record) != len(LOG_COLUMNS):
                 raise SchemaError(
                     f"line {lineno}: expected {len(LOG_COLUMNS)} fields, got {len(record)}"
@@ -611,15 +880,18 @@ def read_log_rows_per_line(path) -> list[SessionRow]:
             problem = _row_error(row)
             if problem is not None:
                 raise SchemaError(f"line {lineno}, column {problem[0]!r}: {problem[1]}")
-            first = first_line.setdefault((row.day, row.player), lineno)
-            if first != lineno:
+            # Two records can start on one physical line, so a repeat is
+            # found by record.
+            first = first_row.setdefault((row.day, row.player), len(rows))
+            if first != len(rows):
                 raise SchemaError(
                     f"line {lineno}, columns 'day', 'player': day {row.day} player"
-                    f" {row.player} repeats line {first}"
+                    f" {row.player} repeats line {lines[first]}"
                 )
             rows.append(row)
+            lines.append(lineno)
     players = {row.player for row in rows}
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in zip(lines, rows):
         if row.catered_player is not None and row.catered_player not in players:
             raise SchemaError(
                 f"line {lineno}, column 'catered_player': player {row.catered_player}"
@@ -630,9 +902,10 @@ def read_log_rows_per_line(path) -> list[SessionRow]:
 
 COLUMN = {name: k for k, name in enumerate(LOG_COLUMNS)}
 # Small pools, so that most columns repeat their strings as real logs do;
-# each spelling is one the parsers accept.
-STEP_STRINGS = ["0", "0.0", "-0.0", "8000.0", "10000.0", "1e3", "9876.54321"]
-INT_SPELLINGS = ["{}", "0{}", " {}", "+{}"]
+# each spelling is one the parsers accept. A quoted line break makes a
+# record span two physical lines (or, with a bare "\r", two CSV lines).
+STEP_STRINGS = ["0", "0.0", "-0.0", "8000.0", "10000.0", "1e3", "9876.54321", '"100\n"']
+INT_SPELLINGS = ["{}", "0{}", " {}", "+{}", '"{}\n"', '"\r\n{}"', '"{}\r"']
 
 
 def int_string(value: int):
