@@ -1,10 +1,12 @@
 import hashlib
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
 import tracemalloc
+from functools import reduce
 from itertools import permutations
 from pathlib import Path
 
@@ -14,6 +16,8 @@ from hypothesis import strategies as st
 
 from fairbandit.rng import SplitMix64
 from fairbandit.shapley import (
+    _players_ahead,
+    _without_bit,
     AdditiveSteps,
     CallableCharacteristic,
     MAX_EXACT_PLAYERS,
@@ -363,7 +367,7 @@ class TestMaskTable:
         with pytest.raises(ValueError, match="5 players"):
             v.by_mask(6)
 
-    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_shapley_all_and_value_bit_identical(self, n):
         coalition = Coalition.of_size(n)
         for name, v in _games(n, 60 + n).items():
@@ -394,6 +398,122 @@ class TestMaskTable:
         assert digest.hexdigest() == (
             "f53dda15d31c5226fcbaa599d549e4060e414381e9db860219d0c7926852f3be"
         )
+
+    def test_oracle_digest_pinned(self):
+        # sha256 of float.hex of every oracle value, taken from the reduce
+        # fold before the plain loop replaced it; the same on CPython 3.10
+        # to 3.13
+        digest = hashlib.sha256()
+        rng = SplitMix64(7)
+        for n in range(1, 9):
+            v = random_table_game(n, rng)
+            for phi in shapley_oracle_permutations(v, Coalition.of_size(n)):
+                digest.update(float.hex(phi).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "058ee69d849886afed8f8af93d010ffe7219f96ffbf402e579cc64d579420857"
+        )
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_without_bit_selects_masks_lacking_the_bit(self, n):
+        seq = [float(m) for m in range(1 << n)]
+        for p in range(n + 1):
+            bit = 1 << p
+            assert _without_bit(seq, bit) == [seq[m] for m in range(1 << n) if not m & bit]
+            if p < n:
+                assert _without_bit(seq, bit, bit) == [
+                    seq[m | bit] for m in range(1 << n) if not m & bit
+                ]
+
+    @pytest.mark.parametrize("p", [MAX_EXACT_PLAYERS // 2 - 1, MAX_EXACT_PLAYERS // 2])
+    def test_without_bit_at_the_exact_limit(self, p):
+        # strided columns below p = 8 at n = 16, contiguous runs from p = 8
+        n, bit = MAX_EXACT_PLAYERS, 1 << p
+        seq = list(range(1 << n))
+        assert _without_bit(seq, bit) == [m for m in seq if not m & bit]
+        assert _without_bit(seq, bit, bit) == [m | bit for m in seq if not m & bit]
+
+
+def _branchy_attribution(table, player):
+    """`_attribution` as it was when it tested the player's bit on every
+    mask, with its weights indexed by mask."""
+    n = len(table).bit_length() - 1
+    weights = [subset_weight(s, n) for s in range(n)] + [0.0]
+    weights = [weights[mask.bit_count()] for mask in range(len(table))]
+    bit = 1 << player
+    total = 0.0
+    for mask in range(len(table)):
+        if not mask & bit:
+            total += weights[mask] * (table[mask | bit] - table[mask])
+    return total
+
+
+def _reduce_oracle(v, coalition):
+    """`shapley_oracle_permutations` as it was when it folded with `reduce`."""
+    n = len(coalition)
+    table = v.by_mask(n)
+    phi = []
+    for player, ahead in enumerate(_players_ahead(n)):
+        bit = 1 << player
+        gain = [table[mask | bit] - table[mask] for mask in range(len(table))]
+        phi.append(reduce(operator.add, map(gain.__getitem__, ahead), 0.0) / math.factorial(n))
+    return phi
+
+
+# Zeros of both signs, subnormals, and values near the largest finite
+# float, whose differences overflow to inf and whose sums of opposite
+# infinities are NaN.
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.floats(1e307, sys.float_info.max),
+    st.floats(-sys.float_info.max, -1e307),
+)
+
+
+def _edge_table_game(n, palette, seed):
+    """A table game whose values are drawn from `palette`, each scaled by a
+    factor in [0.5, 1); the table is too long to draw value by value."""
+    rng = SplitMix64(seed)
+    table = [0.0] + [
+        palette[rng.randrange(len(palette))] * rng.uniform(0.5, 1.0)
+        for _mask in range(1, 1 << n)
+    ]
+    return TableBacked._of_table(n, table)
+
+
+def _hexes(values):
+    return [float.hex(x) for x in values]
+
+
+class TestEdgeFloatBits:
+    def _check_attribution(self, v, n):
+        coalition = Coalition.of_size(n)
+        want = _hexes(_branchy_attribution(v.by_mask(n), i) for i in coalition)
+        assert _hexes(shapley_all(v, coalition)) == want
+        assert _hexes(shapley_value(v, coalition, i) for i in coalition) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 8),
+        st.lists(_EDGE_FLOATS, min_size=1, max_size=12),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_small_games_match_the_previous_folds(self, n, palette, seed):
+        v = _edge_table_game(n, palette, seed)
+        self._check_attribution(v, n)
+        coalition = Coalition.of_size(n)
+        assert _hexes(shapley_oracle_permutations(v, coalition)) == _hexes(
+            _reduce_oracle(v, coalition)
+        )
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        st.integers(9, 12),
+        st.lists(_EDGE_FLOATS, min_size=1, max_size=12),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_large_games_match_the_previous_attribution(self, n, palette, seed):
+        self._check_attribution(_edge_table_game(n, palette, seed), n)
 
 
 def test_axiom_suite_rejects_negative_trials():
