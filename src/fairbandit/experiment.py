@@ -4,6 +4,8 @@ An experiment spec names a scenario, one study config per condition, a
 replication count and a base seed. Replication k of every condition
 runs with seed base_seed + k, so replications are paired across
 conditions and the whole artifact tree is a pure function of the spec.
+Conditions of the same protocol length read the same world draws at a
+seed, which are taken once per seed.
 
 Output layout (all paths recorded in manifest.json)::
 
@@ -26,6 +28,7 @@ import hashlib
 import json
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from statistics import median
 from typing import Sequence
@@ -46,7 +49,9 @@ from .simworld import (
     ConfigError,
     StudyConfig,
     StudyLog,
+    StudyWorld,
     check_doc,
+    draw_world,
     run_study,
     write_log_csv,
     write_log_summary,
@@ -137,19 +142,37 @@ def replication_seeds(spec: ExperimentSpec) -> list[int]:
     return [spec.base_seed + k for k in range(spec.replications)]
 
 
-def _run_one(config: StudyConfig) -> StudyLog:
-    return run_study(config)
+def _run_seed(configs: Sequence[StudyConfig], seed: int) -> list[StudyLog]:
+    """Each config's study at `seed`. Configs of the same protocol length
+    read one world, drawn once (common random numbers)."""
+    worlds: dict[tuple[int, int], StudyWorld] = {}
+    logs = []
+    for config in configs:
+        shape = (config.baseline_days, config.total_sessions)
+        if shape not in worlds:
+            worlds[shape] = draw_world(seed, *shape)
+        logs.append(run_study(replace(config, seed=seed), worlds[shape]))
+    return logs
+
+
+def _run_seeds(
+    configs: Sequence[StudyConfig], seeds: Sequence[int], pool: Executor | None
+) -> list[list[StudyLog]]:
+    """Each config's logs, one per seed, named `<condition>/rep_NNNN`.
+    One task per seed runs every config, in `pool` when one is given."""
+    by_seed = list((pool.map if pool is not None else map)(partial(_run_seed, configs), seeds))
+    runs = [[logs[c] for logs in by_seed] for c in range(len(configs))]
+    for config, logs in zip(configs, runs):
+        for k, log in enumerate(logs):
+            log.name = f"{config.condition.value}/rep_{k:04d}"
+    return runs
 
 
 def run_condition(
     config: StudyConfig, seeds: Sequence[int], pool: Executor | None = None
 ) -> list[StudyLog]:
     """One log per seed, run in `pool` when one is given."""
-    configs = [replace(config, seed=seed) for seed in seeds]
-    logs = list((pool.map if pool is not None else map)(_run_one, configs))
-    for k, log in enumerate(logs):
-        log.name = f"{config.condition.value}/rep_{k:04d}"
-    return logs
+    return _run_seeds((config,), seeds, pool)[0]
 
 
 def batch_median_r(
@@ -264,7 +287,9 @@ def run_experiment(
     """Run every condition of `spec`, analysing each over its own
     intervention window (`StudyConfig.intervention_start`). Each log is
     tallied once (`log_metrics`) and every analysis of it reads that.
-    With `jobs` > 1 every condition's studies run in one process pool."""
+    Each seed's studies run as one task that draws the seed's world once
+    for every condition; with `jobs` > 1 the tasks run in one process
+    pool."""
     out = Path(out_dir)
     seeds = replication_seeds(spec)
     files: list[str] = []
@@ -273,7 +298,7 @@ def run_experiment(
     summaries: list[dict] = []
 
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
-        runs = [run_condition(config, seeds, pool) for config in spec.conditions]
+        runs = _run_seeds(spec.conditions, seeds, pool)
     for config, condition_logs in zip(spec.conditions, runs):
         name = config.condition.value
         start = config.intervention_start
@@ -310,17 +335,21 @@ def run_experiment(
         comparison = _paired_sum_sd(logs["greedy"], logs["shapley"])
         rg, rs_ = reports.get("greedy"), reports.get("shapley")
         if rg is not None and rs_ is not None:
-            z, p = correlation_diff_test(
-                rg.correlation.r, rg.correlation.n, rs_.correlation.r, rs_.correlation.n
-            )
-            comparison.update(
-                {
-                    "greedy_r": rg.correlation.r,
-                    "shapley_r": rs_.correlation.r,
-                    "fisher_z": z,
-                    "p_value": p,
-                }
-            )
+            try:
+                z, p = correlation_diff_test(
+                    rg.correlation.r, rg.correlation.n, rs_.correlation.r, rs_.correlation.n
+                )
+            except ValueError:
+                pass  # fewer than 4 players in a report, or |r| = 1: no Fisher test
+            else:
+                comparison.update(
+                    {
+                        "greedy_r": rg.correlation.r,
+                        "shapley_r": rs_.correlation.r,
+                        "fisher_z": z,
+                        "p_value": p,
+                    }
+                )
 
     manifest = RunManifest(spec_hash=spec.spec_hash(), seeds=seeds, files=[])
     result = ExperimentResult(spec, out, logs, summaries, comparison, manifest)

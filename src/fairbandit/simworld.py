@@ -16,6 +16,9 @@ log on any platform. Three independent splitmix64 streams (decision,
 world, jitter) are derived from the seed so that the world's responses
 do not depend on which strategy is deciding; response/adherence draws
 happen in a fixed per-day order whether or not the session is missed.
+So every draw of the world stream is taken up front into a `StudyWorld`,
+which studies at the same seed and protocol length can share (common
+random numbers): the day loop reads its draws and never the stream.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import NamedTuple
 
-from .analysis import PlayerTally, percentile_rank
+from .analysis import PlayerTally
 from .bandit import (
     Arm,
     Decision,
@@ -149,6 +152,9 @@ class SimPlayer:
         return cls(**doc)
 
 
+TEAM_SIZE = 2  # human players per team
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     condition: Condition
@@ -166,8 +172,10 @@ class StudyConfig:
         if isinstance(self.condition, str) and not isinstance(self.condition, Condition):
             object.__setattr__(self, "condition", Condition(self.condition))
         object.__setattr__(self, "players", tuple(self.players))
-        if len(self.players) != 2:
-            raise ConfigError("the three-arm environment needs exactly 2 human players")
+        if len(self.players) != TEAM_SIZE:
+            raise ConfigError(
+                f"the three-arm environment needs exactly {TEAM_SIZE} human players"
+            )
         if self.baseline_days < 1:
             raise ConfigError("baseline_days must be >= 1")
         if self.forced_exploration_days < 0:
@@ -285,20 +293,19 @@ def alignment(sco: float, exposure: Exposure) -> float:
     )
 
 
-def step_response(player: SimPlayer, a: float, rng: SplitMix64) -> float:
-    """Today's steps for preference alignment `a` (see `alignment`):
-    baseline plus a * effect_size plus noise, floored at zero. Always
-    consumes one normal draw."""
-    noise = rng.normal(0.0, player.noise_sd)
+def step_response(player: SimPlayer, a: float, z: float) -> float:
+    """Today's steps for preference alignment `a` (see `alignment`) and
+    standard normal draw `z`: baseline plus a * effect_size plus noise,
+    floored at zero."""
+    noise = 0.0 + player.noise_sd * z
     return max(0.0, player.baseline_steps + a * player.effect_size + noise)
 
 
-def motivation_response(a: float, rng: SplitMix64) -> tuple[int, int]:
-    """Pre/post session motivation on the 1-5 scale. Pre is uniform over
-    {2, 3, 4}; post moves one point in the direction of alignment `a`
-    with probability |a|, clamped to the scale. Draw count is fixed."""
-    pre = 2 + rng.randrange(3)
-    u = rng.random()
+def motivation_response(a: float, pre: int, u: float) -> tuple[int, int]:
+    """Pre/post session motivation on the 1-5 scale. `pre` is the drawn
+    pre-session score; post moves one point in the direction of
+    alignment `a` when the uniform draw `u` falls below |a|, clamped to
+    the scale."""
     post = pre
     if u < abs(a):
         post = min(5, max(1, pre + (1 if a > 0 else -1 if a < 0 else 0)))
@@ -312,13 +319,13 @@ def logistic(x: float) -> float:
     return e / (1.0 + e)
 
 
-def miss_decision(player: SimPlayer, running_disparity: float, rng: SplitMix64) -> bool:
-    """Whether the player skips today's session: probability
-    logistic(intercept + slope * running_disparity)."""
+def miss_decision(player: SimPlayer, running_disparity: float, u: float) -> bool:
+    """Whether the player skips today's session: the uniform draw `u`
+    falls below logistic(intercept + slope * running_disparity)."""
     if not -1.0 <= running_disparity <= 1.0:
         raise ValueError("running_disparity must be in [-1, 1]")
     p = logistic(player.adherence_intercept + player.adherence_slope * running_disparity)
-    return rng.random() < p
+    return u < p
 
 
 def _forced_schedule(days: int, rng: SplitMix64) -> list[Arm]:
@@ -327,38 +334,109 @@ def _forced_schedule(days: int, rng: SplitMix64) -> list[Arm]:
     return arms
 
 
+def _pair_ranks(x: float, y: float) -> tuple[float, float]:
+    """`percentile_rank([x, y])` for two values that are not NaN."""
+    if x < y:
+        return 0.0, 1.0
+    if x > y:
+        return 1.0, 0.0
+    return 0.5, 0.5
+
+
 def _running_disparities(
-    observed_steps: list[list[float]],
+    step_totals: list[float],
+    step_counts: list[int],
     best_given: list[int],
     worst_given: list[int],
     any_exploit: bool,
 ) -> list[float]:
     """Each player's effort percentile minus treatment percentile within
     the team, from data through the previous day; zero until the first
-    exploit decision has happened (and while any player lacks data)."""
-    n = len(observed_steps)
-    if not any_exploit or any(len(s) == 0 for s in observed_steps):
-        return [0.0] * n
-    efforts = [sum(s) / len(s) for s in observed_steps]
-    treatments = [float(b - w) for b, w in zip(best_given, worst_given)]
-    pr_e = percentile_rank(efforts)
-    pr_t = percentile_rank(treatments)
-    return [e - t for e, t in zip(pr_e, pr_t)]
+    exploit decision has happened (and while any player lacks data).
+    Effort is a player's running step total over their count of
+    attended days; the total adds the steps left to right from 0.0."""
+    if not any_exploit or not all(step_counts):
+        return [0.0] * TEAM_SIZE
+    e0, e1 = _pair_ranks(step_totals[0] / step_counts[0], step_totals[1] / step_counts[1])
+    t0, t1 = _pair_ranks(
+        float(best_given[0] - worst_given[0]), float(best_given[1] - worst_given[1])
+    )
+    return [e0 - t0, e1 - t1]
 
 
-def run_study(config: StudyConfig) -> StudyLog:
-    """Simulate one team through the full protocol and return its log."""
+class WorldMismatchError(ValueError):
+    """A `StudyWorld` drawn for another seed or protocol length than the
+    study given it."""
+
+
+class StudyWorld(NamedTuple):
+    """Every draw of one study's world stream, in the order the day loop
+    reads them: a standard normal z per baseline day and player, then
+    per session day and player (z, pre-session motivation, a uniform
+    for the post-session score, a uniform for the miss decision). It
+    depends only on the seed and the protocol length, so studies that
+    differ in strategy, players or jitter can share one."""
+
+    seed: int
+    baseline_days: int
+    total_sessions: int
+    baseline_z: tuple[float, ...]
+    player_days: tuple[tuple[float, int, float, float], ...]
+
+    def check(self, config: StudyConfig) -> None:
+        """Raise WorldMismatchError unless this world is `config`'s."""
+        want = (config.seed, config.baseline_days, config.total_sessions)
+        got = (self.seed, self.baseline_days, self.total_sessions)
+        if got != want:
+            raise WorldMismatchError(
+                f"world drawn for (seed, baseline_days, total_sessions) {got},"
+                f" study needs {want}"
+            )
+
+
+def _streams(seed: int) -> tuple[SplitMix64, SplitMix64, SplitMix64]:
+    """The decision, world and jitter streams of the study at `seed`."""
+    base = SplitMix64(seed)
+    return base.spawn(), base.spawn(), base.spawn()
+
+
+def _draw_world(
+    seed: int, world_rng: SplitMix64, baseline_days: int, total_sessions: int
+) -> StudyWorld:
+    normal, randrange, random = world_rng.normal, world_rng.randrange, world_rng.random
+    baseline_z = tuple([normal() for _ in range(baseline_days * TEAM_SIZE)])
+    # Pre-session motivation is uniform over {2, 3, 4}.
+    player_days = tuple(
+        [
+            (normal(), 2 + randrange(3), random(), random())
+            for _ in range(total_sessions * TEAM_SIZE)
+        ]
+    )
+    return StudyWorld(seed, baseline_days, total_sessions, baseline_z, player_days)
+
+
+def draw_world(seed: int, baseline_days: int, total_sessions: int) -> StudyWorld:
+    """The world of every study at `seed` with this protocol length."""
+    return _draw_world(seed, _streams(seed)[1], baseline_days, total_sessions)
+
+
+def run_study(config: StudyConfig, world: StudyWorld | None = None) -> StudyLog:
+    """Simulate one team through the full protocol and return its log.
+    `world` holds the draws of the study's world stream (`draw_world`);
+    without it the study draws its own, taking the same draws."""
     n = len(config.players)
-    base = SplitMix64(config.seed)
-    decision_rng = base.spawn()
-    world_rng = base.spawn()
-    jitter_rng = base.spawn()
+    decision_rng, world_rng, jitter_rng = _streams(config.seed)
+    if world is None:
+        world = _draw_world(config.seed, world_rng, config.baseline_days, config.total_sessions)
+    else:
+        world.check(config)
 
+    baseline_z = iter(world.baseline_z)
     baseline_samples: list[list[float]] = [[] for _ in range(n)]
     for _day in range(config.baseline_days):
         for i, player in enumerate(config.players):
-            steps = max(0.0, player.baseline_steps + world_rng.normal(0.0, player.noise_sd))
-            baseline_samples[i].append(steps)
+            # A baseline day has no comparison: alignment 0 adds nothing.
+            baseline_samples[i].append(step_response(player, 0.0, next(baseline_z)))
     baseline_means = [sum(s) / len(s) for s in baseline_samples]
     last_steps = [samples[-1] for samples in baseline_samples]
 
@@ -367,7 +445,8 @@ def run_study(config: StudyConfig) -> StudyLog:
     state = ShapleyBanditState.fresh(n, epsilon=config.epsilon)
     players = list(range(n))
     tc_effective = [0] * n
-    observed_steps: list[list[float]] = [[] for _ in range(n)]
+    step_totals = [0.0] * n
+    step_counts = [0] * n
     best_given = [0] * n
     worst_given = [0] * n
     any_exploit = False
@@ -382,9 +461,10 @@ def run_study(config: StudyConfig) -> StudyLog:
     step_scale = config.step_scale
     motivation_weight = config.motivation_weight
     team = [(i, player, player.sco, baseline_means[i]) for i, player in enumerate(config.players)]
+    draws = iter(world.player_days)
     for day in range(1, config.total_sessions + 1):
         disparities = _running_disparities(
-            observed_steps, best_given, worst_given, any_exploit
+            step_totals, step_counts, best_given, worst_given, any_exploit
         )
 
         if day <= forced_days:
@@ -414,9 +494,10 @@ def run_study(config: StudyConfig) -> StudyLog:
             a = sign_alignment(
                 sco, comparison_sign(own, artificial), comparison_sign(own, last_steps[1 - i])
             )
-            steps = step_response(player, a, world_rng)
-            pre, post = motivation_response(a, world_rng)
-            missed = miss_decision(player, disparities[i], world_rng)
+            z, pre, u_post, u_miss = next(draws)
+            steps = step_response(player, a, z)
+            pre, post = motivation_response(a, pre, u_post)
+            missed = miss_decision(player, disparities[i], u_miss)
             if missed:
                 steps = pre = post = None
             else:
@@ -441,7 +522,8 @@ def run_study(config: StudyConfig) -> StudyLog:
                 if arm is predicted[i][0]:
                     tc_effective[i] += 1
         for i, steps in day_steps.items():
-            observed_steps[i].append(steps)
+            step_totals[i] += steps
+            step_counts[i] += 1
             last_steps[i] = steps
         if day >= intervention_start:
             for i in players:

@@ -121,6 +121,28 @@ class TestRun:
         assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
         assert "unique" in capsys.readouterr().err
 
+    def test_too_few_players_for_the_fisher_test_still_completes(self, tmp_path):
+        # One player of each team misses every session, so each report
+        # pools 3 players: too few for the Fisher z between conditions.
+        players = [
+            {"baseline_steps": 10000.0, "noise_sd": 500.0, "adherence_intercept": 20.0},
+            {"baseline_steps": 9000.0, "noise_sd": 500.0, "sco": 0.5, "effect_size": 800.0},
+        ]
+        doc = {
+            "scenario": "three-players",
+            "replications": 3,
+            "conditions": [{"condition": c, "players": players} for c in ("greedy", "shapley")],
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", "--spec", str(spec_path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert [row["disparity_miss_n"] for row in summary["conditions"]] == [3, 3]
+        assert summary["greedy_vs_shapley"]["paired_replications"] == 3
+        assert "fisher_z" not in summary["greedy_vs_shapley"]
+        assert set(json.loads((out / "manifest.json").read_text())["files"]) == set(tree_hashes(out))
+
 
 class TestWorkedExample:
     def test_default_passes(self, capsys):

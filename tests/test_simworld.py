@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairbandit.analysis import log_metrics
+from fairbandit.analysis import log_metrics, percentile_rank
 from fairbandit.bandit import (
     Arm,
     Decision,
@@ -28,6 +28,7 @@ from fairbandit.bandit import (
     shapley_update,
     team_disparity_sum,
 )
+from fairbandit.experiment import ExperimentSpec, run_experiment
 from fairbandit.rng import SplitMix64
 from fairbandit.scenarios import load_scenario
 from fairbandit.simworld import (
@@ -41,11 +42,13 @@ from fairbandit.simworld import (
     SimPlayer,
     StudyConfig,
     StudyLog,
+    WorldMismatchError,
     _PARSERS,
     _forced_schedule,
+    _pair_ranks,
     _row_error,
-    _running_disparities,
     alignment,
+    draw_world,
     exposure_direction,
     log_summary,
     logistic,
@@ -101,19 +104,24 @@ class TestStepResponse:
 
     def test_upward_responder_boosted(self):
         p = player(sco=1.0, effect_size=500.0)
-        assert step_response(p, alignment(p.sco, self.UP_UP), SplitMix64(0)) == pytest.approx(10500.0)
+        assert step_response(p, alignment(p.sco, self.UP_UP), 0.7) == pytest.approx(10500.0)
 
     def test_downward_responder_suppressed(self):
         p = player(sco=-1.0, effect_size=500.0)
-        assert step_response(p, alignment(p.sco, self.UP_UP), SplitMix64(0)) == pytest.approx(9500.0)
+        assert step_response(p, alignment(p.sco, self.UP_UP), -0.7) == pytest.approx(9500.0)
 
     def test_null_responder_unmoved(self):
         p = player(sco=0.0, effect_size=500.0)
-        assert step_response(p, alignment(p.sco, self.UP_UP), SplitMix64(0)) == pytest.approx(10000.0)
+        assert step_response(p, alignment(p.sco, self.UP_UP), 2.5) == pytest.approx(10000.0)
 
     def test_floored_at_zero(self):
         p = player(baseline_steps=100.0, sco=-1.0, effect_size=5000.0)
-        assert step_response(p, alignment(p.sco, self.UP_UP), SplitMix64(0)) == 0.0
+        assert step_response(p, alignment(p.sco, self.UP_UP), 0.0) == 0.0
+
+    def test_noise_is_sd_times_draw(self):
+        p = player(noise_sd=400.0, sco=1.0, effect_size=500.0)
+        assert step_response(p, alignment(p.sco, self.UP_UP), -1.5) == 10000.0 + 500.0 - 600.0
+        assert step_response(p, 0.0, 0.25) == 10100.0
 
 
 class TestMotivationResponse:
@@ -121,14 +129,18 @@ class TestMotivationResponse:
         p = player(sco=1.0)
         rng = SplitMix64(3)
         for _ in range(50):
-            pre, post = motivation_response(alignment(p.sco, TestStepResponse.UP_UP), rng)
+            pre, post = motivation_response(
+                alignment(p.sco, TestStepResponse.UP_UP), 2 + rng.randrange(3), rng.random()
+            )
             assert post == min(5, pre + 1)
 
     def test_zero_alignment_keeps_pre(self):
         p = player(sco=0.0)
         rng = SplitMix64(4)
         for _ in range(50):
-            pre, post = motivation_response(alignment(p.sco, TestStepResponse.UP_UP), rng)
+            pre, post = motivation_response(
+                alignment(p.sco, TestStepResponse.UP_UP), 2 + rng.randrange(3), rng.random()
+            )
             assert post == pre
 
     def test_scale_bounds_over_many_draws(self):
@@ -142,7 +154,9 @@ class TestMotivationResponse:
         for i in range(10000):
             p = players[i % len(players)]
             e = exposures[i % len(exposures)]
-            pre, post = motivation_response(alignment(p.sco, e), rng)
+            pre, post = motivation_response(
+                alignment(p.sco, e), 2 + rng.randrange(3), rng.random()
+            )
             assert 1 <= pre <= 5
             assert 1 <= post <= 5
 
@@ -151,7 +165,8 @@ class TestMissDecision:
     def test_slope_zero_is_base_rate(self):
         p = player(adherence_intercept=-1.1, adherence_slope=0.0)
         rng = SplitMix64(6)
-        misses = sum(miss_decision(p, d, rng) for d in (-1.0, 0.0, 1.0) for _ in range(5000))
+        draws = ((d, rng.random()) for d in (-1.0, 0.0, 1.0) for _ in range(5000))
+        misses = sum(miss_decision(p, d, u) for d, u in draws)
         assert misses / 15000 == pytest.approx(logistic(-1.1), abs=0.01)
 
     def test_logistic_value_against_direct_arithmetic(self):
@@ -159,20 +174,20 @@ class TestMissDecision:
         assert logistic(-0.1) == pytest.approx(0.475, abs=0.001)
         p = player(adherence_intercept=-1.1, adherence_slope=2.0)
         rng = SplitMix64(7)
-        rate = sum(miss_decision(p, 0.5, rng) for _ in range(20000)) / 20000
+        rate = sum(miss_decision(p, 0.5, rng.random()) for _ in range(20000)) / 20000
         assert rate == pytest.approx(0.475, abs=0.01)
 
     def test_monotone_in_disparity(self):
         p = player(adherence_intercept=-1.1, adherence_slope=50.0)
         rng = SplitMix64(8)
-        low = sum(miss_decision(p, -1.0, rng) for _ in range(2000)) / 2000
-        high = sum(miss_decision(p, 1.0, rng) for _ in range(2000)) / 2000
+        low = sum(miss_decision(p, -1.0, rng.random()) for _ in range(2000)) / 2000
+        high = sum(miss_decision(p, 1.0, rng.random()) for _ in range(2000)) / 2000
         assert low == pytest.approx(logistic(-1.1 - 50.0), abs=0.01)
         assert high == pytest.approx(logistic(-1.1 + 50.0), abs=0.01)
 
     def test_disparity_domain(self):
         with pytest.raises(ValueError):
-            miss_decision(player(), 1.5, SplitMix64(0))
+            miss_decision(player(), 1.5, 0.5)
 
     def test_extreme_logistic_does_not_overflow(self):
         assert logistic(-1000.0) == 0.0
@@ -632,10 +647,40 @@ def oracle_alignment(sco: float, own: float, artificial: float, teammate: float)
     return (sign[direction(artificial)] * sco + sign[direction(teammate)] * sco) / 2.0
 
 
+def oracle_step_response(p: SimPlayer, a: float, rng: SplitMix64) -> float:
+    noise = rng.normal(0.0, p.noise_sd)
+    return max(0.0, p.baseline_steps + a * p.effect_size + noise)
+
+
+def oracle_motivation_response(a: float, rng: SplitMix64) -> tuple[int, int]:
+    pre = 2 + rng.randrange(3)
+    u = rng.random()
+    post = pre
+    if u < abs(a):
+        post = min(5, max(1, pre + (1 if a > 0 else -1 if a < 0 else 0)))
+    return pre, post
+
+
+def oracle_miss_decision(p: SimPlayer, running_disparity: float, rng: SplitMix64) -> bool:
+    return rng.random() < logistic(p.adherence_intercept + p.adherence_slope * running_disparity)
+
+
+def oracle_running_disparities(observed_steps, best_given, worst_given, any_exploit):
+    n = len(observed_steps)
+    if not any_exploit or any(len(s) == 0 for s in observed_steps):
+        return [0.0] * n
+    efforts = [sum(s) / len(s) for s in observed_steps]
+    treatments = [float(b - w) for b, w in zip(best_given, worst_given)]
+    pr_e = percentile_rank(efforts)
+    pr_t = percentile_rank(treatments)
+    return [e - t for e, t in zip(pr_e, pr_t)]
+
+
 def run_study_by_objects(config: StudyConfig) -> StudyLog:
     """`run_study` as it was before its day loop ran on plain numbers:
     an Exposure per player-day, four `predict_*` calls a day, a reward
-    tuple and keyword-built rows. Kept as the oracle."""
+    tuple and keyword-built rows, world draws taken from the stream as
+    the day goes, and efforts re-summed each day. Kept as the oracle."""
     n = len(config.players)
     base = SplitMix64(config.seed)
     decision_rng = base.spawn()
@@ -664,7 +709,9 @@ def run_study_by_objects(config: StudyConfig) -> StudyLog:
 
     jitter = jitter_rng if config.jitter else None
     for day in range(1, config.total_sessions + 1):
-        disparities = _running_disparities(observed_steps, best_given, worst_given, any_exploit)
+        disparities = oracle_running_disparities(
+            observed_steps, best_given, worst_given, any_exploit
+        )
         if day <= config.forced_exploration_days:
             decision = Decision(arm=schedule[day - 1], catered_player=None, mode=Mode.FORCED)
         elif config.condition is Condition.CONTROL:
@@ -685,9 +732,9 @@ def run_study_by_objects(config: StudyConfig) -> StudyLog:
         day_steps: dict[int, float] = {}
         for i, p in enumerate(config.players):
             a = oracle_alignment(p.sco, last_steps[i], artificial, last_steps[1 - i])
-            steps = step_response(p, a, world_rng)
-            pre, post = motivation_response(a, world_rng)
-            missed = miss_decision(p, disparities[i], world_rng)
+            steps = oracle_step_response(p, a, world_rng)
+            pre, post = oracle_motivation_response(a, world_rng)
+            missed = oracle_miss_decision(p, disparities[i], world_rng)
             if missed:
                 steps = pre = post = None
             else:
@@ -814,6 +861,108 @@ def test_run_study_matches_object_oracle(cfg):
         assert repr(getattr(got, name)) == repr(getattr(want, name)), name
     assert (got.condition, got.seed) == (want.condition, want.seed)
     assert draws[0] == draws[1]
+
+
+def assert_same_log(got: StudyLog, want: StudyLog) -> None:
+    """Same rows bit for bit, same decisions and the same final fields."""
+    assert [list(map(exact, row)) for row in got.rows] == [
+        list(map(exact, row)) for row in want.rows
+    ]
+    assert repr(got.decisions) == repr(want.decisions)
+    for name in ("baseline_means", "final_csv", "final_tc", "final_tc_effective", "final_sum_sd"):
+        assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+    assert (got.condition, got.seed) == (want.condition, want.seed)
+
+
+@st.composite
+def shared_world_spec(draw) -> ExperimentSpec:
+    """1-3 conditions that differ in players, jitter and everything else
+    `study_config` draws; about half take one common protocol length, so
+    that they share each seed's world."""
+    conditions = draw(
+        st.lists(st.sampled_from(list(Condition)), min_size=1, max_size=3, unique=True)
+    )
+    baseline_days, total_sessions = draw(st.integers(1, 4)), draw(st.integers(9, 24))
+    configs = []
+    for condition in conditions:
+        cfg = replace(draw(study_config()), condition=condition)
+        if draw(st.booleans()):
+            cfg = replace(cfg, baseline_days=baseline_days, total_sessions=total_sessions)
+        configs.append(cfg)
+    return ExperimentSpec(
+        scenario="shared-world",
+        conditions=tuple(configs),
+        replications=draw(st.integers(1, 3)),
+        base_seed=draw(st.integers(0, 2**64 - 4)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=shared_world_spec())
+def test_shared_world_matches_standalone_studies(spec):
+    """Every log of an experiment, whose conditions share each seed's
+    world, equals the study run alone at its seed; a world of another
+    seed or protocol length is refused."""
+    result = run_experiment(spec, "unused", write_artifacts=False)
+    for cfg in spec.conditions:
+        logs = result.logs[cfg.condition.value]
+        assert [log.name for log in logs] == [
+            f"{cfg.condition.value}/rep_{k:04d}" for k in range(spec.replications)
+        ]
+        for k, log in enumerate(logs):
+            alone = replace(cfg, seed=spec.base_seed + k)
+            assert_same_log(log, run_study(alone))
+            for seed, baseline_days, total_sessions in (
+                (alone.seed + 1, alone.baseline_days, alone.total_sessions),
+                (alone.seed, alone.baseline_days + 1, alone.total_sessions),
+                (alone.seed, alone.baseline_days, alone.total_sessions + 1),
+            ):
+                with pytest.raises(WorldMismatchError, match="study needs"):
+                    run_study(alone, draw_world(seed, baseline_days, total_sessions))
+
+
+def test_world_is_an_immutable_record_of_the_draws():
+    cfg = config(seed=17, baseline_days=2, total_sessions=12)
+    world = draw_world(17, 2, 12)
+    assert len(world.baseline_z) == 2 * 2
+    assert len(world.player_days) == 12 * 2
+    assert all(pre in (2, 3, 4) and 0.0 <= u_post < 1.0 and 0.0 <= u_miss < 1.0
+               for _z, pre, u_post, u_miss in world.player_days)
+    assert world == draw_world(17, 2, 12)
+    with pytest.raises(AttributeError):
+        world.seed = 18
+    assert_same_log(run_study(cfg, world), run_study(cfg))
+    assert issubclass(WorldMismatchError, ValueError)
+
+
+# next_u64 calls over an in-memory conflict-cohort run_experiment of
+# 3 x 5, with each seed's world drawn once for the three conditions.
+# Drawing it again for every condition took 3615.
+EXPERIMENT_DRAWS = 1410
+
+
+def test_experiment_draws_each_world_once(monkeypatch):
+    draws = [0]
+    next_u64 = SplitMix64.next_u64
+
+    def counting(self):
+        draws[0] += 1
+        return next_u64(self)
+
+    monkeypatch.setattr(SplitMix64, "next_u64", counting)
+    spec = load_scenario("conflict-cohort", replications=5)
+    run_experiment(spec, "unused", jobs=1, write_artifacts=False)
+    assert draws[0] == EXPERIMENT_DRAWS
+
+
+finite_or_inf = st.floats(allow_nan=False)
+
+
+@given(
+    pair=st.one_of(st.tuples(finite_or_inf, finite_or_inf), finite_or_inf.map(lambda x: (x, x)))
+)
+def test_pair_ranks_match_percentile_rank(pair):
+    assert list(map(exact, _pair_ranks(*pair))) == list(map(exact, percentile_rank(list(pair))))
 
 
 def read_log_rows_per_line(path) -> list[SessionRow]:
