@@ -62,16 +62,6 @@ def correlation_diff_test(r1: float, n1: int, r2: float, n2: int) -> tuple[float
     return z, p
 
 
-def slope_diff_test(b1: float, se1: float, b2: float, se2: float) -> tuple[float, float]:
-    """Difference test for two regression slopes with known standard
-    errors: z = (b1 - b2) / sqrt(se1^2 + se2^2)."""
-    if se1 <= 0 or se2 <= 0:
-        raise ValueError("standard errors must be positive")
-    z = (b1 - b2) / math.sqrt(se1 * se1 + se2 * se2)
-    p = 2.0 * (1.0 - normal_cdf(abs(z)))
-    return z, p
-
-
 def percentile_rank(values: Sequence[float]) -> list[float]:
     """Ranks rescaled to [0, 1]: the smallest value gets 0, the largest 1
     (rank/(n-1)), ties get the mean of their positional ranks, and a

@@ -67,19 +67,6 @@ class Decision(NamedTuple):
     mode: Mode = Mode.EXPLOIT
 
 
-class Reward(NamedTuple):
-    """One session's observed response: step change vs. the player's own
-    baseline, and the post-minus-pre change in self-reported motivation."""
-
-    step_delta: float
-    motivation_delta: float = 0.0
-
-    def combined(self, step_scale: float, motivation_weight: float) -> float:
-        return combined_reward(
-            self.step_delta, self.motivation_delta, step_scale, motivation_weight
-        )
-
-
 def combined_reward(
     step_delta: float, motivation_delta: float, step_scale: float, motivation_weight: float
 ) -> float:
@@ -145,18 +132,10 @@ class RewardModel:
         counts[arm] += 1
         self._means[player][arm] = sums[arm] / counts[arm]
 
-    def count(self, player: PlayerId, arm: Arm) -> int:
-        counts = self._counts.get(player)
-        return counts[arm] if counts else 0
-
     def means(self, player: PlayerId) -> list[float]:
         """The player's estimate for every arm, indexed by `int(arm)`."""
         means = self._means.get(player)
         return list(means) if means else [0.0] * len(_ARMS)
-
-    def mean(self, player: PlayerId, arm: Arm) -> float:
-        means = self._means.get(player)
-        return means[arm] if means else 0.0
 
 
 def _argbest(scores: Sequence[float], best: bool) -> int:
@@ -173,16 +152,6 @@ def predict_arms(model: RewardModel, player: PlayerId) -> tuple[Arm, Arm]:
     ordinal."""
     means = model._means.get(player, _NO_ESTIMATES)
     return _ARMS[_argbest(means, True)], _ARMS[_argbest(means, False)]
-
-
-def predict_best_arm(model: RewardModel, player: PlayerId) -> Arm:
-    """Arm with the highest estimated reward for this player. Ties break
-    to the lowest ordinal."""
-    return predict_arms(model, player)[0]
-
-
-def predict_worst_arm(model: RewardModel, player: PlayerId) -> Arm:
-    return predict_arms(model, player)[1]
 
 
 def greedy_select(model: RewardModel, players: Iterable[PlayerId]) -> Decision:
@@ -281,7 +250,7 @@ def shapley_select(
     sums = [(disparity_sum_if_catered(state, p), p) for p in players]
     _, catered = min(sums)
     return Decision(
-        arm=predict_best_arm(model, catered), catered_player=catered, mode=Mode.EXPLOIT
+        arm=predict_arms(model, catered)[0], catered_player=catered, mode=Mode.EXPLOIT
     )
 
 

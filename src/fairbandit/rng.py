@@ -15,8 +15,8 @@ in-repo:
 
 Floats use the top 53 bits; ``randrange`` uses rejection sampling so
 small ranges are exactly uniform; normals use Box-Muller with a fixed
-draw count (two uniforms per call, no caching) so the stream position
-after a call never depends on the arguments.
+draw count (two uniforms per call, no caching) so every call advances
+the stream by the same amount.
 """
 from __future__ import annotations
 
@@ -64,17 +64,15 @@ class SplitMix64:
             j = self.randrange(i + 1)
             seq[i], seq[j] = seq[j], seq[i]
 
-    def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        """Box-Muller normal deviate; always consumes exactly two uniforms.
-
-        The draw count is fixed even for sigma = 0 so that callers who
-        vary sigma (e.g. noiseless test cohorts) keep identical stream
-        positions.
-        """
-        u1 = (self.next_u64() >> 11) * (2.0 ** -53) + (2.0 ** -54)  # (0, 1)
+    def normal(self) -> float:
+        """Standard normal deviate by Box-Muller; always consumes exactly
+        two uniforms."""
+        u1 = (self.next_u64() >> 11) * (2.0 ** -53) + (2.0 ** -54)  # (0, 1]
         u2 = self.random()
         z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-        return mu + sigma * z
+        # u1 rounds to 1.0 for the top draw, where z can be -0.0; adding
+        # 0.0 returns +0.0 there, the value the golden logs were drawn with.
+        return 0.0 + z
 
     def spawn(self) -> "SplitMix64":
         """Child generator with a seed drawn from this stream."""

@@ -102,19 +102,6 @@ class Condition(str, Enum):
     SHAPLEY = "shapley"
 
 
-class Direction(str, Enum):
-    UPWARD = "upward"
-    DOWNWARD = "downward"
-    LATERAL = "lateral"
-
-
-class Exposure(NamedTuple):
-    """Comparison direction toward each of a player's two targets."""
-
-    artificial: Direction
-    teammate: Direction
-
-
 @dataclass(frozen=True)
 class SimPlayer:
     """Synthetic participant.
@@ -191,6 +178,19 @@ class StudyConfig:
         _check_finite(self, "step_scale", "motivation_weight")
         if not self.step_scale > 0:
             raise ConfigError("step_scale must be positive")
+        # Every total a study forms (baseline and step sums, CSV, reward
+        # sums, greedy's column sums) adds at most `days` terms, none over
+        # a day's peak steps or peak |reward|; Box-Muller gives |z| < 8.66.
+        # Comparing the int `days` raises no OverflowError, however large.
+        peak = max(p.baseline_steps + p.effect_size + 9.0 * p.noise_sd for p in self.players)
+        reward = peak / self.step_scale + abs(self.motivation_weight)
+        days = TEAM_SIZE * (self.baseline_days + self.total_sessions)
+        if days > sys.float_info.max / max(peak, reward):
+            raise ConfigError(
+                f"totals over {days} player-days overflow: a day's steps reach baseline_steps"
+                f" + effect_size + 9 * noise_sd = {peak!r}, its |reward| reaches that / step_scale"
+                f" + |motivation_weight| = {reward!r}"
+            )
 
     @property
     def intervention_start(self) -> int:
@@ -258,27 +258,6 @@ def comparison_sign(own: float, target: float) -> int:
     return (target > own) - (target < own)
 
 
-_DIRECTION_BY_SIGN = {1: Direction.UPWARD, -1: Direction.DOWNWARD, 0: Direction.LATERAL}
-_SIGN_BY_DIRECTION = {direction: sign for sign, direction in _DIRECTION_BY_SIGN.items()}
-
-
-def compare_steps(own: float, target: float) -> Direction:
-    return _DIRECTION_BY_SIGN[comparison_sign(own, target)]
-
-
-def exposure_direction(
-    player_steps: float, artificial_steps: float, teammate_steps: float
-) -> Exposure:
-    """Comparison direction toward each target: strictly more steps than
-    the player is upward, strictly fewer is downward, equal is lateral."""
-    if min(player_steps, artificial_steps, teammate_steps) < 0:
-        raise ValueError("steps must be non-negative")
-    return Exposure(
-        artificial=compare_steps(player_steps, artificial_steps),
-        teammate=compare_steps(player_steps, teammate_steps),
-    )
-
-
 def sign_alignment(sco: float, artificial_sign: int, teammate_sign: int) -> float:
     """Mean preference alignment over the two targets, given each
     target's `comparison_sign`: sco for upward, -sco for downward, 0 for
@@ -286,15 +265,8 @@ def sign_alignment(sco: float, artificial_sign: int, teammate_sign: int) -> floa
     return (artificial_sign * sco + teammate_sign * sco) / 2.0
 
 
-def alignment(sco: float, exposure: Exposure) -> float:
-    """`sign_alignment` of the exposure's two directions."""
-    return sign_alignment(
-        sco, _SIGN_BY_DIRECTION[exposure.artificial], _SIGN_BY_DIRECTION[exposure.teammate]
-    )
-
-
 def step_response(player: SimPlayer, a: float, z: float) -> float:
-    """Today's steps for preference alignment `a` (see `alignment`) and
+    """Today's steps for preference alignment `a` (see `sign_alignment`) and
     standard normal draw `z`: baseline plus a * effect_size plus noise,
     floored at zero."""
     noise = 0.0 + player.noise_sd * z

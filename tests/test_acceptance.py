@@ -16,7 +16,7 @@ from fairbandit.bandit import (
     RewardModel,
     ShapleyBanditState,
     greedy_select,
-    predict_best_arm,
+    predict_arms,
     shapley_select,
     shapley_update,
 )
@@ -114,7 +114,7 @@ def test_criterion_5_conflict_witness():
     ok = (
         greedy.arm is Arm.ABOVE_HIGHER
         and fair.catered_player == 1
-        and fair.arm is predict_best_arm(model, 1)
+        and fair.arm is predict_arms(model, 1)[0]
         and fair.arm is not Arm.ABOVE_HIGHER
     )
     report(
@@ -150,7 +150,7 @@ def test_criterion_6_strategy_contracts():
     for arm, value in [(Arm.ABOVE_HIGHER, 0.4), (Arm.BETWEEN, -0.2), (Arm.BELOW_LOWER, 1.1)]:
         base.observe_scalar(0, arm, value)
         shifted.observe_scalar(0, arm, value + 123.0)
-    argmax_ok = predict_best_arm(base, 0) is predict_best_arm(shifted, 0)
+    argmax_ok = predict_arms(base, 0)[0] is predict_arms(shifted, 0)[0]
 
     # csv-scale invariance of the fairness-aware choice
     choices = set()

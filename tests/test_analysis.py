@@ -16,7 +16,6 @@ from fairbandit.analysis import (
     pearson_r,
     percentile_rank,
     report_summary,
-    slope_diff_test,
 )
 from fairbandit.bandit import Arm, Mode
 from fairbandit.simworld import SessionRow, StudyLog
@@ -212,14 +211,6 @@ class TestCorrelationDiffTest:
     def test_perfect_correlation_rejected(self):
         with pytest.raises(ValueError):
             correlation_diff_test(1.0, 50, 0.0, 50)
-
-
-def test_slope_diff_test():
-    z, p = slope_diff_test(1.0, 0.2, 0.4, 0.15)
-    assert z == pytest.approx((1.0 - 0.4) / math.sqrt(0.2**2 + 0.15**2))
-    assert 0.0 < p < 0.05
-    with pytest.raises(ValueError):
-        slope_diff_test(1.0, 0.0, 0.4, 0.15)
 
 
 def test_correlation_significance():

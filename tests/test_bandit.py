@@ -9,16 +9,15 @@ from fairbandit.bandit import (
     Arm,
     Decision,
     Mode,
-    Reward,
     RewardModel,
     ShapleyBanditState,
     ZeroTotalCSVError,
+    combined_reward,
     decision_record,
     disparity_sum_if_catered,
     greedy_select,
     place_artificial_steps,
-    predict_best_arm,
-    predict_worst_arm,
+    predict_arms,
     random_select,
     shapley_disparity,
     shapley_select,
@@ -63,8 +62,11 @@ class TestPlacement:
             assert 12000 * 0.98 <= placed <= 12000 * 1.02
 
     def test_negative_steps_rejected(self):
+        # So the day loop never compares a negative step count.
         with pytest.raises(ValueError):
             place_artificial_steps(Arm.BETWEEN, -1.0, 100.0)
+        with pytest.raises(ValueError):
+            place_artificial_steps(Arm.BETWEEN, 100.0, -1.0)
 
     def test_arm_letters(self):
         assert [a.letter for a in Arm] == ["A", "B", "C"]
@@ -82,29 +84,28 @@ class TestRewardModel:
     def test_first_observation_sets_mean(self):
         model = RewardModel()
         model.observe_scalar(0, Arm.ABOVE_HIGHER, 100.0)
-        assert model.mean(0, Arm.ABOVE_HIGHER) == pytest.approx(100.0)
-        assert model.count(0, Arm.ABOVE_HIGHER) == 1
+        assert model.means(0) == [100.0, 0.0, 0.0]
 
     def test_mean_of_two(self):
         model = RewardModel()
         model.observe_scalar(0, Arm.BETWEEN, 100.0)
         model.observe_scalar(0, Arm.BETWEEN, 200.0)
-        assert model.mean(0, Arm.BETWEEN) == pytest.approx(150.0)
+        assert model.means(0)[Arm.BETWEEN] == pytest.approx(150.0)
 
     def test_cells_are_isolated(self):
         model = RewardModel()
         model.observe_scalar(0, Arm.ABOVE_HIGHER, 5.0)
         model.observe_scalar(1, Arm.BELOW_LOWER, -3.0)
-        assert model.mean(0, Arm.BELOW_LOWER) == 0.0
-        assert model.mean(1, Arm.ABOVE_HIGHER) == 0.0
-        assert model.count(1, Arm.BELOW_LOWER) == 1
+        assert model.means(0) == [5.0, 0.0, 0.0]
+        assert model.means(1) == [0.0, 0.0, -3.0]
+        assert model.means(2) == [0.0, 0.0, 0.0]
 
     def test_combined_reward_weighting(self):
-        value = Reward(step_delta=500.0, motivation_delta=1.0).combined(1000.0, 1.0)
+        value = combined_reward(500.0, 1.0, 1000.0, 1.0)
         assert value == pytest.approx(1.5)
         model = RewardModel()
         model.observe_scalar(0, Arm.ABOVE_HIGHER, value)
-        assert model.mean(0, Arm.ABOVE_HIGHER) == pytest.approx(1.5)
+        assert model.means(0)[Arm.ABOVE_HIGHER] == pytest.approx(1.5)
 
     def test_nonfinite_reward_rejected(self):
         model = RewardModel()
@@ -124,9 +125,6 @@ class DictRewardModel:
         key = (player, arm)
         self._count[key] = self._count.get(key, 0) + 1
         self._sum[key] = self._sum.get(key, 0.0) + value
-
-    def count(self, player, arm):
-        return self._count.get((player, arm), 0)
 
     def mean(self, player, arm):
         key = (player, arm)
@@ -169,36 +167,36 @@ class TestRewardModelLayout:
             for arm in Arm:
                 want = reference.mean(player, arm)
                 assert means[arm].hex() == want.hex()
-                assert model.mean(player, arm).hex() == want.hex()
-                assert model.count(player, arm) == reference.count(player, arm)
             best = reference_predict(reference, player, True)
             worst = reference_predict(reference, player, False)
-            assert predict_best_arm(model, player) is best
-            assert predict_worst_arm(model, player) is worst
+            got_best, got_worst = predict_arms(model, player)
+            assert got_best is best and got_worst is worst
         for team in ([0, 1], [1, 0], [0, 1, 2, 3], [3]):
             assert greedy_select(model, team).arm is reference_greedy(reference, team)
 
     def test_means_is_a_copy(self):
         model = model_with_means(CONFLICT_MEANS)
         model.means(0)[Arm.ABOVE_HIGHER] = 99.0
-        assert model.mean(0, Arm.ABOVE_HIGHER) == 10.0
+        assert model.means(0)[Arm.ABOVE_HIGHER] == 10.0
 
 
 class TestArmPrediction:
     def test_argmax(self):
         model = model_with_means({0: {Arm.ABOVE_HIGHER: 5, Arm.BETWEEN: 3, Arm.BELOW_LOWER: 1}})
-        assert predict_best_arm(model, 0) is Arm.ABOVE_HIGHER
+        assert predict_arms(model, 0)[0] is Arm.ABOVE_HIGHER
 
     def test_tie_breaks_to_lowest_ordinal(self):
+        model = model_with_means({0: {Arm.ABOVE_HIGHER: 2, Arm.BETWEEN: 2, Arm.BELOW_LOWER: 2}})
+        assert predict_arms(model, 0) == (Arm.ABOVE_HIGHER, Arm.ABOVE_HIGHER)
         model = model_with_means({0: {Arm.ABOVE_HIGHER: 2, Arm.BETWEEN: 2, Arm.BELOW_LOWER: 1}})
-        assert predict_best_arm(model, 0) is Arm.ABOVE_HIGHER
+        assert predict_arms(model, 0)[0] is Arm.ABOVE_HIGHER
 
     def test_unobserved_model_defaults_to_first_arm(self):
-        assert predict_best_arm(RewardModel(), 0) is Arm.ABOVE_HIGHER
+        assert predict_arms(RewardModel(), 0) == (Arm.ABOVE_HIGHER, Arm.ABOVE_HIGHER)
 
     def test_worst_arm(self):
         model = model_with_means(CONFLICT_MEANS)
-        assert predict_worst_arm(model, 1) is Arm.ABOVE_HIGHER
+        assert predict_arms(model, 1)[1] is Arm.ABOVE_HIGHER
 
     def test_argmax_invariance_under_constant_shift(self):
         model = model_with_means(CONFLICT_MEANS)
@@ -206,7 +204,7 @@ class TestArmPrediction:
             {p: {a: v + 17.5 for a, v in per.items()} for p, per in CONFLICT_MEANS.items()}
         )
         for player in (0, 1):
-            assert predict_best_arm(model, player) is predict_best_arm(shifted, player)
+            assert predict_arms(model, player)[0] is predict_arms(shifted, player)[0]
 
 
 class TestGreedySelect:

@@ -509,6 +509,32 @@ class TestSpecLoading:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "o" / "greedy").exists()
 
+    @pytest.mark.parametrize(
+        "player, condition, named",
+        [
+            ({"baseline_steps": 1e308}, {}, "baseline_steps"),
+            (
+                {"baseline_steps": 1.5e308, "noise_sd": 1e308, "sco": 1.0, "effect_size": 1e308},
+                {},
+                "noise_sd",
+            ),
+            ({}, {"step_scale": 1e-310}, "step_scale"),
+        ],
+    )
+    def test_spec_whose_totals_overflow_is_config_error(
+        self, tmp_path, capsys, player, condition, named
+    ):
+        doc = tiny_spec_dict(replications=2)
+        greedy = doc["conditions"][1] | condition
+        first, second = greedy["players"]
+        doc["conditions"] = [greedy | {"players": [first | player, second]}]
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        assert exit_code(["run", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run: ") and named in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_spec_that_is_not_an_object_is_config_error(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text("[]")

@@ -49,7 +49,7 @@ def test_randrange_rejects_nonpositive():
 
 def test_normal_moments():
     rng = SplitMix64(8)
-    xs = [rng.normal(2.0, 3.0) for _ in range(20000)]
+    xs = [2.0 + 3.0 * rng.normal() for _ in range(20000)]
     mean = sum(xs) / len(xs)
     var = sum((x - mean) ** 2 for x in xs) / len(xs)
     assert abs(mean - 2.0) < 0.1
@@ -57,17 +57,23 @@ def test_normal_moments():
 
 
 def test_normal_fixed_draw_count():
-    # sigma must not change how much of the stream is consumed
-    a = SplitMix64(9)
-    b = SplitMix64(9)
-    a.normal(0.0, 0.0)
-    b.normal(0.0, 5.0)
-    assert a.next_u64() == b.next_u64()
+    for seed in range(20):
+        a = SplitMix64(seed)
+        b = SplitMix64(seed)
+        for _ in range(5):
+            a.normal()
+            b.next_u64()
+            b.next_u64()
+        assert a.next_u64() == b.next_u64()
 
 
-def test_normal_sigma_zero_returns_mu():
-    rng = SplitMix64(10)
-    assert rng.normal(7.5, 0.0) == 7.5
+def test_normal_top_draw_is_positive_zero(monkeypatch):
+    # The top 53 bits all set round u1 up to 1.0, so the deviate's
+    # magnitude is 0; its sign must be +, as the golden logs were drawn.
+    draws = iter([(1 << 64) - 1, 0])
+    monkeypatch.setattr(SplitMix64, "next_u64", lambda self: next(draws))
+    z = SplitMix64(0).normal()
+    assert z == 0.0 and math.copysign(1.0, z) == 1.0
 
 
 def test_shuffle_is_permutation_and_deterministic():

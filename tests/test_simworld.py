@@ -3,8 +3,10 @@ import io
 import locale
 import math
 import statistics
+import sys
 import tempfile
 from dataclasses import replace
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -21,8 +23,6 @@ from fairbandit.bandit import (
     decision_record,
     greedy_select,
     place_artificial_steps,
-    predict_best_arm,
-    predict_worst_arm,
     random_select,
     shapley_select,
     shapley_update,
@@ -35,8 +35,6 @@ from fairbandit.simworld import (
     LOG_COLUMNS,
     Condition,
     ConfigError,
-    Direction,
-    Exposure,
     SchemaError,
     SessionRow,
     SimPlayer,
@@ -47,18 +45,19 @@ from fairbandit.simworld import (
     _forced_schedule,
     _pair_ranks,
     _row_error,
-    alignment,
+    comparison_sign,
     draw_world,
-    exposure_direction,
     log_summary,
     logistic,
     miss_decision,
     motivation_response,
     read_log_csv,
     run_study,
+    sign_alignment,
     step_response,
     write_log_csv,
 )
+from test_bandit import reference_argbest
 
 
 def player(**kwargs) -> SimPlayer:
@@ -73,54 +72,44 @@ def config(condition=Condition.GREEDY, players=None, **kwargs) -> StudyConfig:
     return StudyConfig(condition=condition, players=players, **kwargs)
 
 
-class TestExposure:
+class TestComparisonSign:
     def test_more_steps_is_upward(self):
-        e = exposure_direction(9000, 12000, 9500)
-        assert e.artificial is Direction.UPWARD
+        assert comparison_sign(9000, 12000) == 1
 
     def test_fewer_steps_is_downward(self):
-        e = exposure_direction(9000, 6400, 9500)
-        assert e.artificial is Direction.DOWNWARD
+        assert comparison_sign(9000, 6400) == -1
 
     def test_equal_steps_is_lateral(self):
-        e = exposure_direction(9000, 9000, 9000)
-        assert e.artificial is Direction.LATERAL
-        assert e.teammate is Direction.LATERAL
-
-    def test_negative_steps_rejected(self):
-        with pytest.raises(ValueError):
-            exposure_direction(-1, 100, 100)
+        assert comparison_sign(9000, 9000) == 0
+        assert comparison_sign(0.0, -0.0) == 0
 
     def test_alignment_averages_targets(self):
-        up_up = Exposure(Direction.UPWARD, Direction.UPWARD)
-        up_down = Exposure(Direction.UPWARD, Direction.DOWNWARD)
-        assert alignment(0.8, up_up) == pytest.approx(0.8)
-        assert alignment(0.8, up_down) == pytest.approx(0.0)
-        assert alignment(-0.5, up_up) == pytest.approx(-0.5)
+        assert sign_alignment(0.8, 1, 1) == pytest.approx(0.8)
+        assert sign_alignment(0.8, 1, -1) == pytest.approx(0.0)
+        assert sign_alignment(-0.5, 1, 1) == pytest.approx(-0.5)
+        assert sign_alignment(0.8, 0, 0) == 0.0
 
 
 class TestStepResponse:
-    UP_UP = Exposure(Direction.UPWARD, Direction.UPWARD)
-
     def test_upward_responder_boosted(self):
         p = player(sco=1.0, effect_size=500.0)
-        assert step_response(p, alignment(p.sco, self.UP_UP), 0.7) == pytest.approx(10500.0)
+        assert step_response(p, sign_alignment(p.sco, 1, 1), 0.7) == pytest.approx(10500.0)
 
     def test_downward_responder_suppressed(self):
         p = player(sco=-1.0, effect_size=500.0)
-        assert step_response(p, alignment(p.sco, self.UP_UP), -0.7) == pytest.approx(9500.0)
+        assert step_response(p, sign_alignment(p.sco, 1, 1), -0.7) == pytest.approx(9500.0)
 
     def test_null_responder_unmoved(self):
         p = player(sco=0.0, effect_size=500.0)
-        assert step_response(p, alignment(p.sco, self.UP_UP), 2.5) == pytest.approx(10000.0)
+        assert step_response(p, sign_alignment(p.sco, 1, 1), 2.5) == pytest.approx(10000.0)
 
     def test_floored_at_zero(self):
         p = player(baseline_steps=100.0, sco=-1.0, effect_size=5000.0)
-        assert step_response(p, alignment(p.sco, self.UP_UP), 0.0) == 0.0
+        assert step_response(p, sign_alignment(p.sco, 1, 1), 0.0) == 0.0
 
     def test_noise_is_sd_times_draw(self):
         p = player(noise_sd=400.0, sco=1.0, effect_size=500.0)
-        assert step_response(p, alignment(p.sco, self.UP_UP), -1.5) == 10000.0 + 500.0 - 600.0
+        assert step_response(p, sign_alignment(p.sco, 1, 1), -1.5) == 10000.0 + 500.0 - 600.0
         assert step_response(p, 0.0, 0.25) == 10100.0
 
 
@@ -130,7 +119,7 @@ class TestMotivationResponse:
         rng = SplitMix64(3)
         for _ in range(50):
             pre, post = motivation_response(
-                alignment(p.sco, TestStepResponse.UP_UP), 2 + rng.randrange(3), rng.random()
+                sign_alignment(p.sco, 1, 1), 2 + rng.randrange(3), rng.random()
             )
             assert post == min(5, pre + 1)
 
@@ -139,23 +128,19 @@ class TestMotivationResponse:
         rng = SplitMix64(4)
         for _ in range(50):
             pre, post = motivation_response(
-                alignment(p.sco, TestStepResponse.UP_UP), 2 + rng.randrange(3), rng.random()
+                sign_alignment(p.sco, 1, 1), 2 + rng.randrange(3), rng.random()
             )
             assert post == pre
 
     def test_scale_bounds_over_many_draws(self):
         rng = SplitMix64(5)
-        exposures = [
-            Exposure(a, t)
-            for a in Direction
-            for t in Direction
-        ]
+        sign_pairs = [(a, t) for a in (-1, 0, 1) for t in (-1, 0, 1)]
         players = [player(sco=s) for s in (-1.0, -0.3, 0.0, 0.7, 1.0)]
         for i in range(10000):
             p = players[i % len(players)]
-            e = exposures[i % len(exposures)]
+            a, t = sign_pairs[i % len(sign_pairs)]
             pre, post = motivation_response(
-                alignment(p.sco, e), 2 + rng.randrange(3), rng.random()
+                sign_alignment(p.sco, a, t), 2 + rng.randrange(3), rng.random()
             )
             assert 1 <= pre <= 5
             assert 1 <= post <= 5
@@ -236,6 +221,38 @@ class TestConfigValidation:
     def test_config_rejects_non_finite_number(self, name, value):
         with pytest.raises(ConfigError, match=f"^{name} must be a finite number, got {value!r}$"):
             config(**{name: value})
+
+    @pytest.mark.parametrize(
+        "player_doc, overrides, fields",
+        [
+            # Three baseline days of 1e308 steps sum to inf.
+            (dict(baseline_steps=1e308), {}, "baseline_steps"),
+            # A day's steps reach inf, so the reward is NaN.
+            (
+                dict(baseline_steps=1.5e308, noise_sd=1e308, sco=1.0, effect_size=1e308),
+                {},
+                "noise_sd",
+            ),
+            # Ordinary steps over a subnormal step_scale give an infinite reward.
+            ({}, {"step_scale": 1e-310}, "step_scale"),
+            # A day count past the float range is refused, not an OverflowError.
+            ({}, {"total_sessions": 10**400}, "player-days"),
+        ],
+    )
+    def test_config_whose_totals_overflow_is_rejected(self, player_doc, overrides, fields):
+        team = (player(**player_doc), player(baseline_steps=9000.0))
+        with pytest.raises(ConfigError, match=fields):
+            config(players=team, **overrides)
+
+    def test_largest_finite_totals_are_accepted(self):
+        # 48 player-days of this peak stay finite; so do its rewards.
+        peak = sys.float_info.max / 49
+        log = run_study(config(players=(player(baseline_steps=peak), player())))
+        assert all(math.isfinite(r) for d in log.decisions for r in d["rewards"].values())
+        with pytest.raises(ConfigError, match="overflow"):
+            config(players=(player(baseline_steps=peak * 1.05), player()))
+        with pytest.raises(ConfigError, match="motivation_weight"):
+            config(motivation_weight=sys.float_info.max / 40)
 
     def test_dict_round_trip(self):
         cfg = config(condition=Condition.SHAPLEY, seed=42, jitter=True)
@@ -629,6 +646,14 @@ def test_random_draws_per_study_unchanged(monkeypatch, scenario, condition):
     assert got == DRAWS_PER_STUDY[scenario, condition]
 
 
+class Direction(str, Enum):
+    """A comparison target's direction, as the simulator once named it."""
+
+    UPWARD = "upward"
+    DOWNWARD = "downward"
+    LATERAL = "lateral"
+
+
 def oracle_alignment(sco: float, own: float, artificial: float, teammate: float) -> float:
     """Preference alignment through per-target Direction members and
     float signs, as `run_study` computed it before it compared plain
@@ -648,7 +673,7 @@ def oracle_alignment(sco: float, own: float, artificial: float, teammate: float)
 
 
 def oracle_step_response(p: SimPlayer, a: float, rng: SplitMix64) -> float:
-    noise = rng.normal(0.0, p.noise_sd)
+    noise = 0.0 + p.noise_sd * rng.normal()
     return max(0.0, p.baseline_steps + a * p.effect_size + noise)
 
 
@@ -676,11 +701,17 @@ def oracle_running_disparities(observed_steps, best_given, worst_given, any_expl
     return [e - t for e, t in zip(pr_e, pr_t)]
 
 
+def oracle_predict(model: RewardModel, player: int, best: bool) -> Arm:
+    """The player's best (or worst) arm, ties to the lowest ordinal."""
+    return Arm(reference_argbest(model.means(player), best))
+
+
 def run_study_by_objects(config: StudyConfig) -> StudyLog:
     """`run_study` as it was before its day loop ran on plain numbers:
-    an Exposure per player-day, four `predict_*` calls a day, a reward
-    tuple and keyword-built rows, world draws taken from the stream as
-    the day goes, and efforts re-summed each day. Kept as the oracle."""
+    a Direction per target and player-day, a best and a worst prediction
+    per player and day, a reward tuple and keyword-built rows, world
+    draws taken from the stream as the day goes, and efforts re-summed
+    each day. Kept as the oracle."""
     n = len(config.players)
     base = SplitMix64(config.seed)
     decision_rng = base.spawn()
@@ -690,7 +721,7 @@ def run_study_by_objects(config: StudyConfig) -> StudyLog:
     baseline_samples: list[list[float]] = [[] for _ in range(n)]
     for _day in range(config.baseline_days):
         for i, p in enumerate(config.players):
-            steps = max(0.0, p.baseline_steps + world_rng.normal(0.0, p.noise_sd))
+            steps = max(0.0, p.baseline_steps + (0.0 + p.noise_sd * world_rng.normal()))
             baseline_samples[i].append(steps)
     baseline_means = [sum(s) / len(s) for s in baseline_samples]
     last_steps = [samples[-1] for samples in baseline_samples]
@@ -724,8 +755,8 @@ def run_study_by_objects(config: StudyConfig) -> StudyLog:
             decision = shapley_select(state, model, players, decision_rng)
         arm = decision.arm
 
-        best_arms = [predict_best_arm(model, p) for p in players]
-        worst_arms = [predict_worst_arm(model, p) for p in players]
+        best_arms = [oracle_predict(model, p, True) for p in players]
+        worst_arms = [oracle_predict(model, p, False) for p in players]
         artificial = place_artificial_steps(arm, last_steps[0], last_steps[1], jitter)
 
         day_rewards: dict[int, float] = {}
@@ -861,6 +892,44 @@ def test_run_study_matches_object_oracle(cfg):
         assert repr(getattr(got, name)) == repr(getattr(want, name)), name
     assert (got.condition, got.seed) == (want.condition, want.seed)
     assert draws[0] == draws[1]
+
+
+MAGNITUDES = st.sampled_from([0.0, 1.0, 1e4, 1e150, 1e300, 1e306, 1e307, 1e308]) | st.floats(
+    0.0, 1e308
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    baseline=st.tuples(*[MAGNITUDES.filter(lambda x: x > 0)] * 2),
+    noise_sd=st.tuples(MAGNITUDES, MAGNITUDES),
+    effect_size=st.tuples(MAGNITUDES, MAGNITUDES),
+    step_scale=MAGNITUDES | st.sampled_from([1e-310, 5e-324, 1e-300]),
+    motivation_weight=MAGNITUDES.flatmap(lambda m: st.sampled_from([m, -m])),
+    condition=st.sampled_from(list(Condition)),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_config_is_refused_or_its_study_stays_finite(
+    baseline, noise_sd, effect_size, step_scale, motivation_weight, condition, seed
+):
+    """A config that StudyConfig accepts never overflows mid-study."""
+    try:
+        cfg = StudyConfig(
+            condition=condition,
+            players=tuple(
+                SimPlayer(baseline_steps=b, noise_sd=n, sco=1.0, effect_size=e)
+                for b, n, e in zip(baseline, noise_sd, effect_size)
+            ),
+            seed=seed,
+            step_scale=step_scale,
+            motivation_weight=motivation_weight,
+        )
+    except ConfigError:
+        return
+    log = run_study(cfg)
+    assert all(math.isfinite(r) for d in log.decisions for r in d["rewards"].values())
+    assert all(math.isfinite(c) for c in log.final_csv)
+    assert all(math.isfinite(m) for m in log.baseline_means)
 
 
 def assert_same_log(got: StudyLog, want: StudyLog) -> None:
