@@ -276,25 +276,6 @@ def shapley_update(
         state.tc[decision.catered_player] += 1
 
 
-def decision_record(
-    day: int,
-    decision: Decision,
-    state: ShapleyBanditState,
-    rewards: Mapping[PlayerId, float],
-) -> dict:
-    """JSON-serializable per-session record. Field names are stable and
-    covered by golden-file tests."""
-    return {
-        "day": day,
-        "mode": decision.mode.value,
-        "arm": decision.arm.letter,
-        "catered_player": decision.catered_player,
-        "csv": list(state.csv),
-        "tc": list(state.tc),
-        "rewards": {str(p): rewards[p] for p in sorted(rewards)},
-    }
-
-
 def write_decisions_jsonl(records: Iterable[dict], path) -> None:
     with open(path, "w", newline="\n") as fh:
         for record in records:

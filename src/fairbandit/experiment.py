@@ -26,6 +26,7 @@ import contextlib
 import csv
 import hashlib
 import json
+import sys
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -50,7 +51,9 @@ from .simworld import (
     StudyConfig,
     StudyLog,
     StudyWorld,
+    TEAM_SIZE,
     check_doc,
+    decision_records,
     draw_world,
     run_study,
     write_log_csv,
@@ -77,6 +80,16 @@ class ExperimentSpec:
         names = [c.condition.value for c in self.conditions]
         if len(set(names)) != len(names):
             raise ConfigError(f"condition names must be unique, got {names}")
+        # A condition's mean steps_vs_baseline adds one term per player and
+        # replication, none over the study's peak steps in size.
+        terms = self.replications * TEAM_SIZE
+        for c in self.conditions:
+            if terms > sys.float_info.max / c.peak_steps:
+                raise ConfigError(
+                    f"condition {c.condition.value}: {self.replications} replications x"
+                    f" {TEAM_SIZE} players = {terms} steps_vs_baseline terms of up to"
+                    f" peak_steps {c.peak_steps!r} overflow the condition's mean"
+                )
 
     def to_dict(self) -> dict:
         return {
@@ -317,7 +330,8 @@ def run_experiment(
                 rep_dir = cond_dir / f"rep_{k:04d}"
                 rep_dir.mkdir(parents=True, exist_ok=True)
                 write_log_csv(log, rep_dir / "log.csv")
-                write_decisions_jsonl(log.decisions, rep_dir / "decisions.jsonl")
+                records = decision_records(log, config.step_scale, config.motivation_weight)
+                write_decisions_jsonl(records, rep_dir / "decisions.jsonl")
                 write_log_summary(log, rep_dir / "summary.json", tallies[k])
                 files += [
                     str((rep_dir / fname).relative_to(out))

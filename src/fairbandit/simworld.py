@@ -30,7 +30,8 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import NamedTuple
+from itertools import groupby
+from typing import Iterator, NamedTuple
 
 from .analysis import PlayerTally
 from .bandit import (
@@ -40,7 +41,6 @@ from .bandit import (
     RewardModel,
     ShapleyBanditState,
     combined_reward,
-    decision_record,
     greedy_select,
     place_artificial_steps,
     predict_arms,
@@ -180,9 +180,9 @@ class StudyConfig:
             raise ConfigError("step_scale must be positive")
         # Every total a study forms (baseline and step sums, CSV, reward
         # sums, greedy's column sums) adds at most `days` terms, none over
-        # a day's peak steps or peak |reward|; Box-Muller gives |z| < 8.66.
-        # Comparing the int `days` raises no OverflowError, however large.
-        peak = max(p.baseline_steps + p.effect_size + 9.0 * p.noise_sd for p in self.players)
+        # a day's peak steps or peak |reward|. Comparing the int `days`
+        # raises no OverflowError, however large.
+        peak = self.peak_steps
         reward = peak / self.step_scale + abs(self.motivation_weight)
         days = TEAM_SIZE * (self.baseline_days + self.total_sessions)
         if days > sys.float_info.max / max(peak, reward):
@@ -191,6 +191,12 @@ class StudyConfig:
                 f" + effect_size + 9 * noise_sd = {peak!r}, its |reward| reaches that / step_scale"
                 f" + |motivation_weight| = {reward!r}"
             )
+
+    @property
+    def peak_steps(self) -> float:
+        """A bound on any player's steps on any day: baseline_steps +
+        effect_size + 9 * noise_sd, as Box-Muller gives |z| < 8.66."""
+        return max(p.baseline_steps + p.effect_size + 9.0 * p.noise_sd for p in self.players)
 
     @property
     def intervention_start(self) -> int:
@@ -249,7 +255,6 @@ class StudyLog:
     final_tc: list[int] = field(default_factory=list)
     final_tc_effective: list[int] = field(default_factory=list)
     final_sum_sd: float | None = None
-    decisions: list[dict] = field(default_factory=list)
 
 
 def comparison_sign(own: float, target: float) -> int:
@@ -424,7 +429,6 @@ def run_study(config: StudyConfig, world: StudyWorld | None = None) -> StudyLog:
     any_exploit = False
 
     rows: list[SessionRow] = []
-    decisions: list[dict] = []
 
     jitter = jitter_rng if config.jitter else None
     condition = config.condition
@@ -457,7 +461,6 @@ def run_study(config: StudyConfig, world: StudyWorld | None = None) -> StudyLog:
         predicted = [predict_arms(model, p) for p in players]
         artificial = place_artificial_steps(arm, last_steps[0], last_steps[1], jitter)
 
-        day_rewards: dict[int, float] = {}
         day_steps: dict[int, float] = {}
         # place_artificial_steps has rejected negative steps of either
         # player, and never places a negative count.
@@ -477,7 +480,6 @@ def run_study(config: StudyConfig, world: StudyWorld | None = None) -> StudyLog:
                 reward = combined_reward(
                     steps - baseline_mean, float(post - pre), step_scale, motivation_weight
                 )
-                day_rewards[i] = reward
                 model.observe_scalar(i, arm, reward)
             best, worst = predicted[i]
             rows.append(
@@ -505,8 +507,6 @@ def run_study(config: StudyConfig, world: StudyWorld | None = None) -> StudyLog:
                 if arm is worst:
                     worst_given[i] += 1
 
-        decisions.append(decision_record(day, decision, state, day_rewards))
-
     # Treatment shares for the final fairness audit: the strategy's own
     # counters where it maintains them (catered exploit rounds), else
     # the rounds whose chosen arm matched the player's predicted best.
@@ -525,8 +525,30 @@ def run_study(config: StudyConfig, world: StudyWorld | None = None) -> StudyLog:
         final_tc=list(state.tc),
         final_tc_effective=tc_effective,
         final_sum_sd=final_sum_sd,
-        decisions=decisions,
     )
+
+
+def decision_records(log: StudyLog, step_scale: float, motivation_weight: float) -> Iterator[dict]:
+    """Each session day's record, rebuilt from the log's rows in day order.
+    Every row of a day carries its decision; `csv` adds attended steps as
+    `shapley_update` does, `tc` counts exploit days catered to each player
+    and `rewards` holds each attending player's combined reward."""
+    n = 1 + max((row.player for row in log.rows), default=-1)
+    contributions, treatments = [0.0] * n, [0] * n
+    for day, day_rows in groupby(log.rows, lambda row: row.day):
+        rewards = {}
+        for row in day_rows:
+            if not row.missed:
+                contributions[row.player] += row.steps
+                deltas = row.steps - row.baseline_mean, float(row.post_motivation - row.pre_motivation)
+                rewards[row.player] = combined_reward(*deltas, step_scale, motivation_weight)
+        if row.mode is Mode.EXPLOIT and row.catered_player is not None:
+            treatments[row.catered_player] += 1
+        yield {
+            "day": day, "mode": row.mode.value, "arm": row.arm.letter,
+            "catered_player": row.catered_player, "csv": list(contributions),
+            "tc": list(treatments), "rewards": {str(p): rewards[p] for p in sorted(rewards)},
+        }
 
 
 LOG_COLUMNS = [

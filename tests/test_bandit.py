@@ -13,7 +13,6 @@ from fairbandit.bandit import (
     ShapleyBanditState,
     ZeroTotalCSVError,
     combined_reward,
-    decision_record,
     disparity_sum_if_catered,
     greedy_select,
     place_artificial_steps,
@@ -27,6 +26,7 @@ from fairbandit.bandit import (
 )
 from fairbandit.rng import SplitMix64
 from fairbandit.shapley import AdditiveSteps, Coalition, shapley_all
+from fairbandit.simworld import SessionRow, StudyLog, decision_records
 
 
 def model_with_means(means: dict[int, dict[Arm, float]]) -> RewardModel:
@@ -442,26 +442,49 @@ class TestStateValidation:
 
 
 class TestDecisionRecord:
+    # Day 1 (forced, arm A): player 0 attends, player 1 misses. Day 2
+    # (exploit, arm C, catered to player 1): both attend.
+    LOG = StudyLog(
+        rows=[
+            SessionRow(1, 0, 100.0, False, 3, 4, Arm.ABOVE_HIGHER, Mode.FORCED, None,
+                       120.0, Arm.ABOVE_HIGHER, Arm.ABOVE_HIGHER, 50.0),
+            SessionRow(1, 1, None, True, None, None, Arm.ABOVE_HIGHER, Mode.FORCED, None,
+                       120.0, Arm.ABOVE_HIGHER, Arm.ABOVE_HIGHER, 250.0),
+            SessionRow(2, 0, 150.0, False, 3, 3, Arm.BELOW_LOWER, Mode.EXPLOIT, 1,
+                       80.0, Arm.ABOVE_HIGHER, Arm.BELOW_LOWER, 50.0),
+            SessionRow(2, 1, 200.0, False, 2, 2, Arm.BELOW_LOWER, Mode.EXPLOIT, 1,
+                       80.0, Arm.BELOW_LOWER, Arm.ABOVE_HIGHER, 250.0),
+        ]
+    )
+
     def test_stable_field_names(self):
-        state = ShapleyBanditState(csv=[100.0, 200.0], tc=[1, 0])
-        decision = Decision(arm=Arm.BELOW_LOWER, catered_player=1, mode=Mode.EXPLOIT)
-        record = decision_record(4, decision, state, {0: 1.5, 1: -0.5})
-        assert record == {
-            "day": 4,
-            "mode": "exploit",
-            "arm": "C",
-            "catered_player": 1,
-            "csv": [100.0, 200.0],
-            "tc": [1, 0],
-            "rewards": {"0": 1.5, "1": -0.5},
-        }
+        records = list(decision_records(self.LOG, step_scale=100.0, motivation_weight=1.0))
+        assert records == [
+            {
+                "day": 1,
+                "mode": "forced",
+                "arm": "A",
+                "catered_player": None,
+                "csv": [100.0, 0.0],
+                "tc": [0, 0],
+                "rewards": {"0": 1.5},
+            },
+            {
+                "day": 2,
+                "mode": "exploit",
+                "arm": "C",
+                "catered_player": 1,
+                "csv": [250.0, 200.0],
+                "tc": [0, 1],
+                "rewards": {"0": 1.0, "1": -0.5},
+            },
+        ]
+        assert [list(record) for record in records] == [
+            ["day", "mode", "arm", "catered_player", "csv", "tc", "rewards"]
+        ] * 2
 
     def test_jsonl_round_trip(self, tmp_path):
-        state = ShapleyBanditState(csv=[1.0], tc=[0])
-        records = [
-            decision_record(day, Decision(arm=Arm.ABOVE_HIGHER, mode=Mode.FORCED), state, {})
-            for day in (1, 2)
-        ]
+        records = decision_records(self.LOG, step_scale=100.0, motivation_weight=1.0)
         path = tmp_path / "decisions.jsonl"
         write_decisions_jsonl(records, path)
         lines = path.read_text().splitlines()

@@ -4,8 +4,10 @@ import hashlib
 import io
 import json
 import math
+import sys
 import tempfile
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from fairbandit.analysis import disparity_report
 from fairbandit.cli import main
 from fairbandit.experiment import ExperimentSpec, run_experiment
-from fairbandit.simworld import Condition, SimPlayer, StudyConfig
+from fairbandit.simworld import Condition, ConfigError, SimPlayer, StudyConfig
 from fairbandit.verification import run_axiom_suite
 
 
@@ -534,6 +536,57 @@ class TestSpecLoading:
         err = capsys.readouterr().err
         assert err.startswith("run: ") and named in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    # Each study's 48 player-days of a peak near float_max / 49 stay
+    # finite, but the condition's steps_vs_baseline adds 400 such terms.
+    @pytest.mark.parametrize("replications, override", [(200, []), (3, ["--replications", "200"])])
+    def test_spec_whose_condition_mean_overflows_is_config_error(
+        self, tmp_path, capsys, monkeypatch, replications, override
+    ):
+        import fairbandit.cli as cli
+
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("spec was run"))
+        doc = tiny_spec_dict(replications=replications)
+        for condition in doc["conditions"]:
+            condition["players"] = [
+                {"baseline_steps": b, "sco": 1.0, "effect_size": sys.float_info.max / 49}
+                for b in (1.0, 2.0)
+            ]
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        argv = ["run", "--spec", str(spec_path), "--out", str(tmp_path / "o"), *override]
+        assert exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run: ") and "Traceback" not in err
+        assert "200 replications" in err and "400" in err and "steps_vs_baseline" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_scenario_whose_replications_overflow_is_config_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import fairbandit.cli as cli
+
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("spec was run"))
+        replications = str(10**304)
+        argv = ["run", "--scenario", "study-protocol", "--replications", replications,
+                "--out", str(tmp_path / "o")]
+        assert exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run: ") and replications in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_condition_mean_bound_counts_every_replication(self):
+        # float_max / peak is 49.0: 24 replications give 48 terms, 25 give 50.
+        team = tuple(
+            SimPlayer(baseline_steps=b, sco=1.0, effect_size=sys.float_info.max / 49)
+            for b in (1.0, 2.0)
+        )
+        cfg = StudyConfig(condition=Condition.GREEDY, players=team)
+        spec = ExperimentSpec(scenario="edge", conditions=(cfg,), replications=24)
+        summary = run_experiment(spec, "unused", write_artifacts=False).condition_summaries[0]
+        assert math.isfinite(summary["steps_vs_baseline"])
+        with pytest.raises(ConfigError, match="greedy: 25 replications"):
+            replace(spec, replications=25)
 
     def test_spec_that_is_not_an_object_is_config_error(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

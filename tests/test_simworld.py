@@ -5,6 +5,7 @@ import math
 import statistics
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from enum import Enum
 from pathlib import Path
@@ -20,13 +21,13 @@ from fairbandit.bandit import (
     Mode,
     RewardModel,
     ShapleyBanditState,
-    decision_record,
     greedy_select,
     place_artificial_steps,
     random_select,
     shapley_select,
     shapley_update,
     team_disparity_sum,
+    write_decisions_jsonl,
 )
 from fairbandit.experiment import ExperimentSpec, run_experiment
 from fairbandit.rng import SplitMix64
@@ -46,6 +47,7 @@ from fairbandit.simworld import (
     _pair_ranks,
     _row_error,
     comparison_sign,
+    decision_records,
     draw_world,
     log_summary,
     logistic,
@@ -247,8 +249,9 @@ class TestConfigValidation:
     def test_largest_finite_totals_are_accepted(self):
         # 48 player-days of this peak stay finite; so do its rewards.
         peak = sys.float_info.max / 49
-        log = run_study(config(players=(player(baseline_steps=peak), player())))
-        assert all(math.isfinite(r) for d in log.decisions for r in d["rewards"].values())
+        cfg = config(players=(player(baseline_steps=peak), player()))
+        records = decision_records(run_study(cfg), cfg.step_scale, cfg.motivation_weight)
+        assert all(math.isfinite(r) for d in records for r in d["rewards"].values())
         with pytest.raises(ConfigError, match="overflow"):
             config(players=(player(baseline_steps=peak * 1.05), player()))
         with pytest.raises(ConfigError, match="motivation_weight"):
@@ -292,7 +295,9 @@ class TestRunStudy:
         a = run_study(cfg)
         b = run_study(cfg)
         assert a.rows == b.rows
-        assert a.decisions == b.decisions
+        assert list(decision_records(a, cfg.step_scale, cfg.motivation_weight)) == list(
+            decision_records(b, cfg.step_scale, cfg.motivation_weight)
+        )
         assert a.final_csv == b.final_csv
 
     def test_null_cohort_identical_across_conditions(self):
@@ -335,7 +340,8 @@ class TestRunStudy:
         assert log.final_csv[0] == 0.0
         assert log.final_csv[1] > 0.0
         # every day's reward record omits the absent player
-        assert all("0" not in d["rewards"] for d in log.decisions)
+        records = decision_records(log, cfg.step_scale, cfg.motivation_weight)
+        assert all("0" not in d["rewards"] for d in records)
 
     def test_all_players_missing_defers_strategy(self):
         cfg = config(
@@ -394,7 +400,8 @@ class TestRunStudy:
                             effect_size=400.0)),
         )
         log = run_study(cfg)
-        exploit_days = sum(1 for d in log.decisions if d["mode"] == "exploit")
+        records = decision_records(log, cfg.step_scale, cfg.motivation_weight)
+        exploit_days = sum(1 for d in records if d["mode"] == "exploit")
         assert sum(log.final_tc) == exploit_days
         observed = [0.0, 0.0]
         for row in log.rows:
@@ -706,12 +713,29 @@ def oracle_predict(model: RewardModel, player: int, best: bool) -> Arm:
     return Arm(reference_argbest(model.means(player), best))
 
 
-def run_study_by_objects(config: StudyConfig) -> StudyLog:
+def oracle_decision_record(
+    day: int, decision: Decision, state: ShapleyBanditState, rewards: dict[int, float]
+) -> dict:
+    """A day's record read off the live strategy state and the day's
+    rewards, as the day loop once kept it."""
+    return {
+        "day": day,
+        "mode": decision.mode.value,
+        "arm": decision.arm.letter,
+        "catered_player": decision.catered_player,
+        "csv": list(state.csv),
+        "tc": list(state.tc),
+        "rewards": {str(p): rewards[p] for p in sorted(rewards)},
+    }
+
+
+def run_study_by_objects(config: StudyConfig) -> tuple[StudyLog, list[dict]]:
     """`run_study` as it was before its day loop ran on plain numbers:
     a Direction per target and player-day, a best and a worst prediction
     per player and day, a reward tuple and keyword-built rows, world
     draws taken from the stream as the day goes, and efforts re-summed
-    each day. Kept as the oracle."""
+    each day. It also returns each day's record, taken from the strategy
+    state as the day ends. Kept as the oracle."""
     n = len(config.players)
     base = SplitMix64(config.seed)
     decision_rng = base.spawn()
@@ -808,14 +832,14 @@ def run_study_by_objects(config: StudyConfig) -> StudyLog:
                     best_given[i] += 1
                 if arm == worst_arms[i]:
                     worst_given[i] += 1
-        decisions.append(decision_record(day, decision, state, day_rewards))
+        decisions.append(oracle_decision_record(day, decision, state, day_rewards))
 
     audit_tc = state.tc if config.condition is Condition.SHAPLEY else tc_effective
     try:
         final_sum_sd = team_disparity_sum(state.csv, audit_tc)
     except ValueError:
         final_sum_sd = None
-    return StudyLog(
+    log = StudyLog(
         rows=rows,
         condition=config.condition,
         seed=config.seed,
@@ -824,8 +848,8 @@ def run_study_by_objects(config: StudyConfig) -> StudyLog:
         final_tc=list(state.tc),
         final_tc_effective=tc_effective,
         final_sum_sd=final_sum_sd,
-        decisions=decisions,
     )
+    return log, decisions
 
 
 def exact(value) -> tuple[str, str]:
@@ -883,11 +907,12 @@ def test_run_study_matches_object_oracle(cfg):
             mp.setattr(SplitMix64, "next_u64", counting)
             logs.append(run(cfg))
         draws.append(count[0])
-    got, want = logs
+    got, (want, want_decisions) = logs
     assert [list(map(exact, row)) for row in got.rows] == [
         list(map(exact, row)) for row in want.rows
     ]
-    assert repr(got.decisions) == repr(want.decisions)
+    got_decisions = decision_records(got, cfg.step_scale, cfg.motivation_weight)
+    assert repr(list(got_decisions)) == repr(want_decisions)
     for name in ("baseline_means", "final_csv", "final_tc", "final_tc_effective", "final_sum_sd"):
         assert repr(getattr(got, name)) == repr(getattr(want, name)), name
     assert (got.condition, got.seed) == (want.condition, want.seed)
@@ -927,17 +952,21 @@ def test_config_is_refused_or_its_study_stays_finite(
     except ConfigError:
         return
     log = run_study(cfg)
-    assert all(math.isfinite(r) for d in log.decisions for r in d["rewards"].values())
+    records = decision_records(log, cfg.step_scale, cfg.motivation_weight)
+    assert all(math.isfinite(r) for d in records for r in d["rewards"].values())
     assert all(math.isfinite(c) for c in log.final_csv)
     assert all(math.isfinite(m) for m in log.baseline_means)
 
 
-def assert_same_log(got: StudyLog, want: StudyLog) -> None:
-    """Same rows bit for bit, same decisions and the same final fields."""
+def assert_same_log(got: StudyLog, want: StudyLog, cfg: StudyConfig) -> None:
+    """Same rows bit for bit, same decisions under `cfg` and the same
+    final fields."""
     assert [list(map(exact, row)) for row in got.rows] == [
         list(map(exact, row)) for row in want.rows
     ]
-    assert repr(got.decisions) == repr(want.decisions)
+    assert repr(list(decision_records(got, cfg.step_scale, cfg.motivation_weight))) == repr(
+        list(decision_records(want, cfg.step_scale, cfg.motivation_weight))
+    )
     for name in ("baseline_means", "final_csv", "final_tc", "final_tc_effective", "final_sum_sd"):
         assert repr(getattr(got, name)) == repr(getattr(want, name)), name
     assert (got.condition, got.seed) == (want.condition, want.seed)
@@ -980,7 +1009,7 @@ def test_shared_world_matches_standalone_studies(spec):
         ]
         for k, log in enumerate(logs):
             alone = replace(cfg, seed=spec.base_seed + k)
-            assert_same_log(log, run_study(alone))
+            assert_same_log(log, run_study(alone), alone)
             for seed, baseline_days, total_sessions in (
                 (alone.seed + 1, alone.baseline_days, alone.total_sessions),
                 (alone.seed, alone.baseline_days + 1, alone.total_sessions),
@@ -1000,7 +1029,7 @@ def test_world_is_an_immutable_record_of_the_draws():
     assert world == draw_world(17, 2, 12)
     with pytest.raises(AttributeError):
         world.seed = 18
-    assert_same_log(run_study(cfg, world), run_study(cfg))
+    assert_same_log(run_study(cfg, world), run_study(cfg), cfg)
     assert issubclass(WorldMismatchError, ValueError)
 
 
@@ -1022,6 +1051,34 @@ def test_experiment_draws_each_world_once(monkeypatch):
     spec = load_scenario("conflict-cohort", replications=5)
     run_experiment(spec, "unused", jobs=1, write_artifacts=False)
     assert draws[0] == EXPERIMENT_DRAWS
+
+
+def test_decisions_jsonl_is_a_function_of_log_csv(tmp_path):
+    """Each rep's decisions.jsonl is rebuilt, byte for byte, from its
+    log.csv and the scenario's step_scale and motivation_weight."""
+    spec = load_scenario("conflict-cohort", replications=5)
+    assert {(c.step_scale, c.motivation_weight) for c in spec.conditions} == {(1000.0, 1.0)}
+    run_experiment(spec, tmp_path / "run")
+    reps = sorted((tmp_path / "run").glob("*/rep_*"))
+    assert len(reps) == 15
+    for rep in reps:
+        again = tmp_path / "again.jsonl"
+        write_decisions_jsonl(decision_records(read_log_csv(rep / "log.csv"), 1000.0, 1.0), again)
+        assert again.read_bytes() == (rep / "decisions.jsonl").read_bytes(), rep
+
+
+def test_in_memory_experiment_holds_only_rows():
+    """An in-memory run keeps each log's rows and no per-day record: the
+    tracemalloc peak of conflict-cohort 3 x 100 is about 3 MB (7.7 MB
+    when every log also held a decision record per day)."""
+    spec = load_scenario("conflict-cohort", replications=100)
+    tracemalloc.start()
+    try:
+        run_experiment(spec, "unused", write_artifacts=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 finite_or_inf = st.floats(allow_nan=False)
