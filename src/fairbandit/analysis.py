@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .bandit import Mode, team_disparity_sum
+
 DEFAULT_INTERVENTION_START = 10
 
 REPORT_COLUMNS = ["player", "disparity", "miss_likelihood", "effort", "treatment"]
@@ -105,21 +107,29 @@ class CorrelationReport:
 class PlayerTally:
     """One player's counts from a single pass over a log's rows.
 
-    The window sums cover days from the intervention start on; misses
-    and sessions cover every scheduled session. Values accumulate in row
-    order.
+    The window sums cover days from the intervention start on, the rest
+    every session, in row order. `contribution` is the final CSV, `catered`
+    the final TC, `given_best` the exploit days given the predicted-best arm.
     """
 
+    baseline_mean: float
     step_sum: float = 0.0
     attended: int = 0
     net_top_treatment: int = 0
     misses: int = 0
     sessions: int = 0
     post_motivation: list[int] = field(default_factory=list)
+    contribution: float = 0.0
+    catered: int = 0
+    given_best: int = 0
 
     @property
     def effort(self) -> float | None:
         return self.step_sum / self.attended if self.attended else None
+
+    @property
+    def steps_vs_baseline(self) -> float | None:
+        return self.step_sum / self.attended - self.baseline_mean if self.attended else None
 
     @property
     def miss_likelihood(self) -> float:
@@ -132,22 +142,41 @@ def log_metrics(
     """Every player's tally from one walk over `log.rows`, keyed by
     player id in ascending order."""
     tallies: dict[int, PlayerTally] = {}
-    for row in log.rows:
-        tally = tallies.get(row.player)
+    exploit = Mode.EXPLOIT
+    # A `SessionRow` unpacked once reads faster than field by field.
+    for day, player, steps, missed, _, post, arm, mode, catered, _, best, worst, baseline in log.rows:
+        tally = tallies.get(player)
         if tally is None:
-            tally = tallies[row.player] = PlayerTally()
+            tally = tallies[player] = PlayerTally(baseline)
         tally.sessions += 1
-        if row.missed:
+        if missed:
             tally.misses += 1
-        if row.day < intervention_start:
+        else:
+            tally.contribution += steps
+        if mode is exploit:
+            tally.catered += catered == player
+            tally.given_best += arm is best
+        if day < intervention_start:
             continue
-        tally.net_top_treatment += (row.arm == row.best_arm) - (row.arm == row.worst_arm)
-        if not row.missed:
-            tally.step_sum += row.steps
+        tally.net_top_treatment += (arm is best) - (arm is worst)
+        if not missed:
+            tally.step_sum += steps
             tally.attended += 1
-            if row.post_motivation is not None:
-                tally.post_motivation.append(row.post_motivation)
+            if post is not None:
+                tally.post_motivation.append(post)
     return dict(sorted(tallies.items()))
+
+
+def audit_sum_sd(tallies: dict[int, PlayerTally]) -> float | None:
+    """The team disparity sum audited at the end of a study: CSVs against TCs, or
+    against `given_best` if no exploit day was catered. None while no CSV accrued."""
+    treatments = [tally.catered for tally in tallies.values()]
+    if not any(treatments):
+        treatments = [tally.given_best for tally in tallies.values()]
+    try:
+        return team_disparity_sum([tally.contribution for tally in tallies.values()], treatments)
+    except ValueError:
+        return None
 
 
 def effort(log, player: int, intervention_start: int = DEFAULT_INTERVENTION_START) -> float | None:

@@ -38,6 +38,7 @@ from . import __version__
 from .analysis import (
     DisparityReport,
     PlayerTally,
+    audit_sum_sd,
     correlation_diff_test,
     disparity_report,
     log_metrics,
@@ -213,31 +214,28 @@ def batch_median_r(
 
 def _condition_summary(
     condition: str,
-    logs: Sequence[StudyLog],
     tallies: Sequence[dict[int, PlayerTally]],
+    sum_sds: Sequence[float | None],
     report: DisparityReport | None,
     batch_r: float | None,
 ) -> dict:
     steps_vs_baseline = []
     miss_rates = []
     post_scores = []
-    sum_sds = []
-    for log, log_tallies in zip(logs, tallies, strict=True):
-        for p, tally in log_tallies.items():
-            if tally.effort is not None:
-                steps_vs_baseline.append(tally.effort - log.baseline_means[p])
+    for log_tallies in tallies:
+        for tally in log_tallies.values():
+            if tally.steps_vs_baseline is not None:
+                steps_vs_baseline.append(tally.steps_vs_baseline)
             miss_rates.append(tally.miss_likelihood)
             post_scores.extend(tally.post_motivation)
-        if log.final_sum_sd is not None:
-            sum_sds.append(log.final_sum_sd)
     mean = lambda xs: sum(xs) / len(xs) if xs else None
     return {
         "condition": condition,
-        "replications": len(logs),
+        "replications": len(tallies),
         "steps_vs_baseline": mean(steps_vs_baseline),
         "post_motivation_mean": mean(post_scores),
         "miss_rate": mean(miss_rates),
-        "mean_sum_sd": mean(sum_sds),
+        "mean_sum_sd": mean([sd for sd in sum_sds if sd is not None]),
         "disparity_miss_r": report.correlation.r if report else None,
         "disparity_miss_n": report.correlation.n if report else None,
         "batch_median_r": batch_r,
@@ -277,12 +275,8 @@ class ExperimentResult:
         }
 
 
-def _paired_sum_sd(greedy: Sequence[StudyLog], shapley: Sequence[StudyLog]) -> dict:
-    pairs = [
-        (g.final_sum_sd, s.final_sum_sd)
-        for g, s in zip(greedy, shapley)
-        if g.final_sum_sd is not None and s.final_sum_sd is not None
-    ]
+def _paired_sum_sd(greedy: Sequence[float | None], shapley: Sequence[float | None]) -> dict:
+    pairs = [(g, s) for g, s in zip(greedy, shapley) if g is not None and s is not None]
     lower = sum(1 for g, s in pairs if s < g)
     return {
         "paired_replications": len(pairs),
@@ -302,27 +296,30 @@ def run_experiment(
     tallied once (`log_metrics`) and every analysis of it reads that.
     Each seed's studies run as one task that draws the seed's world once
     for every condition; with `jobs` > 1 the tasks run in one process
-    pool."""
+    pool of at most one worker per seed."""
     out = Path(out_dir)
     seeds = replication_seeds(spec)
     files: list[str] = []
     logs: dict[str, list[StudyLog]] = {}
     reports: dict[str, DisparityReport | None] = {}
+    sum_sds: dict[str, list[float | None]] = {}
     summaries: list[dict] = []
 
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+    workers = min(jobs, len(seeds))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
         runs = _run_seeds(spec.conditions, seeds, pool)
     for config, condition_logs in zip(spec.conditions, runs):
         name = config.condition.value
         start = config.intervention_start
         logs[name] = condition_logs
         tallies = [log_metrics(log, start) for log in condition_logs]
+        sum_sds[name] = [audit_sum_sd(log_tallies) for log_tallies in tallies]
         try:
             reports[name] = disparity_report(condition_logs, start, tallies)
         except ValueError:
             reports[name] = None
         batch_r = batch_median_r(condition_logs, tallies)
-        summaries.append(_condition_summary(name, condition_logs, tallies, reports[name], batch_r))
+        summaries.append(_condition_summary(name, tallies, sum_sds[name], reports[name], batch_r))
 
         if write_artifacts:
             cond_dir = out / name
@@ -346,7 +343,7 @@ def run_experiment(
 
     comparison = None
     if "greedy" in logs and "shapley" in logs:
-        comparison = _paired_sum_sd(logs["greedy"], logs["shapley"])
+        comparison = _paired_sum_sd(sum_sds["greedy"], sum_sds["shapley"])
         rg, rs_ = reports.get("greedy"), reports.get("shapley")
         if rg is not None and rs_ is not None:
             try:

@@ -28,12 +28,12 @@ import json
 import locale
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import groupby
 from typing import Iterator, NamedTuple
 
-from .analysis import PlayerTally
+from .analysis import PlayerTally, audit_sum_sd, log_metrics
 from .bandit import (
     Arm,
     Decision,
@@ -47,7 +47,6 @@ from .bandit import (
     random_select,
     shapley_select,
     shapley_update,
-    team_disparity_sum,
 )
 from .rng import SplitMix64
 
@@ -165,6 +164,8 @@ class StudyConfig:
             )
         if self.baseline_days < 1:
             raise ConfigError("baseline_days must be >= 1")
+        if self.total_sessions < 1:
+            raise ConfigError("total_sessions must be >= 1")
         if self.forced_exploration_days < 0:
             raise ConfigError("forced_exploration_days must be >= 0")
         if self.forced_exploration_days % len(Arm) != 0:
@@ -244,17 +245,17 @@ class SessionRow(NamedTuple):
 
 @dataclass
 class StudyLog:
-    """Full per-session record of one simulated team study."""
+    """One simulated team study's session rows, from which `log_metrics` derives its figures."""
 
     rows: list[SessionRow]
     condition: Condition | None = None
     seed: int | None = None
     name: str = ""
-    baseline_means: list[float] = field(default_factory=list)
-    final_csv: list[float] = field(default_factory=list)
-    final_tc: list[int] = field(default_factory=list)
-    final_tc_effective: list[int] = field(default_factory=list)
-    final_sum_sd: float | None = None
+
+    @property
+    def final_sum_sd(self) -> float | None:
+        """The team disparity sum audited at the end of the study."""
+        return audit_sum_sd(log_metrics(self))
 
 
 def comparison_sign(own: float, target: float) -> int:
@@ -421,7 +422,6 @@ def run_study(config: StudyConfig, world: StudyWorld | None = None) -> StudyLog:
     model = RewardModel()
     state = ShapleyBanditState.fresh(n, epsilon=config.epsilon)
     players = list(range(n))
-    tc_effective = [0] * n
     step_totals = [0.0] * n
     step_counts = [0] * n
     best_given = [0] * n
@@ -490,11 +490,7 @@ def run_study(config: StudyConfig, world: StudyWorld | None = None) -> StudyLog:
             )
 
         shapley_update(state, decision, day_steps)
-        if mode is Mode.EXPLOIT:
-            any_exploit = True
-            for i in players:
-                if arm is predicted[i][0]:
-                    tc_effective[i] += 1
+        any_exploit = any_exploit or mode is Mode.EXPLOIT
         for i, steps in day_steps.items():
             step_totals[i] += steps
             step_counts[i] += 1
@@ -507,25 +503,7 @@ def run_study(config: StudyConfig, world: StudyWorld | None = None) -> StudyLog:
                 if arm is worst:
                     worst_given[i] += 1
 
-    # Treatment shares for the final fairness audit: the strategy's own
-    # counters where it maintains them (catered exploit rounds), else
-    # the rounds whose chosen arm matched the player's predicted best.
-    audit_tc = state.tc if config.condition is Condition.SHAPLEY else tc_effective
-    try:
-        final_sum_sd = team_disparity_sum(state.csv, audit_tc)
-    except ValueError:
-        final_sum_sd = None
-
-    return StudyLog(
-        rows=rows,
-        condition=config.condition,
-        seed=config.seed,
-        baseline_means=baseline_means,
-        final_csv=list(state.csv),
-        final_tc=list(state.tc),
-        final_tc_effective=tc_effective,
-        final_sum_sd=final_sum_sd,
-    )
+    return StudyLog(rows, config.condition, config.seed)
 
 
 def decision_records(log: StudyLog, step_scale: float, motivation_weight: float) -> Iterator[dict]:
@@ -849,22 +827,17 @@ def _first_row_problem(rows: list[SessionRow], line) -> SchemaError:
 def log_summary(log: StudyLog, tallies: dict[int, PlayerTally]) -> dict:
     """Per-study JSON summary: baselines, final strategy state and the
     headline per-player outcomes. `tallies` is the log's `log_metrics`
-    over the analysis window."""
+    over the analysis window, from which every figure is taken."""
     post = [score for tally in tallies.values() for score in tally.post_motivation]
     return {
         "condition": log.condition.value if log.condition else None,
         "seed": log.seed,
-        "baseline_means": log.baseline_means,
-        "final_csv": log.final_csv,
-        "final_tc": log.final_tc,
-        "final_tc_effective": log.final_tc_effective,
-        "final_sum_sd": log.final_sum_sd,
-        "steps_vs_baseline": {
-            str(p): (t.effort - log.baseline_means[p]) if t.effort is not None else None
-            for p, t in tallies.items()
-        }
-        if log.baseline_means
-        else {},
+        "baseline_means": [t.baseline_mean for t in tallies.values()],
+        "final_csv": [t.contribution for t in tallies.values()],
+        "final_tc": [t.catered for t in tallies.values()],
+        "final_tc_effective": [t.given_best for t in tallies.values()],
+        "final_sum_sd": audit_sum_sd(tallies),
+        "steps_vs_baseline": {str(p): t.steps_vs_baseline for p, t in tallies.items()},
         "post_motivation_mean": sum(post) / len(post) if post else None,
         "miss_likelihood": {str(p): t.miss_likelihood for p, t in tallies.items()},
     }

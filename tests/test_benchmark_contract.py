@@ -36,3 +36,33 @@ def test_traced_name_is_bound(module_name, attr):
 def test_pool_class_is_bound():
     experiment = importlib.import_module("fairbandit.experiment")
     assert "ProcessPoolExecutor" in experiment.__dict__
+
+
+def test_attributes_the_output_checks_read_exist(tmp_path):
+    """`benchmarks/workloads.py` checks each workload's output, outside the
+    timed region, through a study log's `rows` (and these row fields) and
+    `final_sum_sd`, and through an in-memory run's `logs`,
+    `condition_summaries`, `comparison` and `summary()`. A refactor that
+    drops one fails every operation of the workload."""
+    from fairbandit.experiment import run_experiment
+    from fairbandit.scenarios import load_scenario
+    from fairbandit.simworld import run_study
+
+    spec = load_scenario("conflict-cohort", replications=2)
+    result = run_experiment(spec, tmp_path / "unused", jobs=1, write_artifacts=False)
+    assert not (tmp_path / "unused").exists()
+    names = [c.condition.value for c in spec.conditions]
+    assert [row["condition"] for row in result.condition_summaries] == names
+    for row in result.condition_summaries:
+        assert {"mean_sum_sd", "miss_rate", "disparity_miss_r"} <= set(row)
+    assert set(result.logs) == set(names)
+    logs = [run_study(spec.conditions[0])] + [log for cond in names for log in result.logs[cond]]
+    row_fields = ("day", "player", "steps", "missed", "arm", "best_arm", "worst_arm")
+    for log in logs:
+        assert log.rows
+        assert all(hasattr(row, name) for row in log.rows for name in row_fields)
+        assert log.final_sum_sd is None or isinstance(log.final_sum_sd, float)
+    assert result.comparison is None or isinstance(result.comparison, dict)
+    summary = result.summary()
+    assert summary["conditions"] == result.condition_summaries
+    assert summary["greedy_vs_shapley"] == result.comparison

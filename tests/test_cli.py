@@ -618,6 +618,17 @@ class TestSpecLoading:
         assert "run: an experiment needs at least one condition" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("forced", [0, 3])
+    def test_spec_without_sessions_is_config_error(self, tmp_path, capsys, forced):
+        doc = tiny_spec_dict()
+        for condition in doc["conditions"]:
+            condition.update(total_sessions=0, forced_exploration_days=forced)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        assert exit_code(["run", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
+        assert "run: total_sessions must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_spec_round_trip(self):
         spec = ExperimentSpec(
             scenario="t",
@@ -670,3 +681,31 @@ class TestSpecLoading:
         argv = ["run", "--spec", str(spec_path), "--out", str(tmp_path / "o"), "--jobs", str(jobs)]
         assert main(argv) == 0
         assert started == [jobs] * pools
+
+    @pytest.mark.parametrize(
+        "jobs, replications, workers", [(64, 3, [3]), (2, 4, [2]), (5, 1, [])]
+    )
+    def test_pool_has_at_most_one_worker_per_seed(
+        self, tmp_path, monkeypatch, jobs, replications, workers
+    ):
+        # The fork start method starts all max_workers processes on the
+        # first submit, so a pool wider than the seeds forks idle workers.
+        # The fake pool records its width and maps in this process.
+        import fairbandit.experiment as experiment
+
+        started = []
+
+        class InProcessPool(contextlib.nullcontext):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(self)
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        spec = ExperimentSpec.from_dict(tiny_spec_dict(replications=replications))
+        serial = run_experiment(spec, tmp_path, write_artifacts=False)
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+        pooled = run_experiment(spec, tmp_path, jobs=jobs, write_artifacts=False)
+        assert started == workers
+        assert pooled.summary() == serial.summary()

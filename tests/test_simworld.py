@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import locale
 import math
@@ -58,6 +59,7 @@ from fairbandit.simworld import (
     sign_alignment,
     step_response,
     write_log_csv,
+    write_log_summary,
 )
 from test_bandit import reference_argbest
 
@@ -298,7 +300,7 @@ class TestRunStudy:
         assert list(decision_records(a, cfg.step_scale, cfg.motivation_weight)) == list(
             decision_records(b, cfg.step_scale, cfg.motivation_weight)
         )
-        assert a.final_csv == b.final_csv
+        assert log_metrics(a) == log_metrics(b)
 
     def test_null_cohort_identical_across_conditions(self):
         players = (player(), player())
@@ -337,8 +339,9 @@ class TestRunStudy:
         log = run_study(cfg)
         p0_rows = [row for row in log.rows if row.player == 0]
         assert all(row.missed and row.steps is None for row in p0_rows)
-        assert log.final_csv[0] == 0.0
-        assert log.final_csv[1] > 0.0
+        tallies = log_metrics(log)
+        assert tallies[0].contribution == 0.0
+        assert tallies[1].contribution > 0.0
         # every day's reward record omits the absent player
         records = decision_records(log, cfg.step_scale, cfg.motivation_weight)
         assert all("0" not in d["rewards"] for d in records)
@@ -386,9 +389,10 @@ class TestRunStudy:
         cfg = config(condition=Condition.GREEDY, players=players)
         shares = []
         for k in range(100):
-            log = run_study(replace(cfg, seed=31000 + k))
-            total = sum(log.final_tc_effective)
-            shares.append(log.final_tc_effective[1] / total if total else 0.5)
+            tallies = log_metrics(run_study(replace(cfg, seed=31000 + k))).values()
+            given_best = [t.given_best for t in tallies]
+            total = sum(given_best)
+            shares.append(given_best[1] / total if total else 0.5)
         assert statistics.median(shares) < 0.5
 
     def test_shapley_state_consistency(self):
@@ -402,12 +406,13 @@ class TestRunStudy:
         log = run_study(cfg)
         records = decision_records(log, cfg.step_scale, cfg.motivation_weight)
         exploit_days = sum(1 for d in records if d["mode"] == "exploit")
-        assert sum(log.final_tc) == exploit_days
+        tallies = log_metrics(log).values()
+        assert sum(t.catered for t in tallies) == exploit_days
         observed = [0.0, 0.0]
         for row in log.rows:
             if not row.missed:
                 observed[row.player] += row.steps
-        assert log.final_csv == pytest.approx(observed)
+        assert [t.contribution for t in tallies] == pytest.approx(observed)
 
 
 class TestLogSerialization:
@@ -612,6 +617,9 @@ class TestLogSerialization:
                 read_log_csv(path)
         assert opened == [path]
 
+    def test_log_holds_only_its_rows_and_names(self):
+        assert [f.name for f in dataclasses.fields(StudyLog)] == ["rows", "condition", "seed", "name"]
+
     def test_summary_fields(self):
         log = self.make_log()
         summary = log_summary(log, log_metrics(log))
@@ -729,13 +737,15 @@ def oracle_decision_record(
     }
 
 
-def run_study_by_objects(config: StudyConfig) -> tuple[StudyLog, list[dict]]:
+def run_study_by_objects(config: StudyConfig) -> tuple[StudyLog, list[dict], dict]:
     """`run_study` as it was before its day loop ran on plain numbers:
     a Direction per target and player-day, a best and a worst prediction
     per player and day, a reward tuple and keyword-built rows, world
     draws taken from the stream as the day goes, and efforts re-summed
     each day. It also returns each day's record, taken from the strategy
-    state as the day ends. Kept as the oracle."""
+    state as the day ends, and the study's final figures, taken from the
+    live state and counters under `summary.json`'s names. Kept as the
+    oracle."""
     n = len(config.players)
     base = SplitMix64(config.seed)
     decision_rng = base.spawn()
@@ -839,17 +849,14 @@ def run_study_by_objects(config: StudyConfig) -> tuple[StudyLog, list[dict]]:
         final_sum_sd = team_disparity_sum(state.csv, audit_tc)
     except ValueError:
         final_sum_sd = None
-    log = StudyLog(
-        rows=rows,
-        condition=config.condition,
-        seed=config.seed,
-        baseline_means=baseline_means,
-        final_csv=list(state.csv),
-        final_tc=list(state.tc),
-        final_tc_effective=tc_effective,
-        final_sum_sd=final_sum_sd,
-    )
-    return log, decisions
+    finals = {
+        "baseline_means": baseline_means,
+        "final_csv": list(state.csv),
+        "final_tc": list(state.tc),
+        "final_tc_effective": tc_effective,
+        "final_sum_sd": final_sum_sd,
+    }
+    return StudyLog(rows=rows, condition=config.condition, seed=config.seed), decisions, finals
 
 
 def exact(value) -> tuple[str, str]:
@@ -881,7 +888,7 @@ def study_config(draw) -> StudyConfig:
         seed=draw(st.integers(0, 2**64 - 1)),
         baseline_days=draw(st.integers(1, 4)),
         forced_exploration_days=forced,
-        total_sessions=draw(st.integers(forced, 24)),
+        total_sessions=draw(st.integers(max(forced, 1), 24)),
         epsilon=draw(st.sampled_from([0.0, 0.01, 0.5, 1.0])),
         step_scale=draw(st.sampled_from([1000.0, 1.0, 0.5])),
         motivation_weight=draw(st.sampled_from([1.0, 0.0, -0.0, -2.0])),
@@ -892,8 +899,9 @@ def study_config(draw) -> StudyConfig:
 @settings(max_examples=300, deadline=None)
 @given(cfg=study_config())
 def test_run_study_matches_object_oracle(cfg):
-    """Same rows, field for field and bit for bit, same decisions, same
-    final state and the same number of draws as the oracle."""
+    """Same rows, field for field and bit for bit, same decisions, final
+    figures derived from the rows that equal the oracle's live state, and
+    the same number of draws as the oracle."""
     logs, draws = [], []
     next_u64 = SplitMix64.next_u64
     for run in (run_study, run_study_by_objects):
@@ -907,14 +915,16 @@ def test_run_study_matches_object_oracle(cfg):
             mp.setattr(SplitMix64, "next_u64", counting)
             logs.append(run(cfg))
         draws.append(count[0])
-    got, (want, want_decisions) = logs
+    got, (want, want_decisions, want_finals) = logs
     assert [list(map(exact, row)) for row in got.rows] == [
         list(map(exact, row)) for row in want.rows
     ]
     got_decisions = decision_records(got, cfg.step_scale, cfg.motivation_weight)
     assert repr(list(got_decisions)) == repr(want_decisions)
-    for name in ("baseline_means", "final_csv", "final_tc", "final_tc_effective", "final_sum_sd"):
-        assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+    summary = log_summary(got, log_metrics(got))
+    for name, value in want_finals.items():
+        assert repr(summary[name]) == repr(value), name
+    assert repr(got.final_sum_sd) == repr(want_finals["final_sum_sd"])
     assert (got.condition, got.seed) == (want.condition, want.seed)
     assert draws[0] == draws[1]
 
@@ -954,22 +964,21 @@ def test_config_is_refused_or_its_study_stays_finite(
     log = run_study(cfg)
     records = decision_records(log, cfg.step_scale, cfg.motivation_weight)
     assert all(math.isfinite(r) for d in records for r in d["rewards"].values())
-    assert all(math.isfinite(c) for c in log.final_csv)
-    assert all(math.isfinite(m) for m in log.baseline_means)
+    tallies = log_metrics(log).values()
+    assert all(math.isfinite(t.contribution) for t in tallies)
+    assert all(math.isfinite(t.baseline_mean) for t in tallies)
 
 
 def assert_same_log(got: StudyLog, want: StudyLog, cfg: StudyConfig) -> None:
     """Same rows bit for bit, same decisions under `cfg` and the same
-    final fields."""
+    summary."""
     assert [list(map(exact, row)) for row in got.rows] == [
         list(map(exact, row)) for row in want.rows
     ]
     assert repr(list(decision_records(got, cfg.step_scale, cfg.motivation_weight))) == repr(
         list(decision_records(want, cfg.step_scale, cfg.motivation_weight))
     )
-    for name in ("baseline_means", "final_csv", "final_tc", "final_tc_effective", "final_sum_sd"):
-        assert repr(getattr(got, name)) == repr(getattr(want, name)), name
-    assert (got.condition, got.seed) == (want.condition, want.seed)
+    assert repr(log_summary(got, log_metrics(got))) == repr(log_summary(want, log_metrics(want)))
 
 
 @st.composite
@@ -1065,6 +1074,24 @@ def test_decisions_jsonl_is_a_function_of_log_csv(tmp_path):
         again = tmp_path / "again.jsonl"
         write_decisions_jsonl(decision_records(read_log_csv(rep / "log.csv"), 1000.0, 1.0), again)
         assert again.read_bytes() == (rep / "decisions.jsonl").read_bytes(), rep
+
+
+@pytest.mark.parametrize("scenario, replications", [("conflict-cohort", 5), ("study-protocol", 3)])
+def test_summary_json_is_a_function_of_log_csv(tmp_path, scenario, replications):
+    """Each rep's summary.json is rebuilt, byte for byte, from its log.csv,
+    its condition and its seed: the final CSV, TC, baselines and audited
+    disparity are all derived from the rows."""
+    spec = load_scenario(scenario, replications=replications)
+    run_experiment(spec, tmp_path / "run")
+    for cfg in spec.conditions:
+        reps = sorted((tmp_path / "run" / cfg.condition.value).glob("rep_*"))
+        assert len(reps) == replications
+        for k, rep in enumerate(reps):
+            log = read_log_csv(rep / "log.csv")
+            log.condition, log.seed = cfg.condition, spec.base_seed + k
+            again = tmp_path / "again.json"
+            write_log_summary(log, again, log_metrics(log, cfg.intervention_start))
+            assert again.read_bytes() == (rep / "summary.json").read_bytes(), rep
 
 
 def test_in_memory_experiment_holds_only_rows():
