@@ -53,6 +53,7 @@ class Arm(IntEnum):
 # path indexes this tuple instead of iterating or calling the enum.
 _ARMS = tuple(Arm)
 _ARM_BY_LETTER = {arm.letter: arm for arm in _ARMS}
+_ABOVE_HIGHER, _BELOW_LOWER = _ARMS[0], _ARMS[2]
 
 
 class Mode(Enum):
@@ -93,9 +94,9 @@ def place_artificial_steps(
     """
     if steps_a < 0 or steps_b < 0:
         raise ValueError("player steps must be non-negative")
-    if arm is Arm.ABOVE_HIGHER:
+    if arm is _ABOVE_HIGHER:
         placed = 1.2 * max(steps_a, steps_b)
-    elif arm is Arm.BELOW_LOWER:
+    elif arm is _BELOW_LOWER:
         placed = 0.8 * min(steps_a, steps_b)
     else:
         placed = (steps_a + steps_b) / 2.0
@@ -122,6 +123,10 @@ class RewardModel:
     def observe_scalar(self, player: PlayerId, arm: Arm, value: float) -> None:
         if not math.isfinite(value):
             raise ValueError(f"reward must be finite, got {value}")
+        self._observe(player, arm, value)
+
+    def _observe(self, player: PlayerId, arm: Arm, value: float) -> None:
+        """`observe_scalar` without the check, for callers whose rewards are finite."""
         sums = self._sums.get(player)
         if sums is None:
             sums = self._sums[player] = [0.0] * len(_ARMS)
@@ -138,33 +143,34 @@ class RewardModel:
         return list(means) if means else [0.0] * len(_ARMS)
 
 
-def _argbest(scores: Sequence[float], best: bool) -> int:
-    """Index of the highest (or lowest) score; ties go to the lowest index."""
-    return scores.index(max(scores) if best else min(scores))
+def _argbest(scores: Sequence[float]) -> tuple[int, int]:
+    """Indices of the highest and the lowest score; ties go to the lowest index."""
+    return scores.index(max(scores)), scores.index(min(scores))
 
 
 _NO_ESTIMATES = (0.0,) * len(_ARMS)
+_EXPLORE, _EXPLOIT = Mode.EXPLORE, Mode.EXPLOIT  # a global reads faster than a member
 
 
 def predict_arms(model: RewardModel, player: PlayerId) -> tuple[Arm, Arm]:
     """The arms with the highest and the lowest estimated reward for this
     player, from one read of its estimates. Ties break to the lowest
     ordinal."""
-    means = model._means.get(player, _NO_ESTIMATES)
-    return _ARMS[_argbest(means, True)], _ARMS[_argbest(means, False)]
+    best, worst = _argbest(model._means.get(player, _NO_ESTIMATES))
+    return _ARMS[best], _ARMS[worst]
 
 
 def greedy_select(model: RewardModel, players: Iterable[PlayerId]) -> Decision:
     """The arm maximizing the summed estimated reward over all players."""
-    players = list(players)
-    if not players:
+    rows = [model._means.get(p, _NO_ESTIMATES) for p in players]
+    if not rows:
         raise ValueError("players must be nonempty")
-    sums = [sum(column) for column in zip(*(model.means(p) for p in players))]
-    return Decision(arm=_ARMS[_argbest(sums, True)], catered_player=None, mode=Mode.EXPLOIT)
+    sums = [_total(column) for column in zip(*rows)]
+    return Decision(_ARMS[_argbest(sums)[0]], None, _EXPLOIT)
 
 
 def random_select(rng: SplitMix64) -> Decision:
-    return Decision(arm=_ARMS[rng.randrange(len(_ARMS))], catered_player=None, mode=Mode.EXPLORE)
+    return Decision(_ARMS[rng.randrange(len(_ARMS))], None, _EXPLORE)
 
 
 @dataclass
@@ -191,8 +197,31 @@ class ShapleyBanditState:
         return cls(csv=[0.0] * n_players, tc=[0] * n_players, epsilon=epsilon)
 
 
-def _shares(values: Sequence[float], total: float) -> list[float]:
-    return [v / total for v in values]
+def _total(values: Iterable[float]) -> float:
+    """`values` added left to right from 0.0, the same bits on every CPython
+    (the builtin `sum` compensates floats from 3.12); exact for counts below 2**53."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _contribution_shares(csv: Sequence[float]) -> list[float]:
+    total_csv = _total(csv)
+    if total_csv <= 0:
+        raise ZeroTotalCSVError("total CSV is zero; contribution shares undefined")
+    return [c / total_csv for c in csv]
+
+
+def _disparities(csvr: Sequence[float], tc: Sequence[int], catered: int | None = None) -> list[float]:
+    """|contribution share - treatment share| per player, given the contribution
+    shares, with the TC of `catered` (if any) one higher."""
+    if catered is not None:
+        tc = list(tc)
+        tc[catered] += 1
+    total_tc = _total(tc)
+    tcr = [t / total_tc for t in tc] if total_tc > 0 else [1.0 / len(csvr)] * len(csvr)
+    return [abs(c - t) for c, t in zip(csvr, tcr)]
 
 
 def shapley_disparity(state: ShapleyBanditState, player: PlayerId) -> float:
@@ -202,31 +231,18 @@ def shapley_disparity(state: ShapleyBanditState, player: PlayerId) -> float:
     uniform 1/n prior. With zero total CSV the contribution share is
     undefined and the caller must defer until rewards have arrived.
     """
-    return _all_disparities(state.csv, state.tc)[player]
-
-
-def _all_disparities(csv: Sequence[float], tc: Sequence[int]) -> list[float]:
-    total_csv = sum(csv)
-    if total_csv <= 0:
-        raise ZeroTotalCSVError("total CSV is zero; contribution shares undefined")
-    n = len(csv)
-    csvr = _shares(csv, total_csv)
-    total_tc = sum(tc)
-    tcr = _shares([float(t) for t in tc], float(total_tc)) if total_tc > 0 else [1.0 / n] * n
-    return [abs(c - t) for c, t in zip(csvr, tcr)]
+    return _disparities(_contribution_shares(state.csv), state.tc)[player]
 
 
 def disparity_sum_if_catered(state: ShapleyBanditState, candidate: PlayerId) -> float:
     """Team-total disparity that would result from catering to `candidate`
     this round (their treatment counter incremented by one)."""
-    tc = list(state.tc)
-    tc[candidate] += 1
-    return sum(_all_disparities(state.csv, tc))
+    return _total(_disparities(_contribution_shares(state.csv), state.tc, candidate))
 
 
 def team_disparity_sum(csv: Sequence[float], tc: Sequence[int]) -> float:
     """Current team-total disparity for arbitrary CSV/TC vectors."""
-    return sum(_all_disparities(csv, tc))
+    return _total(_disparities(_contribution_shares(csv), tc))
 
 
 def shapley_select(
@@ -247,11 +263,9 @@ def shapley_select(
         raise ValueError("players must be nonempty")
     if rng.random() < state.epsilon:
         return random_select(rng)
-    sums = [(disparity_sum_if_catered(state, p), p) for p in players]
-    _, catered = min(sums)
-    return Decision(
-        arm=predict_arms(model, catered)[0], catered_player=catered, mode=Mode.EXPLOIT
-    )
+    csvr = _contribution_shares(state.csv)
+    _, catered = min((_total(_disparities(csvr, state.tc, p)), p) for p in players)
+    return Decision(predict_arms(model, catered)[0], catered, _EXPLOIT)
 
 
 def shapley_update(
@@ -265,14 +279,19 @@ def shapley_update(
     the deployed additive-steps game (`shapley.AdditiveSteps`), which is
     exactly their own steps. Only an exploit decision with a catered
     player increments a treatment counter; exploration and forced rounds
-    never do.
+    never do. Every step is checked before any is folded.
     """
     for player, steps in step_rewards.items():
         if not math.isfinite(steps) or steps < 0:
             raise ValueError(f"step reward for player {player} must be finite and >= 0")
+    _shapley_fold(state, decision, step_rewards)
+
+
+def _shapley_fold(state: ShapleyBanditState, decision: Decision, step_rewards: Mapping) -> None:
+    """`shapley_update` without its check, for steps known to be finite and >= 0."""
     for player, steps in step_rewards.items():
         state.csv[player] += steps
-    if decision.mode is Mode.EXPLOIT and decision.catered_player is not None:
+    if decision.mode is _EXPLOIT and decision.catered_player is not None:
         state.tc[decision.catered_player] += 1
 
 

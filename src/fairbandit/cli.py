@@ -13,9 +13,10 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .analysis import DEFAULT_INTERVENTION_START, disparity_report, report_summary, write_report_csv
+from .analysis import disparity_report, report_summary, write_report_csv
 from .experiment import ExperimentSpec, run_experiment
 from .scenarios import BUNDLED, load_scenario
 from .simworld import ConfigError, SchemaError, read_log_csv
@@ -29,14 +30,10 @@ def _cmd_run(args) -> int:
     try:
         if args.spec:
             spec = ExperimentSpec.from_json(args.spec)
-            if args.replications is not None or args.seed is not None:
-                spec = ExperimentSpec(
-                    scenario=spec.scenario,
-                    conditions=spec.conditions,
-                    replications=spec.replications if args.replications is None else args.replications,
-                    base_seed=args.seed if args.seed is not None else spec.base_seed,
-                    output_dir=spec.output_dir,
-                )
+            if args.replications is not None:
+                spec = replace(spec, replications=args.replications)
+            if args.seed is not None:
+                spec = replace(spec, base_seed=args.seed)
         else:
             spec = load_scenario(args.scenario, args.replications, args.seed)
     except (ConfigError, ValueError) as exc:
@@ -151,8 +148,14 @@ def _cmd_analyze(args) -> int:
         except (SchemaError, OSError) as exc:
             print(f"analyze: {path}: {exc}", file=sys.stderr)
             return 2
+    windows = {log.intervention_start: path for path, log in zip(args.logs, logs)}
+    if args.intervention_start is None and len(windows) > 1:
+        (day, path), (other_day, other) = list(windows.items())[:2]
+        print(f"analyze: {path} starts its window on day {day} but {other} on day {other_day};"
+              " pass --intervention-start", file=sys.stderr)
+        return 2
     try:
-        report = disparity_report(logs, intervention_start=args.intervention_start)
+        report = disparity_report(logs, intervention_start=args.intervention_start or next(iter(windows)))
     except ValueError as exc:
         print(f"analyze: {exc}", file=sys.stderr)
         return 2
@@ -213,8 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="disparity report from session-log CSVs")
     p_an.add_argument("logs", nargs="+", help="session-log CSV paths")
     p_an.add_argument("--out", default="analysis-out")
-    p_an.add_argument("--intervention-start", type=_positive_int, default=DEFAULT_INTERVENTION_START,
-                      help="first day of the analysis window (session logs carry no config)")
+    p_an.add_argument("--intervention-start", type=_positive_int, default=None,
+                      help="first day of the analysis window (default: the day after each log's"
+                      " last forced row; logs whose windows differ are refused)")
     p_an.set_defaults(fn=_cmd_analyze)
 
     return parser

@@ -30,7 +30,8 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import groupby
+from functools import partial
+from itertools import compress, groupby
 from typing import Iterator, NamedTuple
 
 from .analysis import PlayerTally, audit_sum_sd, log_metrics
@@ -40,13 +41,15 @@ from .bandit import (
     Mode,
     RewardModel,
     ShapleyBanditState,
+    _shapley_fold,
+    _total,
     combined_reward,
     greedy_select,
     place_artificial_steps,
     predict_arms,
     random_select,
     shapley_select,
-    shapley_update,
+    shapley_update,  # noqa: F401  patched by name in benchmarks/spans.py
 )
 from .rng import SplitMix64
 
@@ -251,6 +254,7 @@ class StudyLog:
     condition: Condition | None = None
     seed: int | None = None
     name: str = ""
+    intervention_start: int | None = None  # `read_log_csv`'s day after the last forced row
 
     @property
     def final_sum_sd(self) -> float | None:
@@ -326,14 +330,13 @@ def _running_disparities(
     step_counts: list[int],
     best_given: list[int],
     worst_given: list[int],
-    any_exploit: bool,
 ) -> list[float]:
     """Each player's effort percentile minus treatment percentile within
-    the team, from data through the previous day; zero until the first
-    exploit decision has happened (and while any player lacks data).
+    the team, from data through the previous day; zero while any player
+    lacks data (`run_study` also takes zero until the first exploit day).
     Effort is a player's running step total over their count of
     attended days; the total adds the steps left to right from 0.0."""
-    if not any_exploit or not all(step_counts):
+    if not all(step_counts):
         return [0.0] * TEAM_SIZE
     e0, e1 = _pair_ranks(step_totals[0] / step_counts[0], step_totals[1] / step_counts[1])
     t0, t1 = _pair_ranks(
@@ -401,7 +404,9 @@ def draw_world(seed: int, baseline_days: int, total_sessions: int) -> StudyWorld
 def run_study(config: StudyConfig, world: StudyWorld | None = None) -> StudyLog:
     """Simulate one team through the full protocol and return its log.
     `world` holds the draws of the study's world stream (`draw_world`);
-    without it the study draws its own, taking the same draws."""
+    without it the study draws its own, taking the same draws. Rewards and
+    steps fold in unchecked, as `StudyConfig`'s overflow bound keeps them
+    finite; a player's predicted arms are recomputed after it is observed."""
     n = len(config.players)
     decision_rng, world_rng, jitter_rng = _streams(config.seed)
     if world is None:
@@ -409,65 +414,57 @@ def run_study(config: StudyConfig, world: StudyWorld | None = None) -> StudyLog:
     else:
         world.check(config)
 
-    baseline_z = iter(world.baseline_z)
-    baseline_samples: list[list[float]] = [[] for _ in range(n)]
-    for _day in range(config.baseline_days):
-        for i, player in enumerate(config.players):
-            # A baseline day has no comparison: alignment 0 adds nothing.
-            baseline_samples[i].append(step_response(player, 0.0, next(baseline_z)))
-    baseline_means = [sum(s) / len(s) for s in baseline_samples]
+    # A baseline day has no comparison: alignment 0 adds nothing. Each
+    # baseline day draws once per player, so player i's draws are [i::n].
+    baseline_samples = [
+        [step_response(player, 0.0, z) for z in world.baseline_z[i::n]]
+        for i, player in enumerate(config.players)
+    ]
+    baseline_means = [_total(s) / len(s) for s in baseline_samples]
     last_steps = [samples[-1] for samples in baseline_samples]
 
-    schedule = _forced_schedule(config.forced_exploration_days, decision_rng)
     model = RewardModel()
     state = ShapleyBanditState.fresh(n, epsilon=config.epsilon)
     players = list(range(n))
-    step_totals = [0.0] * n
-    step_counts = [0] * n
-    best_given = [0] * n
-    worst_given = [0] * n
-    any_exploit = False
-
+    schedule = _forced_schedule(config.forced_exploration_days, decision_rng)
+    forced = iter([Decision(arm, None, Mode.FORCED) for arm in schedule])
+    if config.condition is Condition.CONTROL:
+        select = partial(random_select, decision_rng)
+    elif config.condition is Condition.GREEDY:
+        select = partial(greedy_select, model, players)
+    else:  # with no contribution signal yet (every session missed so far), explore
+        select = lambda: (random_select(decision_rng) if _total(state.csv) <= 0
+                          else shapley_select(state, model, players, decision_rng))
+    step_totals, step_counts = [0.0] * n, [0] * n
+    best_given, worst_given = [0] * n, [0] * n
+    any_exploit, exploit, no_disparity = False, Mode.EXPLOIT, [0.0] * n
+    observe, new_row = model._observe, tuple.__new__
+    predicted = [predict_arms(model, i) for i in players]
     rows: list[SessionRow] = []
-
     jitter = jitter_rng if config.jitter else None
-    condition = config.condition
-    forced_days = config.forced_exploration_days
     intervention_start = config.intervention_start
-    step_scale = config.step_scale
-    motivation_weight = config.motivation_weight
-    team = [(i, player, player.sco, baseline_means[i]) for i, player in enumerate(config.players)]
+    scale, weight = config.step_scale, config.motivation_weight
+    team = [(i, 1 - i, player, player.sco, baseline_means[i]) for i, player in enumerate(config.players)]
     draws = iter(world.player_days)
+    day_steps: dict[int, float] = {}
     for day in range(1, config.total_sessions + 1):
-        disparities = _running_disparities(
-            step_totals, step_counts, best_given, worst_given, any_exploit
+        for i in day_steps:
+            predicted[i] = predict_arms(model, i)
+        disparities = no_disparity if not any_exploit else _running_disparities(
+            step_totals, step_counts, best_given, worst_given
         )
-
-        if day <= forced_days:
-            decision = Decision(schedule[day - 1], None, Mode.FORCED)
-        elif condition is Condition.CONTROL:
-            decision = random_select(decision_rng)
-        elif condition is Condition.GREEDY:
-            decision = greedy_select(model, players)
-        else:
-            if sum(state.csv) <= 0:
-                # No contribution signal yet (every session missed so
-                # far): defer to exploration until rewards arrive.
-                decision = random_select(decision_rng)
-            else:
-                decision = shapley_select(state, model, players, decision_rng)
+        decision = next(forced, None) or select()
         arm, catered, mode = decision
-
-        predicted = [predict_arms(model, p) for p in players]
+        any_exploit = any_exploit or mode is exploit
         artificial = place_artificial_steps(arm, last_steps[0], last_steps[1], jitter)
 
-        day_steps: dict[int, float] = {}
+        day_steps = {}
         # place_artificial_steps has rejected negative steps of either
         # player, and never places a negative count.
-        for i, player, sco, baseline_mean in team:
+        for i, other, player, sco, baseline_mean in team:
             own = last_steps[i]
             a = sign_alignment(
-                sco, comparison_sign(own, artificial), comparison_sign(own, last_steps[1 - i])
+                sco, comparison_sign(own, artificial), comparison_sign(own, last_steps[other])
             )
             z, pre, u_post, u_miss = next(draws)
             steps = step_response(player, a, z)
@@ -477,31 +474,22 @@ def run_study(config: StudyConfig, world: StudyWorld | None = None) -> StudyLog:
                 steps = pre = post = None
             else:
                 day_steps[i] = steps
-                reward = combined_reward(
-                    steps - baseline_mean, float(post - pre), step_scale, motivation_weight
-                )
-                model.observe_scalar(i, arm, reward)
+                reward = combined_reward(steps - baseline_mean, float(post - pre), scale, weight)
+                observe(i, arm, reward)
             best, worst = predicted[i]
-            rows.append(
-                SessionRow(
-                    day, i, steps, missed, pre, post, arm, mode, catered,
-                    artificial, best, worst, baseline_mean,
-                )
-            )
+            # `tuple.__new__` skips the named tuple's Python-level `__new__`.
+            rows.append(new_row(SessionRow, (
+                day, i, steps, missed, pre, post, arm, mode, catered, artificial, best, worst, baseline_mean
+            )))
+            if day >= intervention_start:
+                best_given[i] += arm is best
+                worst_given[i] += arm is worst
 
-        shapley_update(state, decision, day_steps)
-        any_exploit = any_exploit or mode is Mode.EXPLOIT
+        _shapley_fold(state, decision, day_steps)
         for i, steps in day_steps.items():
             step_totals[i] += steps
             step_counts[i] += 1
             last_steps[i] = steps
-        if day >= intervention_start:
-            for i in players:
-                best, worst = predicted[i]
-                if arm is best:
-                    best_given[i] += 1
-                if arm is worst:
-                    worst_given[i] += 1
 
     return StudyLog(rows, config.condition, config.seed)
 
@@ -728,14 +716,16 @@ def read_log_csv(path, name: str = "") -> StudyLog:
     Header mismatches, unparseable values, a day below 1, step counts
     that are negative or not finite, motivation scores outside 1-5, a
     missed session with data or an attended one without steps, a
-    repeated (day, player) pair and a `catered_player` that has no rows
+    repeated (day, player) pair, a `catered_player` that has no rows and
+    a row that is not forced on a day before the last `forced` row's
     raise SchemaError naming the offending line and column. So do bytes
     that are not text in the locale's encoding and CSV the reader cannot
     split (a field over the csv module's size limit), naming the line.
-    The error raised is the first problem in line order, except that a
-    `catered_player` with no rows is only named when nothing else is
-    wrong, as it takes the whole log to find. Lines are physical lines
-    of the file: a record names the line it starts on.
+    The error raised is the first problem in line order, except that the
+    last two are only named when nothing else is wrong, as they take the
+    whole log to find. Lines are physical lines of the file: a record
+    names the line it starts on. The log's `intervention_start` is the
+    day after its last `forced` row, or day 1 if it has none.
 
     A log repeats a handful of strings in most columns, so each column
     parses every distinct string once and maps its fields through the
@@ -803,7 +793,14 @@ def read_log_csv(path, name: str = "") -> StudyLog:
             f"line {line(k)}, column 'catered_player': player {catered[k]}"
             " has no rows in the log"
         )
-    return StudyLog(rows=rows, name=name)
+    forced = [mode is Mode.FORCED for mode in columns[7]]
+    start = 1 + max(compress(days, forced), default=0)
+    late = next((k for k, day in enumerate(days) if day < start and not forced[k]), None)
+    if late is not None:
+        raise SchemaError(
+            f"line {line(late)}, column 'mode': day {days[late]} is not forced, day {start - 1} is"
+        )
+    return StudyLog(rows=rows, name=name, intervention_start=start)
 
 
 def _first_row_problem(rows: list[SessionRow], line) -> SchemaError:

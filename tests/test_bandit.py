@@ -112,6 +112,21 @@ class TestRewardModel:
         with pytest.raises(ValueError):
             model.observe_scalar(0, Arm.BETWEEN, float("nan"))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_reward_is_rejected_before_any_cell_moves(self, value):
+        """The day loop folds rewards through the unchecked internal; the
+        public method keeps the check in front of it."""
+        model = RewardModel()
+        model.observe_scalar(0, Arm.BETWEEN, 2.0)
+        with pytest.raises(ValueError, match="reward must be finite"):
+            model.observe_scalar(0, Arm.BETWEEN, value)
+        with pytest.raises(ValueError, match="reward must be finite"):
+            model.observe_scalar(1, Arm.ABOVE_HIGHER, value)
+        assert model.means(0) == [0.0, 2.0, 0.0]
+        assert model.means(1) == [0.0, 0.0, 0.0]
+        model.observe_scalar(0, Arm.BETWEEN, 4.0)
+        assert model.means(0) == [0.0, 3.0, 0.0]
+
 
 class DictRewardModel:
     """The (player, arm)-keyed dict layout RewardModel had before its
@@ -275,6 +290,38 @@ class TestShapleySelect:
         assert decision.catered_player == 1
         assert decision.arm is Arm.BELOW_LOWER
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        csv=st.lists(st.sampled_from([0.0, 1.0, 3.0, 100.0, 2500.5, 1e300]) | st.floats(0.0, 1e6),
+                     min_size=2, max_size=5),
+        tc=st.lists(st.integers(0, 6), min_size=5, max_size=5),
+    )
+    def test_one_pass_choice_matches_each_candidates_own_sum(self, csv, tc):
+        """Taking the contribution shares once per round picks the same
+        player, with the same bits in every candidate's sum, as the sums
+        built candidate by candidate: contribution shares over the total
+        CSV, treatment shares with the candidate's TC one higher, each
+        total added left to right. Ties go to the lowest id, and with
+        more than two players each player's term counts."""
+        tc = tc[: len(csv)]
+        total = 0.0
+        for c in csv:
+            total += c
+        if not 0 < total < math.inf:
+            return
+        state = ShapleyBanditState(csv=list(csv), tc=list(tc), epsilon=0.0)
+        sums = []
+        for candidate in range(len(csv)):
+            catered = [t + (p == candidate) for p, t in enumerate(tc)]
+            disparity = 0.0
+            for c, t in zip(csv, catered):
+                disparity += abs(c / total - float(t) / float(1 + sum(tc)))
+            sums.append((disparity, candidate))
+            assert disparity_sum_if_catered(state, candidate).hex() == disparity.hex()
+        decision = shapley_select(state, RewardModel(), range(len(csv)), SplitMix64(0))
+        assert decision.catered_player == min(sums)[1]
+        assert (state.csv, state.tc) == (csv, tc)
+
     def test_symmetric_state_tie_breaks_to_lowest_id(self):
         state = ShapleyBanditState(csv=[100.0, 100.0], tc=[4, 4], epsilon=0.0)
         decision = shapley_select(state, self.worked_model(), [0, 1], SplitMix64(0))
@@ -333,6 +380,21 @@ class TestShapleyUpdate:
         shapley_update(state, decision, {0: 100.0, 1: 200.0})
         assert state.csv == pytest.approx([100.0, 200.0])
         assert state.tc == [0, 0]
+
+    @pytest.mark.parametrize("bad", [-1.0, -5e-324, float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("bad_player", [0, 1])
+    def test_bad_step_is_rejected_before_any_player_is_folded(self, bad, bad_player):
+        """Every step is checked before any CSV or TC moves, whichever
+        player carries the bad one: the day loop folds through the
+        unchecked internal, and this public path must stay all or nothing."""
+        state = ShapleyBanditState(csv=[10.0, 20.0], tc=[1, 2])
+        decision = Decision(arm=Arm.ABOVE_HIGHER, catered_player=0, mode=Mode.EXPLOIT)
+        steps = {0: 100.0, 1: 200.0}
+        steps[bad_player] = bad
+        with pytest.raises(ValueError, match=f"player {bad_player} must be finite and >= 0"):
+            shapley_update(state, decision, steps)
+        assert state.csv == [10.0, 20.0]
+        assert state.tc == [1, 2]
 
     def test_missing_player_gets_no_credit(self):
         state = ShapleyBanditState.fresh(2)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from fairbandit.analysis import disparity_report
 from fairbandit.cli import main
 from fairbandit.experiment import ExperimentSpec, run_experiment
+from fairbandit.scenarios import load_scenario
 from fairbandit.simworld import Condition, ConfigError, SimPlayer, StudyConfig
 from fairbandit.verification import run_axiom_suite
 
@@ -382,6 +383,58 @@ class TestAnalyze:
         assert main(["analyze", str(path), "--out", str(tmp_path / "r"),
                      "--intervention-start", "99"]) == 2
         assert "need at least 3 analyzable players, got 0" in capsys.readouterr().err
+
+    @staticmethod
+    def forced_run(tmp_path, forced: int, name: str) -> Path:
+        """A conflict-cohort 3x5 run whose forced exploration lasts `forced`
+        days, so that its analysis window starts on day `forced + 1`."""
+        doc = load_scenario("conflict-cohort", 5, None).to_dict()
+        for condition in doc["conditions"]:
+            condition["forced_exploration_days"] = forced
+        spec_path = tmp_path / f"{name}.json"
+        spec_path.write_text(json.dumps(doc))
+        out = tmp_path / name
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", "--spec", str(spec_path), "--out", str(out)]) == 0
+        return out
+
+    def test_window_is_taken_from_the_logs_forced_rows(self, tmp_path):
+        out = self.forced_run(tmp_path, 3, "forced3")
+        logs = sorted(str(p) for p in (out / "greedy").glob("rep_*/log.csv"))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["analyze", *logs, "--out", str(tmp_path / "r")]) == 0
+            assert main(["analyze", *logs, "--out", str(tmp_path / "r10"),
+                         "--intervention-start", "10"]) == 0
+        own = json.loads((out / "greedy" / "report.json").read_text())
+        got = json.loads((tmp_path / "r" / "report.json").read_text())
+        assert got == own
+        # An explicit flag still overrides the window the logs carry.
+        forced = json.loads((tmp_path / "r10" / "report.json").read_text())
+        assert forced["pearson_r"] != own["pearson_r"]
+
+    def test_a_log_without_forced_rows_is_analysed_from_day_1(self, tmp_path):
+        path = tmp_path / "hand.csv"
+        path.write_text(self.HAND_CSV)
+        for out, flag in (("default", []), ("day1", ["--intervention-start", "1"])):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["analyze", str(path), "--out", str(tmp_path / out), *flag]) == 0
+        assert (tmp_path / "default" / "report.csv").read_bytes() == (
+            tmp_path / "day1" / "report.csv"
+        ).read_bytes()
+
+    def test_logs_whose_windows_differ_exit_2_naming_two(self, tmp_path, capsys):
+        day4 = self.forced_run(tmp_path, 3, "forced3") / "greedy" / "rep_0000" / "log.csv"
+        day7 = self.forced_run(tmp_path, 6, "forced6") / "greedy" / "rep_0001" / "log.csv"
+        out = tmp_path / "r"
+        assert main(["analyze", str(day4), str(day7), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("analyze: ")
+        assert f"{day4} starts its window on day 4" in err
+        assert f"{day7} on day 7" in err
+        assert not (out / "report.json").exists()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["analyze", str(day4), str(day7), "--out", str(out),
+                         "--intervention-start", "5"]) == 0
 
 
 FUZZ_VALUES = st.one_of(

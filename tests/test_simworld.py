@@ -618,7 +618,30 @@ class TestLogSerialization:
         assert opened == [path]
 
     def test_log_holds_only_its_rows_and_names(self):
-        assert [f.name for f in dataclasses.fields(StudyLog)] == ["rows", "condition", "seed", "name"]
+        assert [f.name for f in dataclasses.fields(StudyLog)] == [
+            "rows", "condition", "seed", "name", "intervention_start"
+        ]
+
+    @pytest.mark.parametrize("forced", [0, 3, 9])
+    def test_read_log_carries_the_day_after_its_forced_rows(self, tmp_path, forced):
+        cfg = replace(config(forced_exploration_days=forced), seed=4)
+        write_log_csv(run_study(cfg), tmp_path / "log.csv")
+        assert read_log_csv(tmp_path / "log.csv").intervention_start == cfg.intervention_start
+
+    @pytest.mark.parametrize("day, mode", [(12, "forced"), (2, "exploit"), (9, "explore")])
+    def test_forced_rows_that_are_not_a_prefix_of_days_are_schema_error(self, tmp_path, day, mode):
+        def edit(lines):
+            k = next(k for k, cells in enumerate(lines) if k and cells[0] == str(day))
+            lines[k][LOG_COLUMNS.index("mode")] = mode
+            last = max(int(cells[0]) for cells in lines[1:] if cells[7] == "forced")
+            edit.line = next(
+                k + 1 for k, cells in enumerate(lines) if k and int(cells[0]) <= last and cells[7] != "forced"
+            )
+            edit.message = f"column 'mode': day {lines[edit.line - 1][0]} is not forced, day {last} is"
+
+        path = self.write_edited(tmp_path, edit)
+        with pytest.raises(SchemaError, match=f"^line {edit.line}, {edit.message}$"):
+            read_log_csv(path)
 
     def test_summary_fields(self):
         log = self.make_log()
@@ -929,6 +952,28 @@ def test_run_study_matches_object_oracle(cfg):
     assert draws[0] == draws[1]
 
 
+@pytest.mark.parametrize("scenario", ["conflict-cohort", "null-cohort", "study-protocol"])
+def test_run_study_matches_object_oracle_on_bundled_configs(scenario):
+    """Every bundled config that the benchmarks time, at seeds 0-49, at its
+    own epsilon and at epsilon 1: the same rows bit for bit, the same
+    decisions and the same final figures as the oracle."""
+    for cfg in load_scenario(scenario).conditions:
+        for epsilon in (cfg.epsilon, 1.0):
+            for seed in range(50):
+                study = replace(cfg, seed=seed, epsilon=epsilon)
+                got = run_study(study)
+                want, want_decisions, want_finals = run_study_by_objects(study)
+                assert [list(map(exact, row)) for row in got.rows] == [
+                    list(map(exact, row)) for row in want.rows
+                ], (study.condition, epsilon, seed)
+                records = decision_records(got, study.step_scale, study.motivation_weight)
+                assert repr(list(records)) == repr(want_decisions)
+                summary = log_summary(got, log_metrics(got))
+                assert [repr(summary[name]) for name in want_finals] == list(
+                    map(repr, want_finals.values())
+                )
+
+
 MAGNITUDES = st.sampled_from([0.0, 1.0, 1e4, 1e150, 1e300, 1e306, 1e307, 1e308]) | st.floats(
     0.0, 1e308
 )
@@ -1199,6 +1244,12 @@ def read_log_rows_per_line(path) -> list[SessionRow]:
                 f"line {lineno}, column 'catered_player': player {row.catered_player}"
                 " has no rows in the log"
             )
+    start = 1 + max((row.day for row in rows if row.mode is Mode.FORCED), default=0)
+    for lineno, row in zip(lines, rows):
+        if row.day < start and row.mode is not Mode.FORCED:
+            raise SchemaError(
+                f"line {lineno}, column 'mode': day {row.day} is not forced, day {start - 1} is"
+            )
     return rows
 
 
@@ -1223,6 +1274,7 @@ def valid_log(draw) -> list[list[str]]:
     """The records (header first) of a log that breaks no schema rule."""
     players = draw(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True))
     days = draw(st.lists(st.integers(1, 30), min_size=1, max_size=4, unique=True))
+    last_forced = draw(st.integers(0, 30))  # forced rows are a prefix of the days
     records = []
     for day in days:
         for p in players:
@@ -1237,7 +1289,7 @@ def valid_log(draw) -> list[list[str]]:
                 "" if missed else draw(score),
                 "" if missed else draw(score),
                 draw(arm),
-                draw(st.sampled_from(["forced", "explore", "exploit"])),
+                "forced" if day <= last_forced else draw(st.sampled_from(["explore", "exploit"])),
                 draw(st.sampled_from(["", *map(str, players)])),
                 draw(step_string()),
                 draw(arm),
@@ -1276,6 +1328,8 @@ def edit_log(draw, records, kind) -> None:
         record[COLUMN["steps"]] = record[COLUMN["steps"]] or "5.0"
     elif kind == "repeated pair":
         records.insert(draw(st.integers(1, len(records))), list(record))
+    elif kind == "mode":
+        record[COLUMN["mode"]] = draw(st.sampled_from(["forced", "explore", "exploit"]))
     elif kind == "unknown catered player":
         record[COLUMN["catered_player"]] = "10"
     elif kind == "field count":
@@ -1307,7 +1361,7 @@ def edit_log(draw, records, kind) -> None:
         raise AssertionError(kind)
 
 
-LOG_EDITS = ["bad int", "empty field", "score", "arm", "missed with steps", "repeated pair",
+LOG_EDITS = ["bad int", "empty field", "score", "arm", "mode", "missed with steps", "repeated pair",
              "unknown catered player", "field count", "trailing blank line", "header only",
              "undecodable after field error", "undecodable byte", "open quote", "line break"]
 
