@@ -14,13 +14,12 @@ conditions) are compared with a Fisher z test.
 from __future__ import annotations
 
 import csv
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .bandit import Mode, team_disparity_sum
-
-DEFAULT_INTERVENTION_START = 10
+from .bandit import Mode, _total, team_disparity_sum
 
 REPORT_COLUMNS = ["player", "disparity", "miss_likelihood", "effort", "treatment"]
 
@@ -37,13 +36,13 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
     n = len(x)
     if n < 3:
         raise ValueError("need at least 3 observations")
-    mx = sum(x) / n
-    my = sum(y) / n
-    sxx = sum((a - mx) ** 2 for a in x)
-    syy = sum((b - my) ** 2 for b in y)
+    mx = _total(x) / n
+    my = _total(y) / n
+    sxx = _total((a - mx) ** 2 for a in x)
+    syy = _total((b - my) ** 2 for b in y)
     if sxx == 0.0 or syy == 0.0:
         raise ValueError("degenerate sample: zero variance")
-    sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
+    sxy = _total((a - mx) * (b - my) for a, b in zip(x, y))
     return sxy / math.sqrt(sxx * syy)
 
 
@@ -136,13 +135,12 @@ class PlayerTally:
         return self.misses / self.sessions
 
 
-def log_metrics(
-    log, intervention_start: int = DEFAULT_INTERVENTION_START
-) -> dict[int, PlayerTally]:
+def log_metrics(log) -> dict[int, PlayerTally]:
     """Every player's tally from one walk over `log.rows`, keyed by
-    player id in ascending order."""
+    player id in ascending order, with the window sums from
+    `log.intervention_start` on."""
     tallies: dict[int, PlayerTally] = {}
-    exploit = Mode.EXPLOIT
+    exploit, intervention_start = Mode.EXPLOIT, log.intervention_start
     # A `SessionRow` unpacked once reads faster than field by field.
     for day, player, steps, missed, _, post, arm, mode, catered, _, best, worst, baseline in log.rows:
         tally = tallies.get(player)
@@ -179,20 +177,18 @@ def audit_sum_sd(tallies: dict[int, PlayerTally]) -> float | None:
         return None
 
 
-def effort(log, player: int, intervention_start: int = DEFAULT_INTERVENTION_START) -> float | None:
+def effort(log, player: int) -> float | None:
     """Mean steps over the player's attended intervention-window days,
     or None when every intervention day was missed."""
-    tally = log_metrics(log, intervention_start).get(player)
+    tally = log_metrics(log).get(player)
     return tally.effort if tally else None
 
 
-def net_top_treatment(
-    log, player: int, intervention_start: int = DEFAULT_INTERVENTION_START
-) -> int:
+def net_top_treatment(log, player: int) -> int:
     """Sessions given the player's predicted-best arm minus sessions given
     their predicted-worst, over the intervention window. Best/worst are
     the model's predictions recorded at decision time."""
-    tally = log_metrics(log, intervention_start).get(player)
+    tally = log_metrics(log).get(player)
     return tally.net_top_treatment if tally else 0
 
 
@@ -216,20 +212,19 @@ class DisparityReport:
 
 
 def cohort_metrics(
-    logs: Sequence,
-    intervention_start: int = DEFAULT_INTERVENTION_START,
-    tallies: Sequence[dict[int, PlayerTally]] | None = None,
+    logs: Sequence, tallies: Sequence[dict[int, PlayerTally]] | None = None
 ) -> list[PlayerMetrics]:
-    """Per-player metrics pooled over every log in the cohort. Players
-    with no attended intervention days are excluded. Percentile ranks
-    (and hence disparities) are computed within the pooled cohort. A
-    mean step count that overflows raises ValueError.
+    """Per-player metrics pooled over every log in the cohort, each over
+    its own window. Players with no attended intervention days are
+    excluded. Percentile ranks (and hence disparities) are computed
+    within the pooled cohort. A mean step count that overflows raises
+    ValueError.
 
-    `tallies`, when given, is each log's `log_metrics` over the same
-    window, in log order; otherwise it is computed here.
+    `tallies`, when given, is each log's `log_metrics`, in log order;
+    otherwise it is computed here.
     """
     if tallies is None:
-        tallies = [log_metrics(log, intervention_start) for log in logs]
+        tallies = [log_metrics(log) for log in logs]
     labels: list[str] = []
     efforts: list[float] = []
     treatments: list[int] = []
@@ -263,10 +258,15 @@ def cohort_metrics(
 
 def disparity_report(
     logs: Sequence,
-    intervention_start: int = DEFAULT_INTERVENTION_START,
+    intervention_start: int | None = None,
     tallies: Sequence[dict[int, PlayerTally]] | None = None,
 ) -> DisparityReport:
-    metrics = cohort_metrics(logs, intervention_start, tallies)
+    """The pooled report over each log's own window, or over the window
+    from `intervention_start` for every log when one is given. `tallies`
+    is as for `cohort_metrics`, over the same windows."""
+    if intervention_start is not None:
+        logs = [replace(log, intervention_start=intervention_start) for log in logs]
+    metrics = cohort_metrics(logs, tallies)
     if len(metrics) < 3:
         raise ValueError(f"need at least 3 analyzable players, got {len(metrics)}")
     metrics.sort(key=lambda m: (m.disparity, m.player))
@@ -277,8 +277,8 @@ def disparity_report(
     return DisparityReport(
         rows=metrics,
         correlation=report,
-        mean_signed_disparity=sum(disparities) / len(disparities),
-        mean_abs_disparity=sum(abs(d) for d in disparities) / len(disparities),
+        mean_signed_disparity=_total(disparities) / len(disparities),
+        mean_abs_disparity=_total(abs(d) for d in disparities) / len(disparities),
     )
 
 
@@ -290,6 +290,11 @@ def write_report_csv(report: DisparityReport, path) -> None:
             writer.writerow(
                 [m.player, m.disparity, m.miss_likelihood, m.effort, m.net_top_treatment]
             )
+
+
+def write_report_json(report: DisparityReport, path) -> None:
+    with open(path, "w") as fh:
+        fh.write(json.dumps(report_summary(report), indent=2, sort_keys=True) + "\n")
 
 
 def correlation_significance(r: float, n: int) -> tuple[float, float]:

@@ -10,13 +10,12 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .analysis import disparity_report, report_summary, write_report_csv
+from .analysis import disparity_report, write_report_csv, write_report_json
 from .experiment import ExperimentSpec, run_experiment
 from .scenarios import BUNDLED, load_scenario
 from .simworld import ConfigError, SchemaError, read_log_csv
@@ -75,19 +74,8 @@ def _positive_int(raw: str) -> int:
     return value
 
 
-def _parse_pair(raw: str, cast):
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected two comma-separated values")
-    return tuple(cast(p) for p in parts)
-
-
 def _cmd_worked_example(args) -> int:
-    try:
-        result = verify_worked_example(csv=args.csv, tc=args.tc, tolerance=args.tolerance)
-    except ValueError as exc:
-        print(f"worked-example: {exc}", file=sys.stderr)
-        return 2
+    result = verify_worked_example()
     for line in result.lines():
         print(line)
     print("worked example:", "PASS" if result.passed else "FAIL")
@@ -155,14 +143,12 @@ def _cmd_analyze(args) -> int:
               " pass --intervention-start", file=sys.stderr)
         return 2
     try:
-        report = disparity_report(logs, intervention_start=args.intervention_start or next(iter(windows)))
+        report = disparity_report(logs, args.intervention_start)
     except ValueError as exc:
         print(f"analyze: {exc}", file=sys.stderr)
         return 2
     write_report_csv(report, out / "report.csv")
-    (out / "report.json").write_text(
-        json.dumps(report_summary(report), indent=2, sort_keys=True) + "\n"
-    )
+    write_report_json(report, out / "report.json")
     print(
         f"{report.correlation.n} players, disparity-vs-miss r={report.correlation.r:.4f}"
         f" (fisher z={report.correlation.fisher_z:.4f})"
@@ -192,19 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(fn=_cmd_run)
 
     p_we = sub.add_parser("worked-example", help="replay the reference calculation")
-    p_we.add_argument("--tolerance", type=float, default=1e-3)
-    p_we.add_argument(
-        "--csv",
-        type=lambda raw: _parse_pair(raw, float),
-        default=(27500.0, 32800.0),
-        help="per-player cumulative contribution, e.g. 27500,32800",
-    )
-    p_we.add_argument(
-        "--tc",
-        type=lambda raw: _parse_pair(raw, int),
-        default=(5, 4),
-        help="per-player treatment counters, e.g. 5,4",
-    )
     p_we.set_defaults(fn=_cmd_worked_example)
 
     p_ax = sub.add_parser("axioms", help="attribution axiom suite")

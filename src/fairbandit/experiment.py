@@ -42,11 +42,11 @@ from .analysis import (
     correlation_diff_test,
     disparity_report,
     log_metrics,
-    report_summary,
     write_report_csv,
+    write_report_json,
 )
 from .analysis import effort, miss_likelihood  # noqa: F401  patched by name in benchmarks/spans.py
-from .bandit import write_decisions_jsonl
+from .bandit import _total, write_decisions_jsonl
 from .simworld import (
     ConfigError,
     StudyConfig,
@@ -136,22 +136,6 @@ class ExperimentSpec:
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-@dataclass
-class RunManifest:
-    spec_hash: str
-    seeds: list[int]
-    files: list[str]
-    version: str = __version__
-
-    def to_dict(self) -> dict:
-        return {
-            "spec_hash": self.spec_hash,
-            "seeds": self.seeds,
-            "files": sorted(self.files),
-            "version": self.version,
-        }
-
-
 def replication_seeds(spec: ExperimentSpec) -> list[int]:
     return [spec.base_seed + k for k in range(spec.replications)]
 
@@ -198,7 +182,7 @@ def batch_median_r(
     replications are pooled into cohorts of `BATCH_SIZE` studies and the
     correlation is computed per cohort; batches that are degenerate
     (constant disparity or misses) are skipped. `tallies` is each log's
-    `log_metrics` over the analysis window, in log order.
+    `log_metrics`, in log order.
     """
     rs = []
     for start in range(0, len(logs) - BATCH_SIZE + 1, BATCH_SIZE):
@@ -228,7 +212,7 @@ def _condition_summary(
                 steps_vs_baseline.append(tally.steps_vs_baseline)
             miss_rates.append(tally.miss_likelihood)
             post_scores.extend(tally.post_motivation)
-    mean = lambda xs: sum(xs) / len(xs) if xs else None
+    mean = lambda xs: _total(xs) / len(xs) if xs else None
     return {
         "condition": condition,
         "replications": len(tallies),
@@ -259,11 +243,9 @@ SUMMARY_COLUMNS = [
 @dataclass
 class ExperimentResult:
     spec: ExperimentSpec
-    out_dir: Path
     logs: dict[str, list[StudyLog]]
     condition_summaries: list[dict]
     comparison: dict | None
-    manifest: RunManifest
 
     def summary(self) -> dict:
         return {
@@ -277,7 +259,7 @@ class ExperimentResult:
 
 def _paired_sum_sd(greedy: Sequence[float | None], shapley: Sequence[float | None]) -> dict:
     pairs = [(g, s) for g, s in zip(greedy, shapley) if g is not None and s is not None]
-    lower = sum(1 for g, s in pairs if s < g)
+    lower = [s < g for g, s in pairs].count(True)
     return {
         "paired_replications": len(pairs),
         "shapley_lower_count": lower,
@@ -291,7 +273,7 @@ def run_experiment(
     jobs: int = 1,
     write_artifacts: bool = True,
 ) -> ExperimentResult:
-    """Run every condition of `spec`, analysing each over its own
+    """Run every condition of `spec`, analysing each log over its own
     intervention window (`StudyConfig.intervention_start`). Each log is
     tallied once (`log_metrics`) and every analysis of it reads that.
     Each seed's studies run as one task that draws the seed's world once
@@ -310,12 +292,11 @@ def run_experiment(
         runs = _run_seeds(spec.conditions, seeds, pool)
     for config, condition_logs in zip(spec.conditions, runs):
         name = config.condition.value
-        start = config.intervention_start
         logs[name] = condition_logs
-        tallies = [log_metrics(log, start) for log in condition_logs]
+        tallies = [log_metrics(log) for log in condition_logs]
         sum_sds[name] = [audit_sum_sd(log_tallies) for log_tallies in tallies]
         try:
-            reports[name] = disparity_report(condition_logs, start, tallies)
+            reports[name] = disparity_report(condition_logs, tallies=tallies)
         except ValueError:
             reports[name] = None
         batch_r = batch_median_r(condition_logs, tallies)
@@ -336,9 +317,7 @@ def run_experiment(
                 ]
             if reports[name] is not None:
                 write_report_csv(reports[name], cond_dir / "report.csv")
-                (cond_dir / "report.json").write_text(
-                    json.dumps(report_summary(reports[name]), indent=2, sort_keys=True) + "\n"
-                )
+                write_report_json(reports[name], cond_dir / "report.json")
                 files += [str((cond_dir / f).relative_to(out)) for f in ("report.csv", "report.json")]
 
     comparison = None
@@ -362,8 +341,7 @@ def run_experiment(
                     }
                 )
 
-    manifest = RunManifest(spec_hash=spec.spec_hash(), seeds=seeds, files=[])
-    result = ExperimentResult(spec, out, logs, summaries, comparison, manifest)
+    result = ExperimentResult(spec, logs, summaries, comparison)
 
     if write_artifacts:
         (out / "summary.json").write_text(
@@ -375,8 +353,11 @@ def run_experiment(
             for row in summaries:
                 writer.writerow([row[c] for c in SUMMARY_COLUMNS])
         files += ["summary.json", "summary.csv", "manifest.json"]
-        manifest.files = files
-        (out / "manifest.json").write_text(
-            json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        manifest = {
+            "spec_hash": spec.spec_hash(),
+            "seeds": seeds,
+            "files": sorted(files),
+            "version": __version__,
+        }
+        (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return result

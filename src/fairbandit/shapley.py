@@ -149,7 +149,10 @@ class AdditiveSteps(CharacteristicFunction):
         self.steps = tuple(float(s) for s in steps)
 
     def value(self, subset: frozenset[PlayerId]) -> float:
-        return sum(self.steps[i] for i in subset)
+        total = 0.0
+        for i in subset:
+            total += self.steps[i]
+        return total
 
 
 class TableBacked(CharacteristicFunction):
@@ -419,8 +422,11 @@ def check_axioms(
     grand = table[-1]
     witnesses: dict = {"interchangeable_pairs": [], "null_players": []}
 
-    efficiency = _close(sum(phi), grand)
-    witnesses["efficiency"] = {"sum_phi": sum(phi), "grand_value": grand}
+    sum_phi = 0.0
+    for share in phi:
+        sum_phi += share
+    efficiency = _close(sum_phi, grand)
+    witnesses["efficiency"] = {"sum_phi": sum_phi, "grand_value": grand}
 
     symmetry = True
     for i in coalition:

@@ -28,7 +28,7 @@ import json
 import locale
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import partial
 from itertools import compress, groupby
@@ -254,7 +254,7 @@ class StudyLog:
     condition: Condition | None = None
     seed: int | None = None
     name: str = ""
-    intervention_start: int | None = None  # `read_log_csv`'s day after the last forced row
+    intervention_start: int = field(kw_only=True)  # the analysis window's first day
 
     @property
     def final_sum_sd(self) -> float | None:
@@ -491,7 +491,7 @@ def run_study(config: StudyConfig, world: StudyWorld | None = None) -> StudyLog:
             step_counts[i] += 1
             last_steps[i] = steps
 
-    return StudyLog(rows, config.condition, config.seed)
+    return StudyLog(rows, config.condition, config.seed, intervention_start=intervention_start)
 
 
 def decision_records(log: StudyLog, step_scale: float, motivation_weight: float) -> Iterator[dict]:
@@ -835,7 +835,7 @@ def log_summary(log: StudyLog, tallies: dict[int, PlayerTally]) -> dict:
         "final_tc_effective": [t.given_best for t in tallies.values()],
         "final_sum_sd": audit_sum_sd(tallies),
         "steps_vs_baseline": {str(p): t.steps_vs_baseline for p, t in tallies.items()},
-        "post_motivation_mean": sum(post) / len(post) if post else None,
+        "post_motivation_mean": _total(post) / len(post) if post else None,
         "miss_likelihood": {str(p): t.miss_likelihood for p, t in tallies.items()},
     }
 

@@ -36,7 +36,7 @@ def report(criterion: str, passed: bool, detail: str) -> None:
 
 def test_criterion_1_worked_example_reproduction():
     t0 = time.perf_counter()
-    result = verify_worked_example(tolerance=1e-3)
+    result = verify_worked_example()
     elapsed = time.perf_counter() - t0
     values = ", ".join(f"{c.name}={c.actual}" for c in result.checks)
     report(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,8 @@ from fairbandit.analysis import (
     report_summary,
 )
 from fairbandit.bandit import Arm, Mode
-from fairbandit.simworld import SessionRow, StudyLog
+from fairbandit.scenarios import load_scenario
+from fairbandit.simworld import Condition, SessionRow, StudyLog, run_study
 
 
 def make_row(day, player, steps, missed=False, arm=Arm.ABOVE_HIGHER,
@@ -42,11 +44,11 @@ def make_row(day, player, steps, missed=False, arm=Arm.ABOVE_HIGHER,
 
 class TestEffort:
     def test_constant_steps(self):
-        log = StudyLog(rows=[make_row(d, 0, 10000.0) for d in range(10, 22)])
+        log = StudyLog(rows=[make_row(d, 0, 10000.0) for d in range(10, 22)], intervention_start=10)
         assert effort(log, 0) == pytest.approx(10000.0)
 
     def test_mean_of_two(self):
-        log = StudyLog(rows=[make_row(10, 0, 8000.0), make_row(11, 0, 12000.0)])
+        log = StudyLog(rows=[make_row(10, 0, 8000.0), make_row(11, 0, 12000.0)], intervention_start=10)
         assert effort(log, 0) == pytest.approx(10000.0)
 
     def test_missed_days_excluded(self):
@@ -55,16 +57,17 @@ class TestEffort:
                 make_row(10, 0, 8000.0),
                 make_row(11, 0, None, missed=True),
                 make_row(12, 0, 12000.0),
-            ]
+            ],
+            intervention_start=10,
         )
         assert effort(log, 0) == pytest.approx(10000.0)
 
     def test_pre_intervention_days_excluded(self):
-        log = StudyLog(rows=[make_row(5, 0, 99999.0), make_row(10, 0, 7000.0)])
+        log = StudyLog(rows=[make_row(5, 0, 99999.0), make_row(10, 0, 7000.0)], intervention_start=10)
         assert effort(log, 0) == pytest.approx(7000.0)
 
     def test_all_missed_reports_absent(self):
-        log = StudyLog(rows=[make_row(d, 0, None, missed=True) for d in range(10, 22)])
+        log = StudyLog(rows=[make_row(d, 0, None, missed=True) for d in range(10, 22)], intervention_start=10)
         assert effort(log, 0) is None
 
 
@@ -72,12 +75,12 @@ class TestNetTopTreatment:
     def test_always_best(self):
         rows = [make_row(d, 0, 9000.0, arm=Arm.ABOVE_HIGHER, best=Arm.ABOVE_HIGHER)
                 for d in range(10, 22)]
-        assert net_top_treatment(StudyLog(rows=rows), 0) == 12
+        assert net_top_treatment(StudyLog(rows=rows, intervention_start=10), 0) == 12
 
     def test_always_worst(self):
         rows = [make_row(d, 0, 9000.0, arm=Arm.BELOW_LOWER, worst=Arm.BELOW_LOWER)
                 for d in range(10, 22)]
-        assert net_top_treatment(StudyLog(rows=rows), 0) == -12
+        assert net_top_treatment(StudyLog(rows=rows, intervention_start=10), 0) == -12
 
     def test_balanced(self):
         rows = [
@@ -85,25 +88,25 @@ class TestNetTopTreatment:
                      arm=Arm.ABOVE_HIGHER if d % 2 else Arm.BELOW_LOWER)
             for d in range(10, 22)
         ]
-        assert net_top_treatment(StudyLog(rows=rows), 0) == 0
+        assert net_top_treatment(StudyLog(rows=rows, intervention_start=10), 0) == 0
 
     def test_neutral_arm_counts_nothing(self):
         rows = [make_row(d, 0, 9000.0, arm=Arm.BETWEEN) for d in range(10, 22)]
-        assert net_top_treatment(StudyLog(rows=rows), 0) == 0
+        assert net_top_treatment(StudyLog(rows=rows, intervention_start=10), 0) == 0
 
 
 class TestMissLikelihood:
     def test_no_misses(self):
-        log = StudyLog(rows=[make_row(d, 0, 9000.0) for d in range(1, 22)])
+        log = StudyLog(rows=[make_row(d, 0, 9000.0) for d in range(1, 22)], intervention_start=10)
         assert miss_likelihood(log, 0) == 0.0
 
     def test_seven_of_twentyone(self):
         rows = [make_row(d, 0, 9000.0, missed=(d <= 7)) for d in range(1, 22)]
-        assert miss_likelihood(StudyLog(rows=rows), 0) == pytest.approx(1 / 3)
+        assert miss_likelihood(StudyLog(rows=rows, intervention_start=10), 0) == pytest.approx(1 / 3)
 
     def test_all_missed(self):
         rows = [make_row(d, 0, None, missed=True) for d in range(1, 22)]
-        assert miss_likelihood(StudyLog(rows=rows), 0) == 1.0
+        assert miss_likelihood(StudyLog(rows=rows, intervention_start=10), 0) == 1.0
 
 
 class TestPercentileRank:
@@ -266,7 +269,7 @@ def hand_crafted_cohort() -> StudyLog:
     rows.append(make_row(2, 2, None, missed=True))
     rows.append(make_row(3, 2, 12000.0, arm=Arm.BELOW_LOWER))
     rows.append(make_row(4, 2, 12000.0, arm=Arm.BELOW_LOWER))
-    return StudyLog(rows=rows)
+    return StudyLog(rows=rows, intervention_start=3)
 
 
 class TestDisparityReport:
@@ -286,8 +289,16 @@ class TestDisparityReport:
         d = [m.disparity for m in report.rows]
         assert pearson_r(d, list(d)) == pytest.approx(1.0)
 
+    def test_simulated_logs_are_read_over_their_own_window(self):
+        spec = load_scenario("conflict-cohort", 30, None)
+        greedy = next(c for c in spec.conditions if c.condition is Condition.GREEDY)
+        config = replace(greedy, forced_exploration_days=3)
+        logs = [run_study(replace(config, seed=seed)) for seed in range(30)]
+        assert disparity_report(logs) == disparity_report(logs, 4)
+        assert disparity_report(logs) != disparity_report(logs, 10)
+
     def test_requires_three_players(self):
-        log = StudyLog(rows=[make_row(10, 0, 9000.0), make_row(10, 1, 9500.0)])
+        log = StudyLog(rows=[make_row(10, 0, 9000.0), make_row(10, 1, 9500.0)], intervention_start=10)
         with pytest.raises(ValueError):
             disparity_report([log])
 

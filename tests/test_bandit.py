@@ -516,7 +516,8 @@ class TestDecisionRecord:
                        80.0, Arm.ABOVE_HIGHER, Arm.BELOW_LOWER, 50.0),
             SessionRow(2, 1, 200.0, False, 2, 2, Arm.BELOW_LOWER, Mode.EXPLOIT, 1,
                        80.0, Arm.BELOW_LOWER, Arm.ABOVE_HIGHER, 250.0),
-        ]
+        ],
+        intervention_start=2,
     )
 
     def test_stable_field_names(self):

@@ -12,9 +12,11 @@ interpreter can check the digests:
     PYTHONPATH=src python tests/test_golden.py          # check; exit 1 on a change
     PYTHONPATH=src python tests/test_golden.py --write  # regenerate the file
 
-The digests were recorded with CPython 3.11.
+The digests were recorded with CPython 3.11 and hold on 3.10, 3.12 and
+3.13 too, as no artifact value is built with the builtin `sum`.
 """
 import argparse
+import ast
 import contextlib
 import hashlib
 import io
@@ -26,6 +28,7 @@ from pathlib import Path
 from fairbandit.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden_digests.json"
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "fairbandit"
 
 RUNS = {
     "conflict-cohort-3x5": ["--scenario", "conflict-cohort", "--replications", "5"],
@@ -58,6 +61,21 @@ def test_artifact_digests_match_golden(run, jobs, tmp_path):
     assert sorted(got) == sorted(want)
     changed = sorted(path for path in want if got[path] != want[path])
     assert not changed, f"{len(changed)} artifact(s) changed, first {changed[:5]}"
+
+
+def test_source_reads_no_builtin_sum():
+    """The builtin `sum` compensates float addition from CPython 3.12, which
+    moves the last bits of artifact values. Totals are folded left to right
+    from 0 instead (`bandit._total`, or a `+=` loop), so the digests hold on
+    every supported version. A name `sum` read anywhere in the package, as a
+    call or as a value passed on, is refused."""
+    uses = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Name) and node.id == "sum" and isinstance(node.ctx, ast.Load)
+    ]
+    assert not uses, f"builtin sum read at {uses}"
 
 
 def check() -> int:

@@ -288,6 +288,11 @@ class TestRunStudy:
         strategy = [row for row in log.rows if row.day > 9]
         assert all(row.mode is not Mode.FORCED for row in strategy)
 
+    @pytest.mark.parametrize("forced", [0, 3, 9])
+    def test_log_carries_its_config_window(self, forced):
+        cfg = replace(config(forced_exploration_days=forced), seed=4)
+        assert run_study(cfg).intervention_start == cfg.intervention_start
+
     def test_deterministic_given_seed(self):
         cfg = config(condition=Condition.SHAPLEY, seed=1234,
                      players=(player(noise_sd=900.0, sco=0.4, effect_size=700.0,
@@ -879,7 +884,10 @@ def run_study_by_objects(config: StudyConfig) -> tuple[StudyLog, list[dict], dic
         "final_tc_effective": tc_effective,
         "final_sum_sd": final_sum_sd,
     }
-    return StudyLog(rows=rows, condition=config.condition, seed=config.seed), decisions, finals
+    return StudyLog(
+        rows=rows, condition=config.condition, seed=config.seed,
+        intervention_start=config.intervention_start,
+    ), decisions, finals
 
 
 def exact(value) -> tuple[str, str]:
@@ -1135,7 +1143,7 @@ def test_summary_json_is_a_function_of_log_csv(tmp_path, scenario, replications)
             log = read_log_csv(rep / "log.csv")
             log.condition, log.seed = cfg.condition, spec.base_seed + k
             again = tmp_path / "again.json"
-            write_log_summary(log, again, log_metrics(log, cfg.intervention_start))
+            write_log_summary(log, again, log_metrics(log))
             assert again.read_bytes() == (rep / "summary.json").read_bytes(), rep
 
 
