@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ from fairbandit.analysis import (
     pearson_r,
     percentile_rank,
     report_summary,
+    write_report_json,
 )
 from fairbandit.bandit import Arm, Mode
 from fairbandit.scenarios import load_scenario
@@ -296,6 +298,24 @@ class TestDisparityReport:
         logs = [run_study(replace(config, seed=seed)) for seed in range(30)]
         assert disparity_report(logs) == disparity_report(logs, 4)
         assert disparity_report(logs) != disparity_report(logs, 10)
+
+    def test_window_override_leaves_the_logs_as_they_were(self):
+        log = hand_crafted_cohort()
+        assert disparity_report([log], 1) != disparity_report([log])
+        assert log.intervention_start == 3
+
+    def test_log_without_a_window_is_refused(self):
+        with pytest.raises(TypeError, match="intervention_start"):
+            StudyLog(rows=[make_row(10, 0, 9000.0)])
+
+    def test_report_json_is_the_sorted_summary(self, tmp_path):
+        report = disparity_report([hand_crafted_cohort()])
+        path = tmp_path / "report.json"
+        write_report_json(report, path)
+        text = path.read_text()
+        assert text.endswith("}\n")
+        assert json.loads(text) == report_summary(report)
+        assert text == json.dumps(report_summary(report), indent=2, sort_keys=True) + "\n"
 
     def test_requires_three_players(self):
         log = StudyLog(rows=[make_row(10, 0, 9000.0), make_row(10, 1, 9500.0)], intervention_start=10)

@@ -162,12 +162,40 @@ class TestWorkedExample:
         assert "[FAIL]" in out
         assert "worked example: FAIL" in out
 
-    @pytest.mark.parametrize("flag", ["--csv=20000,32800", "--tc=5,4", "--tolerance=1"])
-    def test_takes_no_inputs(self, capsys, flag):
+    def test_tight_tolerance_still_passes(self):
+        # the expected figures are given to 3 decimals, and every computed
+        # figure lies within that of its expected value
+        assert verification.WORKED_EXAMPLE_TOLERANCE <= 1e-3
+        result = verification.verify_worked_example()
+        assert result.passed
+        for check in result.checks:
+            if isinstance(check.expected, float):
+                assert abs(check.actual - check.expected) <= 1e-3, check.line()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--csv", "nan,1"],
+            ["--csv", "inf,1"],
+            ["--csv=0,0"],
+            ["--csv=-5,3"],
+            ["--tc=-1,2"],
+            ["--tc", "0,0"],
+            ["--tolerance", "nan"],
+            ["--tolerance", "-1"],
+            ["--tolerance", "inf", "--csv", "1,2"],
+        ],
+        ids=" ".join,
+    )
+    def test_undefined_or_vacuous_input_exits_2(self, capsys, flags):
+        # the worked example takes no inputs: any flag but -h is refused
+        # before the example runs, so nothing can report PASS
         with pytest.raises(SystemExit) as exit:
-            main(["worked-example", flag])
+            main(["worked-example", *flags])
         assert exit.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err
+        assert "PASS" not in captured.out
 
 
 class TestAxioms:
