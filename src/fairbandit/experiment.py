@@ -5,7 +5,8 @@ replication count and a base seed. Replication k of every condition
 runs with seed base_seed + k, so replications are paired across
 conditions and the whole artifact tree is a pure function of the spec.
 Conditions of the same protocol length read the same world draws at a
-seed, which are taken once per seed.
+seed, which are taken once per seed, and conditions that differ only in
+strategy and epsilon share their forced days, simulated once per seed.
 
 Output layout (all paths recorded in manifest.json)::
 
@@ -28,7 +29,7 @@ import hashlib
 import json
 import sys
 from concurrent.futures import Executor, ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from statistics import median
@@ -51,12 +52,13 @@ from .simworld import (
     ConfigError,
     StudyConfig,
     StudyLog,
-    StudyWorld,
     TEAM_SIZE,
     check_doc,
     decision_records,
     draw_world,
+    prefix_key,
     run_study,
+    study_prefix,
     write_log_csv,
     write_log_summary,
 )
@@ -142,14 +144,20 @@ def replication_seeds(spec: ExperimentSpec) -> list[int]:
 
 def _run_seed(configs: Sequence[StudyConfig], seed: int) -> list[StudyLog]:
     """Each config's study at `seed`. Configs of the same protocol length
-    read one world, drawn once (common random numbers)."""
-    worlds: dict[tuple[int, int], StudyWorld] = {}
-    logs = []
-    for config in configs:
-        shape = (config.baseline_days, config.total_sessions)
-        if shape not in worlds:
-            worlds[shape] = draw_world(seed, *shape)
-        logs.append(run_study(replace(config, seed=seed), worlds[shape]))
+    read one world, drawn once (common random numbers), and configs that
+    differ only in condition and epsilon share their forced days, run once."""
+    worlds, prefixes, logs = {}, {}, []
+    for spec_config in configs:
+        # `replace(spec_config, seed=seed)` would re-run `__post_init__`, which checks no seed.
+        config = object.__new__(StudyConfig)
+        config.__dict__.update(vars(spec_config), seed=seed)
+        key = prefix_key(config)
+        if key not in prefixes:
+            shape = (config.baseline_days, config.total_sessions)
+            if shape not in worlds:
+                worlds[shape] = draw_world(seed, *shape)
+            prefixes[key] = study_prefix(config, worlds[shape])
+        logs.append(run_study(config, prefix=prefixes[key]))
     return logs
 
 

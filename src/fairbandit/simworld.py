@@ -18,7 +18,9 @@ do not depend on which strategy is deciding; response/adherence draws
 happen in a fixed per-day order whether or not the session is missed.
 So every draw of the world stream is taken up front into a `StudyWorld`,
 which studies at the same seed and protocol length can share (common
-random numbers): the day loop reads its draws and never the stream.
+random numbers): the day loop reads its draws and never the stream. No
+day before the first strategy day reads the condition or epsilon, so
+studies that differ only in those can share a `StudyPrefix` of them.
 """
 from __future__ import annotations
 
@@ -32,6 +34,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import partial
 from itertools import compress, groupby
+from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from .analysis import PlayerTally, audit_sum_sd, log_metrics
@@ -301,13 +304,16 @@ def logistic(x: float) -> float:
     return e / (1.0 + e)
 
 
+def _miss_probability(player: SimPlayer, running_disparity: float) -> float:
+    if not -1.0 <= running_disparity <= 1.0:
+        raise ValueError("running_disparity must be in [-1, 1]")
+    return logistic(player.adherence_intercept + player.adherence_slope * running_disparity)
+
+
 def miss_decision(player: SimPlayer, running_disparity: float, u: float) -> bool:
     """Whether the player skips today's session: the uniform draw `u`
     falls below logistic(intercept + slope * running_disparity)."""
-    if not -1.0 <= running_disparity <= 1.0:
-        raise ValueError("running_disparity must be in [-1, 1]")
-    p = logistic(player.adherence_intercept + player.adherence_slope * running_disparity)
-    return u < p
+    return u < _miss_probability(player, running_disparity)
 
 
 def _forced_schedule(days: int, rng: SplitMix64) -> list[Arm]:
@@ -401,59 +407,103 @@ def draw_world(seed: int, baseline_days: int, total_sessions: int) -> StudyWorld
     return _draw_world(seed, _streams(seed)[1], baseline_days, total_sessions)
 
 
-def run_study(config: StudyConfig, world: StudyWorld | None = None) -> StudyLog:
-    """Simulate one team through the full protocol and return its log.
-    `world` holds the draws of the study's world stream (`draw_world`);
-    without it the study draws its own, taking the same draws. Rewards and
-    steps fold in unchecked, as `StudyConfig`'s overflow bound keeps them
-    finite; a player's predicted arms are recomputed after it is observed."""
-    n = len(config.players)
+class PrefixMismatchError(ValueError):
+    """A `StudyPrefix` given a study that differs from its own in more than
+    condition and epsilon."""
+
+
+# The config fields that the days before the first strategy day read.
+_PREFIX_FIELDS = [f.name for f in fields(StudyConfig) if f.name not in ("condition", "epsilon")]
+prefix_key = attrgetter(*_PREFIX_FIELDS)
+
+
+class StudyPrefix(NamedTuple):
+    """A study's day loop after its baseline and forced days (`study_prefix`).
+    No forced day exploits or counts toward the best/worst arm tallies."""
+
+    key: tuple  # `prefix_key` of its study
+    world: StudyWorld
+    baseline_means: tuple[float, ...]
+    rows: tuple[SessionRow, ...]  # one per world draw read
+    estimates: tuple  # ((player, cells), ...) of the reward sums, counts and means
+    tallies: tuple  # per player: CSV, TC, step totals and counts, last steps, predicted arms
+    streams: tuple[int, int]  # the decision and jitter streams' states
+
+    def check(self, config: StudyConfig) -> None:
+        """Raise PrefixMismatchError unless `config` differs from its study
+        only in condition and epsilon."""
+        if prefix_key(config) != self.key:
+            differ = [f for f, a, b in zip(_PREFIX_FIELDS, self.key, prefix_key(config)) if a != b]
+            raise PrefixMismatchError(f"prefix run for a study that differs in {differ}")
+
+
+def study_prefix(config: StudyConfig, world: StudyWorld | None = None) -> StudyPrefix:
+    """`config`'s study after its baseline and forced days, which no
+    strategy decides; `world` is as for `run_study`."""
     decision_rng, world_rng, jitter_rng = _streams(config.seed)
     if world is None:
         world = _draw_world(config.seed, world_rng, config.baseline_days, config.total_sessions)
-    else:
-        world.check(config)
-
+    world.check(config)
+    n = len(config.players)
     # A baseline day has no comparison: alignment 0 adds nothing. Each
     # baseline day draws once per player, so player i's draws are [i::n].
-    baseline_samples = [
+    samples = [
         [step_response(player, 0.0, z) for z in world.baseline_z[i::n]]
         for i, player in enumerate(config.players)
     ]
-    baseline_means = [_total(s) / len(s) for s in baseline_samples]
-    last_steps = [samples[-1] for samples in baseline_samples]
-
-    model = RewardModel()
-    state = ShapleyBanditState.fresh(n, epsilon=config.epsilon)
-    players = list(range(n))
     schedule = _forced_schedule(config.forced_exploration_days, decision_rng)
-    forced = iter([Decision(arm, None, Mode.FORCED) for arm in schedule])
-    if config.condition is Condition.CONTROL:
-        select = partial(random_select, decision_rng)
+    forced = iter([Decision(arm, None, Mode.FORCED) for arm in schedule]).__next__
+    last_steps, unobserved = tuple(s[-1] for s in samples), predict_arms(RewardModel(), 0)
+    start = StudyPrefix(
+        prefix_key(config), world, tuple(_total(s) / len(s) for s in samples), rows=(),
+        estimates=((), (), ()),
+        tallies=((0.0,) * n, (0,) * n, (0.0,) * n, (0,) * n, last_steps, (unobserved,) * n),
+        streams=(decision_rng._state, jitter_rng._state),
+    )
+    rows, model, tallies, rngs = _run_days(config, start, range(1, config.intervention_start), forced)
+    cells = (model._sums, model._counts, model._means)
+    return start._replace(
+        rows=tuple(rows), estimates=tuple(tuple((p, tuple(v)) for p, v in c.items()) for c in cells),
+        tallies=tuple(map(tuple, tallies)), streams=tuple(rng._state for rng in rngs),
+    )
+
+
+def _run_days(config: StudyConfig, at: StudyPrefix, days: range, forced=None) -> tuple:
+    """The day loop over `days` from the state `at`, deciding by `forced()`,
+    or by `config`'s strategy without it. Returns the rows, the reward
+    model, `StudyPrefix.tallies` as lists and the decision and jitter
+    streams. Rewards and steps fold in unchecked, as `StudyConfig`'s
+    overflow bound keeps them finite."""
+    n = len(config.players)
+    model = RewardModel()
+    model._sums, model._counts, model._means = ({p: list(v) for p, v in cells} for cells in at.estimates)
+    csv, tc, step_totals, step_counts, last_steps, predicted = tallies = list(map(list, at.tallies))
+    state = ShapleyBanditState(csv, tc, config.epsilon)
+    decision_rng, jitter_rng = rngs = list(map(SplitMix64, at.streams))
+    players = list(range(n))
+    if forced is not None:
+        decide = forced
+    elif config.condition is Condition.CONTROL:
+        decide = partial(random_select, decision_rng)
     elif config.condition is Condition.GREEDY:
-        select = partial(greedy_select, model, players)
+        decide = partial(greedy_select, model, players)
     else:  # with no contribution signal yet (every session missed so far), explore
-        select = lambda: (random_select(decision_rng) if _total(state.csv) <= 0
+        decide = lambda: (random_select(decision_rng) if _total(state.csv) <= 0
                           else shapley_select(state, model, players, decision_rng))
-    step_totals, step_counts = [0.0] * n, [0] * n
-    best_given, worst_given = [0] * n, [0] * n
+    rows, best_given, worst_given = list(at.rows), [0] * n, [0] * n
     any_exploit, exploit, no_disparity = False, Mode.EXPLOIT, [0.0] * n
     observe, new_row = model._observe, tuple.__new__
-    predicted = [predict_arms(model, i) for i in players]
-    rows: list[SessionRow] = []
     jitter = jitter_rng if config.jitter else None
     intervention_start = config.intervention_start
     scale, weight = config.step_scale, config.motivation_weight
-    team = [(i, 1 - i, player, player.sco, baseline_means[i]) for i, player in enumerate(config.players)]
-    draws = iter(world.player_days)
-    day_steps: dict[int, float] = {}
-    for day in range(1, config.total_sessions + 1):
-        for i in day_steps:
-            predicted[i] = predict_arms(model, i)
+    # The last member caches the player's miss probability per running disparity.
+    team = [(i, 1 - i, player, player.sco, at.baseline_means[i], {}) for i, player in enumerate(config.players)]
+    draws = iter(at.world.player_days[len(at.rows):])
+    for day in days:
         disparities = no_disparity if not any_exploit else _running_disparities(
             step_totals, step_counts, best_given, worst_given
         )
-        decision = next(forced, None) or select()
+        decision = decide()
         arm, catered, mode = decision
         any_exploit = any_exploit or mode is exploit
         artificial = place_artificial_steps(arm, last_steps[0], last_steps[1], jitter)
@@ -461,7 +511,7 @@ def run_study(config: StudyConfig, world: StudyWorld | None = None) -> StudyLog:
         day_steps = {}
         # place_artificial_steps has rejected negative steps of either
         # player, and never places a negative count.
-        for i, other, player, sco, baseline_mean in team:
+        for i, other, player, sco, baseline_mean, miss_p in team:
             own = last_steps[i]
             a = sign_alignment(
                 sco, comparison_sign(own, artificial), comparison_sign(own, last_steps[other])
@@ -469,14 +519,17 @@ def run_study(config: StudyConfig, world: StudyWorld | None = None) -> StudyLog:
             z, pre, u_post, u_miss = next(draws)
             steps = step_response(player, a, z)
             pre, post = motivation_response(a, pre, u_post)
-            missed = miss_decision(player, disparities[i], u_miss)
+            if (d := disparities[i]) not in miss_p:  # a running disparity takes at most five values
+                miss_p[d] = _miss_probability(player, d)
+            best, worst = predicted[i]
+            missed = u_miss < miss_p[d]
             if missed:
                 steps = pre = post = None
             else:
                 day_steps[i] = steps
                 reward = combined_reward(steps - baseline_mean, float(post - pre), scale, weight)
                 observe(i, arm, reward)
-            best, worst = predicted[i]
+                predicted[i] = predict_arms(model, i)
             # `tuple.__new__` skips the named tuple's Python-level `__new__`.
             rows.append(new_row(SessionRow, (
                 day, i, steps, missed, pre, post, arm, mode, catered, artificial, best, worst, baseline_mean
@@ -490,8 +543,25 @@ def run_study(config: StudyConfig, world: StudyWorld | None = None) -> StudyLog:
             step_totals[i] += steps
             step_counts[i] += 1
             last_steps[i] = steps
+    return rows, model, tallies, rngs
 
-    return StudyLog(rows, config.condition, config.seed, intervention_start=intervention_start)
+
+def run_study(
+    config: StudyConfig, world: StudyWorld | None = None, prefix: StudyPrefix | None = None
+) -> StudyLog:
+    """Simulate one team through the full protocol and return its log.
+    `world` holds the draws of the study's world stream (`draw_world`);
+    without it the study draws its own, taking the same draws. `prefix`
+    may be the `study_prefix` of a study of another condition or epsilon;
+    the later days read its world. Without it the study runs its own."""
+    if prefix is None:
+        prefix = study_prefix(config, world)
+    elif world is not None:
+        world.check(config)
+    prefix.check(config)
+    days = range(config.intervention_start, config.total_sessions + 1)
+    rows = _run_days(config, prefix, days)[0]
+    return StudyLog(rows, config.condition, config.seed, intervention_start=config.intervention_start)
 
 
 def decision_records(log: StudyLog, step_scale: float, motivation_weight: float) -> Iterator[dict]:

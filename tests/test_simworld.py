@@ -30,9 +30,9 @@ from fairbandit.bandit import (
     team_disparity_sum,
     write_decisions_jsonl,
 )
-from fairbandit.experiment import ExperimentSpec, run_experiment
+from fairbandit.experiment import ExperimentSpec, _run_seed, run_experiment
 from fairbandit.rng import SplitMix64
-from fairbandit.scenarios import load_scenario
+from fairbandit.scenarios import BUNDLED, load_scenario
 from fairbandit.simworld import (
     LOG_COLUMNS,
     Condition,
@@ -42,6 +42,9 @@ from fairbandit.simworld import (
     SimPlayer,
     StudyConfig,
     StudyLog,
+    PrefixMismatchError,
+    StudyPrefix,
+    TEAM_SIZE,
     WorldMismatchError,
     _PARSERS,
     _forced_schedule,
@@ -58,6 +61,7 @@ from fairbandit.simworld import (
     run_study,
     sign_alignment,
     step_response,
+    study_prefix,
     write_log_csv,
     write_log_summary,
 )
@@ -1095,10 +1099,129 @@ def test_world_is_an_immutable_record_of_the_draws():
     assert issubclass(WorldMismatchError, ValueError)
 
 
+
+def exact_rows(log: StudyLog) -> list[list[tuple[str, str]]]:
+    return [list(map(exact, row)) for row in log.rows]
+
+
+@pytest.mark.parametrize("scenario", sorted(BUNDLED))
+@pytest.mark.parametrize("forced", [0, 3, 9])
+@pytest.mark.parametrize("jitter", [False, True])
+def test_prefix_of_another_condition_gives_the_studys_own_log(scenario, forced, jitter):
+    """A study run on the prefix of a study of another condition and
+    epsilon has the rows, bit for bit and type for type, of the study
+    run alone, and of the object oracle."""
+    configs = [
+        replace(cfg, forced_exploration_days=forced, jitter=jitter)
+        for cfg in load_scenario(scenario).conditions
+    ]
+    for seed in range(10):
+        world = draw_world(seed, configs[0].baseline_days, configs[0].total_sessions)
+        for k, cfg in enumerate(configs):
+            cfg = replace(cfg, seed=seed)
+            other = configs[k - 1]
+            prefix = study_prefix(replace(other, seed=seed, epsilon=1.0 - other.epsilon), world)
+            got = run_study(cfg, world, prefix)
+            assert exact_rows(got) == exact_rows(run_study(cfg)), (cfg.condition, seed)
+            assert exact_rows(got) == exact_rows(run_study_by_objects(cfg)[0])
+            assert (got.condition, got.seed, got.intervention_start) == (
+                cfg.condition, seed, forced + 1
+            )
+
+
+def test_prefix_is_an_immutable_record_that_no_study_changes():
+    cfg = config(seed=5, jitter=True)
+    prefix = study_prefix(cfg)
+    again = study_prefix(cfg)
+    assert isinstance(prefix, StudyPrefix) and prefix == again and prefix is not again
+    logs = [run_study(replace(cfg, condition=c), prefix=prefix) for c in Condition]
+    assert prefix == again
+    for condition, log in zip(Condition, logs):
+        twice = run_study(replace(cfg, condition=condition), prefix=prefix)
+        assert exact_rows(twice) == exact_rows(log)
+        assert exact_rows(log) == exact_rows(run_study(replace(cfg, condition=condition)))
+
+    def frozen(value) -> bool:
+        return not isinstance(value, (list, dict, set)) and (
+            not isinstance(value, tuple) or all(map(frozen, value))
+        )
+
+    assert all(map(frozen, prefix))
+    assert len(prefix.rows) == TEAM_SIZE * cfg.forced_exploration_days
+    with pytest.raises(AttributeError):
+        prefix.rows = ()
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"players": (player(), player(baseline_steps=9001.0))},
+        {"jitter": True},
+        {"step_scale": 999.0},
+        {"motivation_weight": 2.0},
+        {"baseline_days": 4},
+        {"forced_exploration_days": 6},
+        {"total_sessions": 22},
+        {"seed": 6},
+    ],
+    ids=lambda change: next(iter(change)),
+)
+def test_prefix_refuses_a_study_that_differs_in_more_than_condition_and_epsilon(change):
+    cfg = config(seed=5)
+    prefix = study_prefix(cfg)
+    run_study(replace(cfg, condition=Condition.SHAPLEY, epsilon=0.5), prefix=prefix)
+    (name,) = change
+    with pytest.raises(PrefixMismatchError, match=rf"differs in \['{name}'\]"):
+        run_study(replace(cfg, **change), prefix=prefix)
+    assert issubclass(PrefixMismatchError, ValueError)
+    with pytest.raises(WorldMismatchError):
+        run_study(cfg, draw_world(6, cfg.baseline_days, cfg.total_sessions), prefix)
+
+
+def test_run_seed_shares_a_prefix_only_between_matching_conditions(monkeypatch):
+    """Conditions that differ in jitter or players each get their own
+    prefix, and every log equals the study run alone."""
+    import fairbandit.experiment as experiment
+
+    built = []
+    monkeypatch.setattr(
+        experiment, "study_prefix", lambda cfg, world: built.append(cfg) or study_prefix(cfg, world)
+    )
+    base = config()
+    configs = [
+        replace(base, condition=Condition.CONTROL, epsilon=0.5),
+        replace(base, condition=Condition.GREEDY, jitter=True),
+        replace(base, condition=Condition.SHAPLEY, players=(player(), player(baseline_steps=12000.0))),
+        replace(base, condition=Condition.SHAPLEY),
+    ]
+    for seed in range(5):
+        built.clear()
+        logs = _run_seed(configs, seed)
+        assert [cfg.condition for cfg in built] == [Condition.CONTROL, Condition.GREEDY, Condition.SHAPLEY]
+        for cfg, log in zip(configs, logs):
+            alone = replace(cfg, seed=seed)
+            assert_same_log(log, run_study(alone), alone)
+        assert all(a is b for a, b in zip(logs[0].rows, logs[3].rows[: 2 * 9]))
+        assert not any(a is b for a, b in zip(logs[0].rows, logs[1].rows))
+
+
+def test_the_forced_rows_of_a_seed_are_shared_by_its_conditions():
+    result = run_experiment(load_scenario("conflict-cohort", 3), "unused", write_artifacts=False)
+    by_seed = zip(*(result.logs[c.value] for c in Condition))
+    for logs in by_seed:
+        forced = TEAM_SIZE * logs[0].intervention_start - TEAM_SIZE
+        assert forced == 18
+        for log in logs[1:]:
+            assert all(a is b for a, b in zip(logs[0].rows[:forced], log.rows[:forced]))
+            assert not any(a is b for a, b in zip(logs[0].rows[forced:], log.rows[forced:]))
+
+
 # next_u64 calls over an in-memory conflict-cohort run_experiment of
-# 3 x 5, with each seed's world drawn once for the three conditions.
-# Drawing it again for every condition took 3615.
-EXPERIMENT_DRAWS = 1410
+# 3 x 5, with each seed's world drawn once for the three conditions and
+# their shared forced days (stream spawns and forced shuffle) run once.
+# Drawing the world again for every condition took 3615; running the
+# forced days again for every condition took 1410.
+EXPERIMENT_DRAWS = 1300
 
 
 def test_experiment_draws_each_world_once(monkeypatch):
