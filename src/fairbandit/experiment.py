@@ -4,9 +4,8 @@ An experiment spec names a scenario, one study config per condition, a
 replication count and a base seed. Replication k of every condition
 runs with seed base_seed + k, so replications are paired across
 conditions and the whole artifact tree is a pure function of the spec.
-Conditions of the same protocol length read the same world draws at a
-seed, which are taken once per seed, and conditions that differ only in
-strategy and epsilon share their forced days, simulated once per seed.
+Conditions that differ only in strategy and epsilon share a seed's
+world draws and forced days, taken and simulated once per seed.
 
 Output layout (all paths recorded in manifest.json)::
 
@@ -55,7 +54,6 @@ from .simworld import (
     TEAM_SIZE,
     check_doc,
     decision_records,
-    draw_world,
     prefix_key,
     run_study,
     study_prefix,
@@ -143,20 +141,17 @@ def replication_seeds(spec: ExperimentSpec) -> list[int]:
 
 
 def _run_seed(configs: Sequence[StudyConfig], seed: int) -> list[StudyLog]:
-    """Each config's study at `seed`. Configs of the same protocol length
-    read one world, drawn once (common random numbers), and configs that
-    differ only in condition and epsilon share their forced days, run once."""
-    worlds, prefixes, logs = {}, {}, []
+    """Each config's study at `seed`. Configs that differ only in condition
+    and epsilon share one `study_prefix`: the world's draws, taken once
+    (common random numbers), and the forced days, run once."""
+    prefixes, logs = {}, []
     for spec_config in configs:
         # `replace(spec_config, seed=seed)` would re-run `__post_init__`, which checks no seed.
         config = object.__new__(StudyConfig)
         config.__dict__.update(vars(spec_config), seed=seed)
         key = prefix_key(config)
         if key not in prefixes:
-            shape = (config.baseline_days, config.total_sessions)
-            if shape not in worlds:
-                worlds[shape] = draw_world(seed, *shape)
-            prefixes[key] = study_prefix(config, worlds[shape])
+            prefixes[key] = study_prefix(config)
         logs.append(run_study(config, prefix=prefixes[key]))
     return logs
 
@@ -284,9 +279,10 @@ def run_experiment(
     """Run every condition of `spec`, analysing each log over its own
     intervention window (`StudyConfig.intervention_start`). Each log is
     tallied once (`log_metrics`) and every analysis of it reads that.
-    Each seed's studies run as one task that draws the seed's world once
-    for every condition; with `jobs` > 1 the tasks run in one process
-    pool of at most one worker per seed."""
+    Each seed's studies run as one task that takes the seed's world draws
+    and forced days once for the conditions that differ only in strategy
+    and epsilon; with `jobs` > 1 the tasks run in one process pool of at
+    most one worker per seed."""
     out = Path(out_dir)
     seeds = replication_seeds(spec)
     files: list[str] = []

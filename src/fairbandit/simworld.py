@@ -16,11 +16,11 @@ log on any platform. Three independent splitmix64 streams (decision,
 world, jitter) are derived from the seed so that the world's responses
 do not depend on which strategy is deciding; response/adherence draws
 happen in a fixed per-day order whether or not the session is missed.
-So every draw of the world stream is taken up front into a `StudyWorld`,
-which studies at the same seed and protocol length can share (common
-random numbers): the day loop reads its draws and never the stream. No
-day before the first strategy day reads the condition or epsilon, so
-studies that differ only in those can share a `StudyPrefix` of them.
+So every draw of the world stream is taken up front, before the first
+day, and the day loop reads its draws and never the stream. No day
+before the first strategy day reads the condition or epsilon, so studies
+that differ only in those can share a `StudyPrefix` of them, which
+carries the world's draws (common random numbers).
 """
 from __future__ import annotations
 
@@ -332,7 +332,7 @@ def _pair_ranks(x: float, y: float) -> tuple[float, float]:
 
 
 def _running_disparities(
-    step_totals: list[float],
+    csv: list[float],
     step_counts: list[int],
     best_given: list[int],
     worst_given: list[int],
@@ -340,71 +340,15 @@ def _running_disparities(
     """Each player's effort percentile minus treatment percentile within
     the team, from data through the previous day; zero while any player
     lacks data (`run_study` also takes zero until the first exploit day).
-    Effort is a player's running step total over their count of
-    attended days; the total adds the steps left to right from 0.0."""
+    Effort is a player's CSV, their attended steps added left to right
+    from 0.0, over their count of attended days."""
     if not all(step_counts):
         return [0.0] * TEAM_SIZE
-    e0, e1 = _pair_ranks(step_totals[0] / step_counts[0], step_totals[1] / step_counts[1])
+    e0, e1 = _pair_ranks(csv[0] / step_counts[0], csv[1] / step_counts[1])
     t0, t1 = _pair_ranks(
         float(best_given[0] - worst_given[0]), float(best_given[1] - worst_given[1])
     )
     return [e0 - t0, e1 - t1]
-
-
-class WorldMismatchError(ValueError):
-    """A `StudyWorld` drawn for another seed or protocol length than the
-    study given it."""
-
-
-class StudyWorld(NamedTuple):
-    """Every draw of one study's world stream, in the order the day loop
-    reads them: a standard normal z per baseline day and player, then
-    per session day and player (z, pre-session motivation, a uniform
-    for the post-session score, a uniform for the miss decision). It
-    depends only on the seed and the protocol length, so studies that
-    differ in strategy, players or jitter can share one."""
-
-    seed: int
-    baseline_days: int
-    total_sessions: int
-    baseline_z: tuple[float, ...]
-    player_days: tuple[tuple[float, int, float, float], ...]
-
-    def check(self, config: StudyConfig) -> None:
-        """Raise WorldMismatchError unless this world is `config`'s."""
-        want = (config.seed, config.baseline_days, config.total_sessions)
-        got = (self.seed, self.baseline_days, self.total_sessions)
-        if got != want:
-            raise WorldMismatchError(
-                f"world drawn for (seed, baseline_days, total_sessions) {got},"
-                f" study needs {want}"
-            )
-
-
-def _streams(seed: int) -> tuple[SplitMix64, SplitMix64, SplitMix64]:
-    """The decision, world and jitter streams of the study at `seed`."""
-    base = SplitMix64(seed)
-    return base.spawn(), base.spawn(), base.spawn()
-
-
-def _draw_world(
-    seed: int, world_rng: SplitMix64, baseline_days: int, total_sessions: int
-) -> StudyWorld:
-    normal, randrange, random = world_rng.normal, world_rng.randrange, world_rng.random
-    baseline_z = tuple([normal() for _ in range(baseline_days * TEAM_SIZE)])
-    # Pre-session motivation is uniform over {2, 3, 4}.
-    player_days = tuple(
-        [
-            (normal(), 2 + randrange(3), random(), random())
-            for _ in range(total_sessions * TEAM_SIZE)
-        ]
-    )
-    return StudyWorld(seed, baseline_days, total_sessions, baseline_z, player_days)
-
-
-def draw_world(seed: int, baseline_days: int, total_sessions: int) -> StudyWorld:
-    """The world of every study at `seed` with this protocol length."""
-    return _draw_world(seed, _streams(seed)[1], baseline_days, total_sessions)
 
 
 class PrefixMismatchError(ValueError):
@@ -418,15 +362,20 @@ prefix_key = attrgetter(*_PREFIX_FIELDS)
 
 
 class StudyPrefix(NamedTuple):
-    """A study's day loop after its baseline and forced days (`study_prefix`).
-    No forced day exploits or counts toward the best/worst arm tallies."""
+    """A study's day loop between two days: before its first session day
+    (`_start`), or after its forced days (`study_prefix`). No forced day
+    exploits or counts toward the best/worst arm tallies."""
 
     key: tuple  # `prefix_key` of its study
-    world: StudyWorld
     baseline_means: tuple[float, ...]
-    rows: tuple[SessionRow, ...]  # one per world draw read
+    schedule: tuple[Decision, ...]  # one per forced day
+    # Every draw of the world stream after the baseline days, per session
+    # day and player: z, pre-session motivation, a uniform for the
+    # post-session score, a uniform for the miss decision.
+    draws: tuple[tuple[float, int, float, float], ...]
+    rows: tuple[SessionRow, ...]  # one per draw read
     estimates: tuple  # ((player, cells), ...) of the reward sums, counts and means
-    tallies: tuple  # per player: CSV, TC, step totals and counts, last steps, predicted arms
+    tallies: tuple  # per player: CSV, TC, attended days, last steps, predicted arms
     streams: tuple[int, int]  # the decision and jitter streams' states
 
     def check(self, config: StudyConfig) -> None:
@@ -437,30 +386,40 @@ class StudyPrefix(NamedTuple):
             raise PrefixMismatchError(f"prefix run for a study that differs in {differ}")
 
 
-def study_prefix(config: StudyConfig, world: StudyWorld | None = None) -> StudyPrefix:
-    """`config`'s study after its baseline and forced days, which no
-    strategy decides; `world` is as for `run_study`."""
-    decision_rng, world_rng, jitter_rng = _streams(config.seed)
-    if world is None:
-        world = _draw_world(config.seed, world_rng, config.baseline_days, config.total_sessions)
-    world.check(config)
+def _start(config: StudyConfig) -> StudyPrefix:
+    """`config`'s study before its first session day. It takes every draw
+    of the world stream up front: a standard normal z per baseline day
+    and player, then `StudyPrefix.draws`."""
+    base = SplitMix64(config.seed)
+    decision_rng, world_rng, jitter_rng = base.spawn(), base.spawn(), base.spawn()
+    normal, randrange, random = world_rng.normal, world_rng.randrange, world_rng.random
     n = len(config.players)
+    baseline_z = [normal() for _ in range(config.baseline_days * n)]
+    # Pre-session motivation is uniform over {2, 3, 4}.
+    draws = tuple(
+        [(normal(), 2 + randrange(3), random(), random()) for _ in range(config.total_sessions * n)]
+    )
     # A baseline day has no comparison: alignment 0 adds nothing. Each
     # baseline day draws once per player, so player i's draws are [i::n].
     samples = [
-        [step_response(player, 0.0, z) for z in world.baseline_z[i::n]]
+        [step_response(player, 0.0, z) for z in baseline_z[i::n]]
         for i, player in enumerate(config.players)
     ]
     schedule = _forced_schedule(config.forced_exploration_days, decision_rng)
-    forced = iter([Decision(arm, None, Mode.FORCED) for arm in schedule]).__next__
     last_steps, unobserved = tuple(s[-1] for s in samples), predict_arms(RewardModel(), 0)
-    start = StudyPrefix(
-        prefix_key(config), world, tuple(_total(s) / len(s) for s in samples), rows=(),
-        estimates=((), (), ()),
-        tallies=((0.0,) * n, (0,) * n, (0.0,) * n, (0,) * n, last_steps, (unobserved,) * n),
+    return StudyPrefix(
+        prefix_key(config), tuple(_total(s) / len(s) for s in samples),
+        tuple([Decision(arm, None, Mode.FORCED) for arm in schedule]), draws, rows=(),
+        estimates=((), (), ()), tallies=((0.0,) * n, (0,) * n, (0,) * n, last_steps, (unobserved,) * n),
         streams=(decision_rng._state, jitter_rng._state),
     )
-    rows, model, tallies, rngs = _run_days(config, start, range(1, config.intervention_start), forced)
+
+
+def study_prefix(config: StudyConfig) -> StudyPrefix:
+    """`config`'s study after its baseline and forced days, which no
+    strategy decides."""
+    start = _start(config)
+    rows, model, tallies, rngs = _run_days(config, start, config.forced_exploration_days)
     cells = (model._sums, model._counts, model._means)
     return start._replace(
         rows=tuple(rows), estimates=tuple(tuple((p, tuple(v)) for p, v in c.items()) for c in cells),
@@ -468,28 +427,28 @@ def study_prefix(config: StudyConfig, world: StudyWorld | None = None) -> StudyP
     )
 
 
-def _run_days(config: StudyConfig, at: StudyPrefix, days: range, forced=None) -> tuple:
-    """The day loop over `days` from the state `at`, deciding by `forced()`,
-    or by `config`'s strategy without it. Returns the rows, the reward
-    model, `StudyPrefix.tallies` as lists and the decision and jitter
-    streams. Rewards and steps fold in unchecked, as `StudyConfig`'s
-    overflow bound keeps them finite."""
+def _run_days(config: StudyConfig, at: StudyPrefix, last_day: int) -> tuple:
+    """The day loop from the state `at` through `last_day`, starting on the
+    day after `at`'s last row. A forced day takes its decision from `at`'s
+    schedule, a later day from `config`'s strategy. Returns the rows, the
+    reward model, `StudyPrefix.tallies` as lists and the decision and
+    jitter streams. Rewards and steps fold in unchecked, as
+    `StudyConfig`'s overflow bound keeps them finite."""
     n = len(config.players)
     model = RewardModel()
     model._sums, model._counts, model._means = ({p: list(v) for p, v in cells} for cells in at.estimates)
-    csv, tc, step_totals, step_counts, last_steps, predicted = tallies = list(map(list, at.tallies))
+    csv, tc, step_counts, last_steps, predicted = tallies = list(map(list, at.tallies))
     state = ShapleyBanditState(csv, tc, config.epsilon)
     decision_rng, jitter_rng = rngs = list(map(SplitMix64, at.streams))
     players = list(range(n))
-    if forced is not None:
-        decide = forced
-    elif config.condition is Condition.CONTROL:
+    if config.condition is Condition.CONTROL:
         decide = partial(random_select, decision_rng)
     elif config.condition is Condition.GREEDY:
         decide = partial(greedy_select, model, players)
     else:  # with no contribution signal yet (every session missed so far), explore
         decide = lambda: (random_select(decision_rng) if _total(state.csv) <= 0
                           else shapley_select(state, model, players, decision_rng))
+    schedule, forced_days = at.schedule, len(at.schedule)
     rows, best_given, worst_given = list(at.rows), [0] * n, [0] * n
     any_exploit, exploit, no_disparity = False, Mode.EXPLOIT, [0.0] * n
     observe, new_row = model._observe, tuple.__new__
@@ -498,12 +457,12 @@ def _run_days(config: StudyConfig, at: StudyPrefix, days: range, forced=None) ->
     scale, weight = config.step_scale, config.motivation_weight
     # The last member caches the player's miss probability per running disparity.
     team = [(i, 1 - i, player, player.sco, at.baseline_means[i], {}) for i, player in enumerate(config.players)]
-    draws = iter(at.world.player_days[len(at.rows):])
-    for day in days:
+    draws = iter(at.draws[len(at.rows):])
+    for day in range(len(at.rows) // n + 1, last_day + 1):
         disparities = no_disparity if not any_exploit else _running_disparities(
-            step_totals, step_counts, best_given, worst_given
+            csv, step_counts, best_given, worst_given
         )
-        decision = decide()
+        decision = schedule[day - 1] if day <= forced_days else decide()
         arm, catered, mode = decision
         any_exploit = any_exploit or mode is exploit
         artificial = place_artificial_steps(arm, last_steps[0], last_steps[1], jitter)
@@ -538,29 +497,25 @@ def _run_days(config: StudyConfig, at: StudyPrefix, days: range, forced=None) ->
                 best_given[i] += arm is best
                 worst_given[i] += arm is worst
 
+        # The CSV adds each attended player's steps from 0.0, so it is
+        # also the running step total that effort reads.
         _shapley_fold(state, decision, day_steps)
         for i, steps in day_steps.items():
-            step_totals[i] += steps
             step_counts[i] += 1
             last_steps[i] = steps
     return rows, model, tallies, rngs
 
 
-def run_study(
-    config: StudyConfig, world: StudyWorld | None = None, prefix: StudyPrefix | None = None
-) -> StudyLog:
+def run_study(config: StudyConfig, prefix: StudyPrefix | None = None) -> StudyLog:
     """Simulate one team through the full protocol and return its log.
-    `world` holds the draws of the study's world stream (`draw_world`);
-    without it the study draws its own, taking the same draws. `prefix`
-    may be the `study_prefix` of a study of another condition or epsilon;
-    the later days read its world. Without it the study runs its own."""
+    `prefix` may be the `study_prefix` of a study of another condition or
+    epsilon; the later days resume from it. Without it the study runs
+    every day from its start."""
     if prefix is None:
-        prefix = study_prefix(config, world)
-    elif world is not None:
-        world.check(config)
-    prefix.check(config)
-    days = range(config.intervention_start, config.total_sessions + 1)
-    rows = _run_days(config, prefix, days)[0]
+        prefix = _start(config)
+    else:
+        prefix.check(config)
+    rows = _run_days(config, prefix, config.total_sessions)[0]
     return StudyLog(rows, config.condition, config.seed, intervention_start=config.intervention_start)
 
 

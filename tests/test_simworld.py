@@ -45,14 +45,12 @@ from fairbandit.simworld import (
     PrefixMismatchError,
     StudyPrefix,
     TEAM_SIZE,
-    WorldMismatchError,
     _PARSERS,
     _forced_schedule,
     _pair_ranks,
     _row_error,
     comparison_sign,
     decision_records,
-    draw_world,
     log_summary,
     logistic,
     miss_decision,
@@ -1065,8 +1063,8 @@ def shared_world_spec(draw) -> ExperimentSpec:
 @given(spec=shared_world_spec())
 def test_shared_world_matches_standalone_studies(spec):
     """Every log of an experiment, whose conditions share each seed's
-    world, equals the study run alone at its seed; a world of another
-    seed or protocol length is refused."""
+    world draws when they share a prefix, equals the study run alone at
+    its seed."""
     result = run_experiment(spec, "unused", write_artifacts=False)
     for cfg in spec.conditions:
         logs = result.logs[cfg.condition.value]
@@ -1076,28 +1074,6 @@ def test_shared_world_matches_standalone_studies(spec):
         for k, log in enumerate(logs):
             alone = replace(cfg, seed=spec.base_seed + k)
             assert_same_log(log, run_study(alone), alone)
-            for seed, baseline_days, total_sessions in (
-                (alone.seed + 1, alone.baseline_days, alone.total_sessions),
-                (alone.seed, alone.baseline_days + 1, alone.total_sessions),
-                (alone.seed, alone.baseline_days, alone.total_sessions + 1),
-            ):
-                with pytest.raises(WorldMismatchError, match="study needs"):
-                    run_study(alone, draw_world(seed, baseline_days, total_sessions))
-
-
-def test_world_is_an_immutable_record_of_the_draws():
-    cfg = config(seed=17, baseline_days=2, total_sessions=12)
-    world = draw_world(17, 2, 12)
-    assert len(world.baseline_z) == 2 * 2
-    assert len(world.player_days) == 12 * 2
-    assert all(pre in (2, 3, 4) and 0.0 <= u_post < 1.0 and 0.0 <= u_miss < 1.0
-               for _z, pre, u_post, u_miss in world.player_days)
-    assert world == draw_world(17, 2, 12)
-    with pytest.raises(AttributeError):
-        world.seed = 18
-    assert_same_log(run_study(cfg, world), run_study(cfg), cfg)
-    assert issubclass(WorldMismatchError, ValueError)
-
 
 
 def exact_rows(log: StudyLog) -> list[list[tuple[str, str]]]:
@@ -1116,17 +1092,37 @@ def test_prefix_of_another_condition_gives_the_studys_own_log(scenario, forced, 
         for cfg in load_scenario(scenario).conditions
     ]
     for seed in range(10):
-        world = draw_world(seed, configs[0].baseline_days, configs[0].total_sessions)
         for k, cfg in enumerate(configs):
             cfg = replace(cfg, seed=seed)
             other = configs[k - 1]
-            prefix = study_prefix(replace(other, seed=seed, epsilon=1.0 - other.epsilon), world)
-            got = run_study(cfg, world, prefix)
+            prefix = study_prefix(replace(other, seed=seed, epsilon=1.0 - other.epsilon))
+            got = run_study(cfg, prefix)
             assert exact_rows(got) == exact_rows(run_study(cfg)), (cfg.condition, seed)
             assert exact_rows(got) == exact_rows(run_study_by_objects(cfg)[0])
             assert (got.condition, got.seed, got.intervention_start) == (
                 cfg.condition, seed, forced + 1
             )
+
+
+@pytest.mark.parametrize("scenario", sorted(BUNDLED))
+@pytest.mark.parametrize("forced, total", [(0, 21), (9, 9), (21, 21)])
+def test_a_study_resumes_at_either_end_of_the_protocol(scenario, forced, total):
+    """With no forced days the prefix holds no rows, and with only forced
+    days it holds every row: a study run alone and one run on the prefix
+    of another condition both give the oracle's rows, bit for bit and
+    type for type."""
+    configs = [
+        replace(cfg, forced_exploration_days=forced, total_sessions=total)
+        for cfg in load_scenario(scenario).conditions
+    ]
+    for seed in range(5):
+        for k, cfg in enumerate(configs):
+            cfg, other = replace(cfg, seed=seed), replace(configs[k - 1], seed=seed)
+            prefix = study_prefix(other)
+            assert len(prefix.rows) == TEAM_SIZE * forced
+            want = exact_rows(run_study_by_objects(cfg)[0])
+            assert exact_rows(run_study(cfg)) == want, (cfg.condition, seed)
+            assert exact_rows(run_study(cfg, prefix)) == want, (cfg.condition, seed)
 
 
 def test_prefix_is_an_immutable_record_that_no_study_changes():
@@ -1174,8 +1170,6 @@ def test_prefix_refuses_a_study_that_differs_in_more_than_condition_and_epsilon(
     with pytest.raises(PrefixMismatchError, match=rf"differs in \['{name}'\]"):
         run_study(replace(cfg, **change), prefix=prefix)
     assert issubclass(PrefixMismatchError, ValueError)
-    with pytest.raises(WorldMismatchError):
-        run_study(cfg, draw_world(6, cfg.baseline_days, cfg.total_sessions), prefix)
 
 
 def test_run_seed_shares_a_prefix_only_between_matching_conditions(monkeypatch):
@@ -1185,7 +1179,7 @@ def test_run_seed_shares_a_prefix_only_between_matching_conditions(monkeypatch):
 
     built = []
     monkeypatch.setattr(
-        experiment, "study_prefix", lambda cfg, world: built.append(cfg) or study_prefix(cfg, world)
+        experiment, "study_prefix", lambda cfg: built.append(cfg) or study_prefix(cfg)
     )
     base = config()
     configs = [
@@ -1217,11 +1211,12 @@ def test_the_forced_rows_of_a_seed_are_shared_by_its_conditions():
 
 
 # next_u64 calls over an in-memory conflict-cohort run_experiment of
-# 3 x 5, with each seed's world drawn once for the three conditions and
-# their shared forced days (stream spawns and forced shuffle) run once.
-# Drawing the world again for every condition took 3615; running the
-# forced days again for every condition took 1410.
-EXPERIMENT_DRAWS = 1300
+# 3 x 5, with each seed's one prefix (stream spawns, world draws and
+# forced shuffle) taken once for the three conditions. Drawing the world
+# again for every condition took 3615; running the forced days again for
+# every condition took 1410; drawing the world apart from the prefix,
+# which spawned the seed's streams a second time, took 1300.
+EXPERIMENT_DRAWS = 1285
 
 
 def test_experiment_draws_each_world_once(monkeypatch):
