@@ -143,16 +143,20 @@ def replication_seeds(spec: ExperimentSpec) -> list[int]:
 def _run_seed(configs: Sequence[StudyConfig], seed: int) -> list[StudyLog]:
     """Each config's study at `seed`. Configs that differ only in condition
     and epsilon share one `study_prefix`: the world's draws, taken once
-    (common random numbers), and the forced days, run once."""
-    prefixes, logs = {}, []
+    (common random numbers), and the forced days, run once. A config that
+    shares its prefix with no other runs in one pass, with no snapshot."""
+    seeded = []
     for spec_config in configs:
         # `replace(spec_config, seed=seed)` would re-run `__post_init__`, which checks no seed.
         config = object.__new__(StudyConfig)
         config.__dict__.update(vars(spec_config), seed=seed)
-        key = prefix_key(config)
-        if key not in prefixes:
+        seeded.append(config)
+    keys = [prefix_key(config) for config in seeded]
+    prefixes, logs = {}, []
+    for config, key in zip(seeded, keys):
+        if key not in prefixes and keys.count(key) > 1:
             prefixes[key] = study_prefix(config)
-        logs.append(run_study(config, prefix=prefixes[key]))
+        logs.append(run_study(config, prefix=prefixes.get(key)))
     return logs
 
 

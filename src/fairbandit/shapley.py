@@ -245,21 +245,50 @@ def _key_members(key) -> list[int]:
     raise ValueError(f"key {key!r} is not comma-separated member indices")
 
 
+def _canonical_table(n: int, values: dict) -> list[float] | None:
+    """The by-mask list when `values` holds exactly the canonical keys (each
+    mask's ascending, comma-joined members), perhaps with "", and every value
+    is valid; None sends the document to the per-key walk."""
+    keys = [""]
+    for i in range(n):  # a mask's key extends the key of the mask without its top bit
+        tail = f",{i}"
+        keys += [key + tail for key in keys]
+        keys[1 << i] = str(i)
+    if len(values) != len(keys) - ("" not in values):
+        return None
+    try:
+        table = [0.0, *map(float, map(values.get, keys[1:]))]
+        empty = float(values.get("", 0.0))
+    except (TypeError, ValueError):
+        return None
+    return table if empty == 0.0 and all(map(math.isfinite, table)) else None
+
+
 def load_characteristic(source) -> TableBacked:
     """Load a TableBacked function from a JSON document.
 
-    Accepts a dict, a JSON string, or a path. Format::
+    Accepts a dict, a JSON string, or a path: a `str` that names an
+    existing file, or any `os.PathLike`, is read as a file. Format::
 
         {"players": 2, "values": {"0": 10000.0, "1": 12000.0, "0,1": 23000.0}}
 
     Keys are comma-separated member indices; the empty-set entry ("")
     may be omitted and defaults to 0. Any other missing subset is an
     error, as is everything `TableBacked` rejects; errors name the key.
+    A document whose keys are the canonical ones (ascending members, no
+    spaces) loads in a few whole-table passes; any other spelling, or any
+    failed check, takes the per-key walk, which names the first problem
+    in document order.
     """
-    if isinstance(source, (str, Path)) and os.path.exists(source):
+    if isinstance(source, os.PathLike) or isinstance(source, str) and os.path.exists(source):
         doc = json.loads(Path(source).read_text())
     elif isinstance(source, str):
-        doc = json.loads(source)
+        try:
+            doc = json.loads(source)
+        except json.JSONDecodeError:
+            raise ValueError(
+                f"characteristic source is neither an existing file nor valid JSON: {source[:80]!r}"
+            ) from None
     else:
         doc = source
     if not isinstance(doc, dict) or "players" not in doc or "values" not in doc:
@@ -268,7 +297,7 @@ def load_characteristic(source) -> TableBacked:
     _check_players(n)
     if not isinstance(doc["values"], dict):
         raise ValueError('"values" must map subset keys to numbers')
-    table = _mask_table(
+    table = _canonical_table(n, doc["values"]) or _mask_table(
         n,
         ((key, _key_members(key), v) for key, v in doc["values"].items()),
         lambda key: f"key {key!r}",

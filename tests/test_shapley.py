@@ -3,6 +3,7 @@ import json
 import math
 import operator
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -295,6 +296,111 @@ class TestJsonLoading:
         doc = {"players": 2, "values": {"0": 1, "one": 1, "0,1": 3}}
         with pytest.raises(ValueError, match="'one'"):
             load_characteristic(doc)
+
+    def test_missing_path_names_the_file(self, tmp_path):
+        missing = tmp_path / "no-such-game.json"
+        with pytest.raises(FileNotFoundError, match="no-such-game.json"):
+            load_characteristic(missing)
+
+    def test_string_neither_file_nor_json_is_named(self, tmp_path):
+        missing = str(tmp_path / "no-such-game.json")
+        with pytest.raises(ValueError, match="neither an existing file nor valid JSON") as err:
+            load_characteristic(missing)
+        assert not isinstance(err.value, json.JSONDecodeError)
+        assert missing[:30] in str(err.value)
+
+
+SPELLINGS = {
+    "canonical": lambda members: ",".join(map(str, members)),
+    "descending": lambda members: ",".join(map(str, reversed(members))),
+    "padded": lambda members: ",".join(f" {i} " for i in members),
+}
+
+
+def _spelled_doc(n, values, spell, empty=False, shuffle_seed=None):
+    """A table-game document whose key for each subset is `spell(members)`."""
+    items = [
+        (spell([i for i in range(n) if mask >> i & 1]), v) for mask, v in enumerate(values) if mask
+    ]
+    if empty:  # "" is the canonical key of the empty set, " " another spelling
+        items.insert(0, ("" if spell is SPELLINGS["canonical"] else " ", 0.0))
+    if shuffle_seed is not None:
+        random.Random(shuffle_seed).shuffle(items)
+    return {"players": n, "values": dict(items)}
+
+
+def _bits(table):
+    return [x.hex() for x in table]
+
+
+class TestLoaderPaths:
+    """A document of canonical keys takes the whole-table passes; any other
+    spelling takes the per-key walk. Both must give the same table and
+    raise the same error."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        import fairbandit.shapley as shapley
+
+        calls = []
+        walk = shapley._mask_table
+        monkeypatch.setattr(shapley, "_mask_table", lambda *a: calls.append(a[0]) or walk(*a))
+        return calls
+
+    @pytest.mark.parametrize("n", [*range(1, 9), 12])
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["ordered", "shuffled"])
+    @pytest.mark.parametrize("empty", [False, True], ids=["no-empty", "empty"])
+    def test_every_spelling_loads_the_reference_table(self, walks, n, spelling, shuffled, empty):
+        game = random_table_game(n, SplitMix64(100 + n))
+        want = TableBacked(
+            n, {_members(mask, n): v for mask, v in enumerate(game._values) if mask}
+        )._values
+        walks.clear()  # TableBacked walks its own mapping
+        spell = SPELLINGS[spelling]
+        doc = _spelled_doc(n, game._values, spell, empty, 7 * n if shuffled else None)
+        assert _bits(load_characteristic(doc)._values) == _bits(want)
+        assert _bits(load_characteristic(json.dumps(doc))._values) == _bits(want)
+        canonical = _spelled_doc(n, game._values, SPELLINGS["canonical"], empty=True)["values"]
+        assert walks == ([] if doc["values"].keys() <= canonical.keys() else [n, n])
+
+    @pytest.mark.parametrize("raw", [True, "7", 7, 7.5, "nan", "inf", None, "x", [1]])
+    @pytest.mark.parametrize("where", [[0, 2], []], ids=["member-key", "empty-key"])
+    def test_both_paths_agree_on_each_raw_value(self, walks, raw, where):
+        values = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+        outcomes = {}
+        for spelling in ("canonical", "padded"):
+            doc = _spelled_doc(3, values, SPELLINGS[spelling], empty=True)
+            key = SPELLINGS[spelling](where) or ("" if spelling == "canonical" else " ")
+            doc["values"][key] = raw
+            try:
+                outcomes[spelling] = _bits(load_characteristic(doc)._values)
+            except ValueError as err:
+                outcomes[spelling] = str(err).replace(repr(key), "KEY")
+                assert repr(key) in str(err)
+        assert outcomes["canonical"] == outcomes["padded"]
+        if isinstance(outcomes["canonical"], list):
+            assert walks == [3]  # only the padded document walked
+
+    @pytest.mark.parametrize("spelling", ["canonical", "descending"])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["in-order", "reversed"])
+    def test_first_problem_in_document_order_is_named(self, spelling, reverse):
+        spell = SPELLINGS[spelling]
+        doc = _spelled_doc(3, [0.0] * 8, spell)
+        doc["values"][spell([0, 1])] = "x"
+        doc["values"][spell([1, 2])] = "inf"
+        if reverse:
+            doc["values"] = dict(reversed(doc["values"].items()))
+        first = f"key {spell([1, 2])!r} has non-finite value 'inf'" if reverse else (
+            f"key {spell([0, 1])!r} has non-numeric value 'x'"
+        )
+        with pytest.raises(ValueError) as err:
+            load_characteristic(doc)
+        assert str(err.value) == first
+        del doc["values"][spell([2])]  # a missing key is only found after the walk
+        with pytest.raises(ValueError) as err:
+            load_characteristic(doc)
+        assert str(err.value) == first
 
 
 def _old_subsets_excluding(coalition, excluded):

@@ -1173,8 +1173,8 @@ def test_prefix_refuses_a_study_that_differs_in_more_than_condition_and_epsilon(
 
 
 def test_run_seed_shares_a_prefix_only_between_matching_conditions(monkeypatch):
-    """Conditions that differ in jitter or players each get their own
-    prefix, and every log equals the study run alone."""
+    """Conditions that differ in jitter or players run without a prefix,
+    and every log equals the study run alone."""
     import fairbandit.experiment as experiment
 
     built = []
@@ -1191,7 +1191,7 @@ def test_run_seed_shares_a_prefix_only_between_matching_conditions(monkeypatch):
     for seed in range(5):
         built.clear()
         logs = _run_seed(configs, seed)
-        assert [cfg.condition for cfg in built] == [Condition.CONTROL, Condition.GREEDY, Condition.SHAPLEY]
+        assert [cfg.condition for cfg in built] == [Condition.CONTROL]
         for cfg, log in zip(configs, logs):
             alone = replace(cfg, seed=seed)
             assert_same_log(log, run_study(alone), alone)
