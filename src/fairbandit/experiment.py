@@ -24,17 +24,15 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import hashlib
 import json
 import sys
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from statistics import median
 from typing import Sequence
 
-from . import __version__
+from . import __version__, strictjson
 from .analysis import (
     DisparityReport,
     PlayerTally,
@@ -126,12 +124,16 @@ class ExperimentSpec:
         except OSError as exc:
             raise ConfigError(f"cannot read spec {path}: {exc.strerror}") from exc
         try:
-            doc = json.loads(text)
+            doc = strictjson.loads(text)
+        except strictjson.RepeatedKeyError as exc:
+            raise ConfigError(f"spec has a {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"spec is not valid JSON: {exc}") from exc
         return cls.from_dict(doc)
 
     def spec_hash(self) -> str:
+        import hashlib  # only a manifest needs it; importing it costs every run's start-up
+
         canonical = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -198,9 +200,14 @@ def batch_median_r(
             rs.append(disparity_report(logs[batch], tallies=tallies[batch]).correlation.r)
         except ValueError:
             continue
-    if not rs:
-        return None
-    return median(rs)
+    return _median(rs) if rs else None
+
+
+def _median(values: list[float]) -> float:
+    """The median by the expression `statistics.median` uses, so its bits match."""
+    values = sorted(values)
+    mid = len(values) // 2
+    return values[mid] if len(values) % 2 else (values[mid - 1] + values[mid]) / 2
 
 
 def _condition_summary(

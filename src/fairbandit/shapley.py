@@ -39,12 +39,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+
+from . import strictjson
 
 PlayerId = int
 
@@ -65,17 +66,38 @@ def _close(a: float, b: float) -> bool:
     return abs(a - b) <= REL_TOL * max(1.0, abs(a), abs(b))
 
 
-@dataclass(frozen=True)
 class Coalition:
-    """The full player set; members are the contiguous indices 0..n-1."""
+    """The full player set; members are the contiguous indices 0..n-1.
+    Immutable; equal, and hashed, by `members`."""
 
-    members: tuple[PlayerId, ...]
+    __slots__ = ("members",)
 
-    def __post_init__(self):
-        if self.members != tuple(range(len(self.members))):
+    def __init__(self, members: tuple[PlayerId, ...]):
+        if members != tuple(range(len(members))):
             raise ValueError(
-                f"coalition members must be the contiguous indices 0..n-1, got {self.members}"
+                f"coalition members must be the contiguous indices 0..n-1, got {members}"
             )
+        object.__setattr__(self, "members", members)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # pickle and copy would otherwise set the slot
+        return type(self), (self.members,)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.members == other.members
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.members,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(members={self.members!r})"
 
     @classmethod
     def of_size(cls, n: int) -> "Coalition":
@@ -204,9 +226,12 @@ def _check_players(n) -> None:
     _check_size(n, MAX_EXACT_PLAYERS)
 
 
-def _mask_table(n: int, entries, describe: Callable[[object], str]) -> list[float]:
-    """The by-mask list from (key, members, value) entries; `describe(key)`
-    names the offending entry in every error."""
+def _mask_table(
+    n: int, entries, describe: Callable[[object], str], number: Callable = float
+) -> list[float]:
+    """The by-mask list from (key, members, value) entries, each value
+    converted by `number`; `describe(key)` names the offending entry in
+    every error."""
     table: list = [None] * (1 << n)
     for key, members, raw in entries:
         mask = 0
@@ -219,7 +244,7 @@ def _mask_table(n: int, entries, describe: Callable[[object], str]) -> list[floa
         if table[mask] is not None:
             raise ValueError(f"{describe(key)} duplicates an earlier key")
         try:
-            value = float(raw)
+            value = number(raw)
         except (TypeError, ValueError):
             raise ValueError(f"{describe(key)} has non-numeric value {raw!r}") from None
         if not math.isfinite(value):
@@ -236,6 +261,12 @@ def _mask_table(n: int, entries, describe: Callable[[object], str]) -> list[floa
     return table
 
 
+def _json_number(raw) -> float:
+    if not strictjson.is_number(raw):
+        raise TypeError(raw)
+    return float(raw)
+
+
 def _key_members(key) -> list[int]:
     if isinstance(key, str):
         try:
@@ -248,20 +279,28 @@ def _key_members(key) -> list[int]:
 def _canonical_table(n: int, values: dict) -> list[float] | None:
     """The by-mask list when `values` holds exactly the canonical keys (each
     mask's ascending, comma-joined members), perhaps with "", and every value
-    is valid; None sends the document to the per-key walk."""
+    is a valid int or float; None sends the document to the per-key walk."""
+    if len(values) != (1 << n) - ("" not in values):
+        return None
+    table = [*map(values.get, _canonical_keys(n))]
+    table[0] = values.get("", 0.0)
+    if not set(map(type, table)) <= {int, float}:
+        return None
+    table = [*map(float, table)]
+    if table[0] != 0.0 or not all(map(math.isfinite, table)):
+        return None
+    table[0] = 0.0  # not -0.0
+    return table
+
+
+def _canonical_keys(n: int) -> list[str]:
+    """Each mask's ascending, comma-joined members, indexed by mask."""
     keys = [""]
     for i in range(n):  # a mask's key extends the key of the mask without its top bit
         tail = f",{i}"
         keys += [key + tail for key in keys]
         keys[1 << i] = str(i)
-    if len(values) != len(keys) - ("" not in values):
-        return None
-    try:
-        table = [0.0, *map(float, map(values.get, keys[1:]))]
-        empty = float(values.get("", 0.0))
-    except (TypeError, ValueError):
-        return None
-    return table if empty == 0.0 and all(map(math.isfinite, table)) else None
+    return keys
 
 
 def load_characteristic(source) -> TableBacked:
@@ -274,17 +313,20 @@ def load_characteristic(source) -> TableBacked:
 
     Keys are comma-separated member indices; the empty-set entry ("")
     may be omitted and defaults to 0. Any other missing subset is an
-    error, as is everything `TableBacked` rejects; errors name the key.
+    error, as is everything `TableBacked` rejects and a value that is not
+    a JSON number (an int or a float, not a bool or a string); errors
+    name the key. A JSON text that repeats a key in one object raises
+    `strictjson.RepeatedKeyError`, naming the key by its path.
     A document whose keys are the canonical ones (ascending members, no
     spaces) loads in a few whole-table passes; any other spelling, or any
     failed check, takes the per-key walk, which names the first problem
     in document order.
     """
     if isinstance(source, os.PathLike) or isinstance(source, str) and os.path.exists(source):
-        doc = json.loads(Path(source).read_text())
+        doc = strictjson.loads(Path(source).read_text())
     elif isinstance(source, str):
         try:
-            doc = json.loads(source)
+            doc = strictjson.loads(source)
         except json.JSONDecodeError:
             raise ValueError(
                 f"characteristic source is neither an existing file nor valid JSON: {source[:80]!r}"
@@ -301,6 +343,7 @@ def load_characteristic(source) -> TableBacked:
         n,
         ((key, _key_members(key), v) for key, v in doc["values"].items()),
         lambda key: f"key {key!r}",
+        _json_number,
     )
     return TableBacked._of_table(n, table)
 
@@ -402,15 +445,14 @@ def shapley_oracle_permutations(
     return phi
 
 
-@dataclass
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Outcome of checking the four fairness axioms on one game."""
 
     efficiency: bool
     symmetry: bool
     nullity: bool
     additivity: bool
-    witnesses: dict = field(default_factory=dict)
+    witnesses: dict
 
     @property
     def all_pass(self) -> bool:

@@ -55,21 +55,17 @@ from .bandit import (
     shapley_update,  # noqa: F401  patched by name in benchmarks/spans.py
 )
 from .rng import SplitMix64
+from .strictjson import is_number
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _is_number(value) -> bool:
-    # JSON true/false load as bool, a subclass of int, so no number takes one.
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 # What a JSON value must be to fill a field of each annotated type.
 _ACCEPTS = {
-    "int": ("an integer", lambda v: _is_number(v) and isinstance(v, int)),
-    "float": ("a finite number", lambda v: _is_number(v) and abs(v) <= sys.float_info.max),
+    "int": ("an integer", lambda v: is_number(v) and isinstance(v, int)),
+    "float": ("a finite number", lambda v: is_number(v) and abs(v) <= sys.float_info.max),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "str": ("a string", lambda v: isinstance(v, str)),
     "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),

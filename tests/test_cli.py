@@ -660,6 +660,31 @@ class TestSpecLoading:
         assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
         assert "JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "repeat, path",
+        [
+            ('"replications": 3, "replications": 2', '["replications"]'),
+            ('"condition": "greedy", "condition": "shapley"', '["conditions"][0]["condition"]'),
+        ],
+    )
+    def test_spec_that_repeats_a_key_is_config_error(
+        self, tmp_path, capsys, monkeypatch, repeat, path
+    ):
+        import fairbandit.cli as cli
+
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("spec was run"))
+        doc = tiny_spec_dict(replications=3)
+        doc["conditions"] = [{"condition": "greedy", "players": doc["conditions"][0]["players"]}]
+        text = json.dumps(doc).replace(repeat.split(", ")[0], repeat)
+        assert text.count(repeat) == 1
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(text)
+        assert exit_code(["run", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"run: spec has a repeated key {path}\n"
+        assert not (tmp_path / "o").exists()
+        with pytest.raises(ConfigError, match="repeated key"):
+            ExperimentSpec.from_json(spec_path)
+
     @pytest.mark.parametrize("kind", ["missing", "directory"])
     def test_unreadable_spec_path_is_config_error(self, tmp_path, capsys, kind):
         spec_path = tmp_path / "spec.json"
@@ -775,3 +800,24 @@ class TestSpecLoading:
         pooled = run_experiment(spec, tmp_path, jobs=jobs, write_artifacts=False)
         assert started == workers
         assert pooled.summary() == serial.summary()
+
+
+
+# Per-batch r: any float in [-1, 1], or a few values drawn often enough to tie.
+_RS = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=41) | st.lists(
+    st.sampled_from([-0.5, -0.0, 0.0, 0.25, 1.0]), min_size=1, max_size=12
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RS)
+@example([0.3, -0.7, 0.3, 0.3])
+@example([-0.9, -0.1])
+@example([0.1, 0.2])
+@example([-1.0, 1.0, 0.5])
+def test_batch_median_matches_statistics_median_bit_for_bit(rs):
+    import statistics
+
+    from fairbandit.experiment import _median
+
+    assert _median(rs).hex() == statistics.median(rs).hex()

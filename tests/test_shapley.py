@@ -1,8 +1,10 @@
+import copy
 import hashlib
 import json
 import math
 import operator
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -15,11 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import import_sets
 from fairbandit.rng import SplitMix64
 from fairbandit.shapley import (
     _players_ahead,
     _without_bit,
     AdditiveSteps,
+    AxiomReport,
     CallableCharacteristic,
     MAX_EXACT_PLAYERS,
     Coalition,
@@ -33,6 +37,7 @@ from fairbandit.shapley import (
     shapley_value,
     subset_weight,
 )
+from fairbandit.strictjson import RepeatedKeyError
 from fairbandit.verification import random_table_game, run_axiom_suite
 
 TWO_PLAYER_SUPERADDITIVE = TableBacked(
@@ -302,6 +307,35 @@ class TestJsonLoading:
         with pytest.raises(FileNotFoundError, match="no-such-game.json"):
             load_characteristic(missing)
 
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            ('{"players": 2, "values": {"0": 1, "1": 2, "0,1": 3, "0,1": 9}}', '["values"]["0,1"]'),
+            ('{"players": 2, "players": 2, "values": {"0": 1, "1": 2, "0,1": 3}}', '["players"]'),
+        ],
+    )
+    def test_repeated_key_is_named_by_its_path(self, tmp_path, text, path):
+        game = tmp_path / "game.json"
+        game.write_text(text)
+        for source in (text, game, str(game)):
+            with pytest.raises(RepeatedKeyError) as err:
+                load_characteristic(source)
+            assert str(err.value) == f"repeated key {path}"
+
+    @pytest.mark.parametrize("raw", ["true", "false", '"7"', '" 3 "', "null"])
+    def test_json_text_value_that_is_not_a_number_is_refused(self, raw):
+        for key in ("0,1", "1,0"):  # the canonical passes and the per-key walk
+            text = f'{{"players": 2, "values": {{"0": 1, "1": 2, "{key}": {raw}}}}}'
+            with pytest.raises(ValueError, match=f"key '{key}' has non-numeric value"):
+                load_characteristic(text)
+
+    def test_number_subclass_loads_from_a_dict(self):
+        class Steps(float):
+            pass
+
+        doc = {"players": 2, "values": {"0": Steps(1.5), "1": 2, "0,1": Steps(4.0)}}
+        assert load_characteristic(doc)._values == [0.0, 1.5, 2.0, 4.0]
+
     def test_string_neither_file_nor_json_is_named(self, tmp_path):
         missing = str(tmp_path / "no-such-game.json")
         with pytest.raises(ValueError, match="neither an existing file nor valid JSON") as err:
@@ -364,7 +398,7 @@ class TestLoaderPaths:
         canonical = _spelled_doc(n, game._values, SPELLINGS["canonical"], empty=True)["values"]
         assert walks == ([] if doc["values"].keys() <= canonical.keys() else [n, n])
 
-    @pytest.mark.parametrize("raw", [True, "7", 7, 7.5, "nan", "inf", None, "x", [1]])
+    @pytest.mark.parametrize("raw", [True, "7", " 3 ", 7, 7.5, "nan", "inf", None, "x", [1]])
     @pytest.mark.parametrize("where", [[0, 2], []], ids=["member-key", "empty-key"])
     def test_both_paths_agree_on_each_raw_value(self, walks, raw, where):
         values = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
@@ -379,8 +413,13 @@ class TestLoaderPaths:
                 outcomes[spelling] = str(err).replace(repr(key), "KEY")
                 assert repr(key) in str(err)
         assert outcomes["canonical"] == outcomes["padded"]
-        if isinstance(outcomes["canonical"], list):
+        # Only a JSON number loads: true and numeric strings are refused.
+        accepted = type(raw) in (int, float) and where != []
+        assert isinstance(outcomes["canonical"], list) == accepted
+        if accepted:
             assert walks == [3]  # only the padded document walked
+        if raw is True or raw in ("7", " 3 "):
+            assert outcomes["canonical"] == f"key KEY has non-numeric value {raw!r}"
 
     @pytest.mark.parametrize("spelling", ["canonical", "descending"])
     @pytest.mark.parametrize("reverse", [False, True], ids=["in-order", "reversed"])
@@ -388,10 +427,10 @@ class TestLoaderPaths:
         spell = SPELLINGS[spelling]
         doc = _spelled_doc(3, [0.0] * 8, spell)
         doc["values"][spell([0, 1])] = "x"
-        doc["values"][spell([1, 2])] = "inf"
+        doc["values"][spell([1, 2])] = math.inf
         if reverse:
             doc["values"] = dict(reversed(doc["values"].items()))
-        first = f"key {spell([1, 2])!r} has non-finite value 'inf'" if reverse else (
+        first = f"key {spell([1, 2])!r} has non-finite value inf" if reverse else (
             f"key {spell([0, 1])!r} has non-numeric value 'x'"
         )
         with pytest.raises(ValueError) as err:
@@ -631,6 +670,53 @@ def test_coalition_requires_contiguous_members():
     with pytest.raises(ValueError):
         Coalition((0, 2))
     assert list(Coalition.of_size(3)) == [0, 1, 2]
+
+
+class TestRecordTypes:
+    def test_coalition_equality_hash_and_repr(self):
+        a, b = Coalition.of_size(3), Coalition((0, 1, 2))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != Coalition.of_size(2)
+        assert a != (0, 1, 2) and (0, 1, 2) != a
+        assert repr(a) == "Coalition(members=(0, 1, 2))"
+        assert Coalition(members=(0,)) == Coalition.of_size(1)
+        assert len(a) == 3 and 2 in a and 3 not in a and -1 not in a
+
+    def test_coalition_refuses_assignment(self):
+        c = Coalition.of_size(2)
+        with pytest.raises(AttributeError):
+            c.members = (0, 1, 2)
+        with pytest.raises(AttributeError):
+            c.extra = 1
+        with pytest.raises(AttributeError):
+            del c.members
+        assert c.members == (0, 1)
+
+    @pytest.mark.parametrize("members", [(0, 2), (1,), (1, 0), [0, 1]])
+    def test_coalition_refuses_members_that_are_not_0_to_n(self, members):
+        with pytest.raises(ValueError, match="contiguous"):
+            Coalition(members)
+
+    def test_coalition_pickles_and_copies(self):
+        c = Coalition.of_size(4)
+        for copied in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c), copy.copy(c)):
+            assert copied == c and copied.members == (0, 1, 2, 3)
+            assert type(copied) is Coalition
+
+    def test_axiom_report_fields(self):
+        report = check_axioms(TWO_PLAYER_SUPERADDITIVE, Coalition.of_size(2))
+        assert AxiomReport._fields == (
+            "efficiency", "symmetry", "nullity", "additivity", "witnesses"
+        )
+        assert report.all_pass and report[:4] == (True, True, True, True)
+        assert sorted(report.witnesses) == [
+            "additivity", "efficiency", "interchangeable_pairs", "null_players"
+        ]
+        assert not AxiomReport(True, True, False, True, {}).all_pass
+
+
+def test_importing_shapley_or_experiment_loads_no_stdlib_module_it_does_not_run():
+    assert import_sets.unexpected() == {}
 
 
 def test_importing_shapley_loads_no_pipeline_module():
