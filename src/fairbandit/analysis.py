@@ -220,8 +220,8 @@ def cohort_metrics(
     within the pooled cohort. A mean step count that overflows raises
     ValueError.
 
-    `tallies`, when given, is each log's `log_metrics`, in log order;
-    otherwise it is computed here.
+    `tallies`, when given, is each log's `log_metrics`, in log order, and
+    `logs` may then be the logs' names alone; otherwise it is computed here.
     """
     if tallies is None:
         tallies = [log_metrics(log) for log in logs]
@@ -230,7 +230,8 @@ def cohort_metrics(
     treatments: list[int] = []
     misses: list[float] = []
     for log, log_tallies in zip(logs, tallies, strict=True):
-        prefix = f"{log.name}:" if getattr(log, "name", "") else ""
+        name = log if isinstance(log, str) else getattr(log, "name", "")
+        prefix = f"{name}:" if name else ""
         for player, tally in log_tallies.items():
             if tally.effort is None:
                 continue
@@ -263,7 +264,8 @@ def disparity_report(
 ) -> DisparityReport:
     """The pooled report over each log's own window, or over the window
     from `intervention_start` for every log when one is given. `tallies`
-    is as for `cohort_metrics`, over the same windows."""
+    is as for `cohort_metrics`, over the same windows; with `tallies` and no
+    `intervention_start`, `logs` may be the logs' names alone."""
     if intervention_start is not None:
         logs = [replace(log, intervention_start=intervention_start) for log in logs]
     metrics = cohort_metrics(logs, tallies)

@@ -26,11 +26,11 @@ import contextlib
 import csv
 import json
 import sys
+from collections.abc import Sequence
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Sequence
 
 from . import __version__, strictjson
 from .analysis import (
@@ -142,17 +142,23 @@ def replication_seeds(spec: ExperimentSpec) -> list[int]:
     return [spec.base_seed + k for k in range(spec.replications)]
 
 
+def _seeded(spec_config: StudyConfig, seed: int) -> StudyConfig:
+    # `replace(spec_config, seed=seed)` would re-run `__post_init__`, which checks no seed.
+    config = object.__new__(StudyConfig)
+    config.__dict__.update(vars(spec_config), seed=seed)
+    return config
+
+
+def _rep_name(config: StudyConfig, k: int) -> str:
+    return f"{config.condition.value}/rep_{k:04d}"
+
+
 def _run_seed(configs: Sequence[StudyConfig], seed: int) -> list[StudyLog]:
     """Each config's study at `seed`. Configs that differ only in condition
     and epsilon share one `study_prefix`: the world's draws, taken once
     (common random numbers), and the forced days, run once. A config that
     shares its prefix with no other runs in one pass, with no snapshot."""
-    seeded = []
-    for spec_config in configs:
-        # `replace(spec_config, seed=seed)` would re-run `__post_init__`, which checks no seed.
-        config = object.__new__(StudyConfig)
-        config.__dict__.update(vars(spec_config), seed=seed)
-        seeded.append(config)
+    seeded = [_seeded(config, seed) for config in configs]
     keys = [prefix_key(config) for config in seeded]
     prefixes, logs = {}, []
     for config, key in zip(seeded, keys):
@@ -162,28 +168,44 @@ def _run_seed(configs: Sequence[StudyConfig], seed: int) -> list[StudyLog]:
     return logs
 
 
-def _run_seeds(
-    configs: Sequence[StudyConfig], seeds: Sequence[int], pool: Executor | None
-) -> list[list[StudyLog]]:
-    """Each config's logs, one per seed, named `<condition>/rep_NNNN`.
-    One task per seed runs every config, in `pool` when one is given."""
-    by_seed = list((pool.map if pool is not None else map)(partial(_run_seed, configs), seeds))
-    runs = [[logs[c] for logs in by_seed] for c in range(len(configs))]
-    for config, logs in zip(configs, runs):
-        for k, log in enumerate(logs):
-            log.name = f"{config.condition.value}/rep_{k:04d}"
-    return runs
-
-
 def run_condition(
     config: StudyConfig, seeds: Sequence[int], pool: Executor | None = None
 ) -> list[StudyLog]:
-    """One log per seed, run in `pool` when one is given."""
-    return _run_seeds((config,), seeds, pool)[0]
+    """One log per seed, named `<condition>/rep_NNNN`, run in `pool` when one is given."""
+    by_seed = (pool.map if pool is not None else map)(partial(_run_seed, (config,)), seeds)
+    logs = [seed_logs[0] for seed_logs in by_seed]
+    for k, log in enumerate(logs):
+        log.name = _rep_name(config, k)
+    return logs
+
+
+@dataclass(frozen=True)
+class ReplicationLogs(Sequence):
+    """A condition's logs, replication k's at seed `base_seed + k` for each
+    k in `reps`, as a read-only sequence that holds no log. Each access
+    runs `run_study` for that seed alone and names the log
+    `<condition>/rep_NNNN`: a log is a pure function of its config and
+    seed, so it equals the one the experiment ran, on a shared prefix or
+    not. A slice is another `ReplicationLogs`."""
+
+    config: StudyConfig
+    base_seed: int
+    reps: range
+
+    def __len__(self) -> int:
+        return len(self.reps)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ReplicationLogs(self.config, self.base_seed, self.reps[index])
+        k = self.reps[index]  # IndexError past either end
+        log = run_study(_seeded(self.config, self.base_seed + k))
+        log.name = _rep_name(self.config, k)
+        return log
 
 
 def batch_median_r(
-    logs: Sequence[StudyLog], tallies: Sequence[dict[int, PlayerTally]]
+    logs: Sequence[StudyLog | str], tallies: Sequence[dict[int, PlayerTally]]
 ) -> float | None:
     """Median disparity-vs-miss correlation over batches of replications.
 
@@ -191,7 +213,7 @@ def batch_median_r(
     replications are pooled into cohorts of `BATCH_SIZE` studies and the
     correlation is computed per cohort; batches that are degenerate
     (constant disparity or misses) are skipped. `tallies` is each log's
-    `log_metrics`, in log order.
+    `log_metrics`, in log order, and `logs` the logs or their names.
     """
     rs = []
     for start in range(0, len(logs) - BATCH_SIZE + 1, BATCH_SIZE):
@@ -257,7 +279,7 @@ SUMMARY_COLUMNS = [
 @dataclass
 class ExperimentResult:
     spec: ExperimentSpec
-    logs: dict[str, list[StudyLog]]
+    logs: dict[str, ReplicationLogs]
     condition_summaries: list[dict]
     comparison: dict | None
 
@@ -288,55 +310,60 @@ def run_experiment(
     write_artifacts: bool = True,
 ) -> ExperimentResult:
     """Run every condition of `spec`, analysing each log over its own
-    intervention window (`StudyConfig.intervention_start`). Each log is
-    tallied once (`log_metrics`) and every analysis of it reads that.
-    Each seed's studies run as one task that takes the seed's world draws
-    and forced days once for the conditions that differ only in strategy
-    and epsilon; with `jobs` > 1 the tasks run in one process pool of at
-    most one worker per seed."""
+    intervention window (`StudyConfig.intervention_start`). Each seed's
+    studies run as one task that takes the seed's world draws and forced
+    days once for the conditions that differ only in strategy and epsilon;
+    with `jobs` > 1 the tasks run in one process pool of at most one worker
+    per seed. The seeds are walked in order and no log outlives its own:
+    each is tallied once (`log_metrics`), its artifacts are written, and it
+    is dropped. The pooled analyses read the tallies and the logs' names.
+    `ExperimentResult.logs` runs a log again when it is read."""
     out = Path(out_dir)
     seeds = replication_seeds(spec)
+    names = [config.condition.value for config in spec.conditions]
     files: list[str] = []
-    logs: dict[str, list[StudyLog]] = {}
+    tallies: dict[str, list[dict[int, PlayerTally]]] = {name: [] for name in names}
+    sum_sds: dict[str, list[float | None]] = {name: [] for name in names}
     reports: dict[str, DisparityReport | None] = {}
-    sum_sds: dict[str, list[float | None]] = {}
     summaries: list[dict] = []
 
     workers = min(jobs, len(seeds))
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
-        runs = _run_seeds(spec.conditions, seeds, pool)
-    for config, condition_logs in zip(spec.conditions, runs):
-        name = config.condition.value
-        logs[name] = condition_logs
-        tallies = [log_metrics(log) for log in condition_logs]
-        sum_sds[name] = [audit_sum_sd(log_tallies) for log_tallies in tallies]
+        by_seed = (pool.map if pool is not None else map)(partial(_run_seed, spec.conditions), seeds)
+        for k, seed_logs in enumerate(by_seed):
+            for config, log in zip(spec.conditions, seed_logs):
+                name = config.condition.value
+                log.name = _rep_name(config, k)
+                log_tallies = log_metrics(log)
+                tallies[name].append(log_tallies)
+                sum_sds[name].append(audit_sum_sd(log_tallies))
+                if write_artifacts:
+                    rep_dir = out / log.name
+                    rep_dir.mkdir(parents=True, exist_ok=True)
+                    write_log_csv(log, rep_dir / "log.csv")
+                    records = decision_records(log, config.step_scale, config.motivation_weight)
+                    write_decisions_jsonl(records, rep_dir / "decisions.jsonl")
+                    write_log_summary(log, rep_dir / "summary.json", log_tallies)
+                    files += [
+                        f"{log.name}/{fname}" for fname in ("log.csv", "decisions.jsonl", "summary.json")
+                    ]
+            del seed_logs, log
+
+    for config, name in zip(spec.conditions, names):
+        rep_names = [_rep_name(config, k) for k in range(len(seeds))]
         try:
-            reports[name] = disparity_report(condition_logs, tallies=tallies)
+            reports[name] = disparity_report(rep_names, tallies=tallies[name])
         except ValueError:
             reports[name] = None
-        batch_r = batch_median_r(condition_logs, tallies)
-        summaries.append(_condition_summary(name, tallies, sum_sds[name], reports[name], batch_r))
-
-        if write_artifacts:
-            cond_dir = out / name
-            for k, log in enumerate(condition_logs):
-                rep_dir = cond_dir / f"rep_{k:04d}"
-                rep_dir.mkdir(parents=True, exist_ok=True)
-                write_log_csv(log, rep_dir / "log.csv")
-                records = decision_records(log, config.step_scale, config.motivation_weight)
-                write_decisions_jsonl(records, rep_dir / "decisions.jsonl")
-                write_log_summary(log, rep_dir / "summary.json", tallies[k])
-                files += [
-                    str((rep_dir / fname).relative_to(out))
-                    for fname in ("log.csv", "decisions.jsonl", "summary.json")
-                ]
-            if reports[name] is not None:
-                write_report_csv(reports[name], cond_dir / "report.csv")
-                write_report_json(reports[name], cond_dir / "report.json")
-                files += [str((cond_dir / f).relative_to(out)) for f in ("report.csv", "report.json")]
+        batch_r = batch_median_r(rep_names, tallies[name])
+        summaries.append(_condition_summary(name, tallies[name], sum_sds[name], reports[name], batch_r))
+        if write_artifacts and reports[name] is not None:
+            write_report_csv(reports[name], out / name / "report.csv")
+            write_report_json(reports[name], out / name / "report.json")
+            files += [f"{name}/report.csv", f"{name}/report.json"]
 
     comparison = None
-    if "greedy" in logs and "shapley" in logs:
+    if "greedy" in sum_sds and "shapley" in sum_sds:
         comparison = _paired_sum_sd(sum_sds["greedy"], sum_sds["shapley"])
         rg, rs_ = reports.get("greedy"), reports.get("shapley")
         if rg is not None and rs_ is not None:
@@ -356,6 +383,10 @@ def run_experiment(
                     }
                 )
 
+    logs = {
+        name: ReplicationLogs(config, spec.base_seed, range(spec.replications))
+        for config, name in zip(spec.conditions, names)
+    }
     result = ExperimentResult(spec, logs, summaries, comparison)
 
     if write_artifacts:

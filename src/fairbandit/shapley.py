@@ -183,8 +183,8 @@ class TableBacked(CharacteristicFunction):
     The values are held only as the `by_mask` list. Rejected: a player
     count that is not an int from 1 to MAX_EXACT_PLAYERS (checked before
     anything is allocated), members outside 0..n-1, a member repeated in
-    one subset, two keys for one subset, non-finite values and a
-    non-zero empty-coalition value.
+    one subset, two keys for one subset, non-finite values, ints too large
+    for a float and a non-zero empty-coalition value.
     """
 
     def __init__(self, n_players: int, values: Mapping[Iterable[PlayerId], float]):
@@ -247,6 +247,8 @@ def _mask_table(
             value = number(raw)
         except (TypeError, ValueError):
             raise ValueError(f"{describe(key)} has non-numeric value {raw!r}") from None
+        except OverflowError:  # an int beyond the float range
+            raise ValueError(f"{describe(key)} has a value too large for a float") from None
         if not math.isfinite(value):
             raise ValueError(f"{describe(key)} has non-finite value {raw!r}")
         if mask == 0 and value != 0.0:
@@ -286,7 +288,10 @@ def _canonical_table(n: int, values: dict) -> list[float] | None:
     table[0] = values.get("", 0.0)
     if not set(map(type, table)) <= {int, float}:
         return None
-    table = [*map(float, table)]
+    try:
+        table = [*map(float, table)]
+    except OverflowError:  # the walk names the int beyond the float range
+        return None
     if table[0] != 0.0 or not all(map(math.isfinite, table)):
         return None
     table[0] = 0.0  # not -0.0

@@ -518,17 +518,18 @@ def test_run_tallies_each_log_once(tmp_path, monkeypatch):
     log_metrics = analysis.log_metrics
 
     def counting(log, *args, **kwargs):
-        calls[id(log)] += 1
+        calls[log.name] += 1
         return log_metrics(log, *args, **kwargs)
 
     for module in (analysis, experiment):
         monkeypatch.setattr(module, "log_metrics", counting)
     spec = ExperimentSpec.from_dict(tiny_spec_dict(replications=20))
     result = run_experiment(spec, tmp_path / "out")
-    logs = [log for condition_logs in result.logs.values() for log in condition_logs]
-    assert len(logs) == 60
+    during_run = calls.copy()
+    names = [log.name for condition_logs in result.logs.values() for log in condition_logs]
+    assert len(set(names)) == 60
     assert (tmp_path / "out" / "shapley" / "rep_0019" / "summary.json").exists()
-    assert calls == Counter({id(log): 1 for log in logs})
+    assert during_run == Counter({name: 1 for name in names})
 
 
 class TestSpecLoading:

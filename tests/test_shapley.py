@@ -220,6 +220,10 @@ class TestTableBacked:
         with pytest.raises(ValueError, match="empty-coalition"):
             TableBacked(1, {frozenset(): 5.0, frozenset([0]): 1.0})
 
+    def test_integer_too_large_for_a_float_names_its_subset(self):
+        with pytest.raises(ValueError, match=r"^subset \[1\] has a value too large for a float$"):
+            TableBacked(2, {frozenset([0]): 1.0, frozenset([1]): 10**400, frozenset([0, 1]): 2.0})
+
 
 BUILDERS = {
     "TableBacked": lambda players: TableBacked(players, {frozenset([0]): 1.0}),
@@ -329,6 +333,18 @@ class TestJsonLoading:
             with pytest.raises(ValueError, match=f"key '{key}' has non-numeric value"):
                 load_characteristic(text)
 
+    @pytest.mark.parametrize("key", ["0", "1", "0,1", "1,0", ""])
+    def test_integer_too_large_for_a_float_names_its_key(self, key):
+        huge = "1" + "0" * 400
+        values = {"0": "1", "1": "2", "0,1": "3"}
+        if key == "1,0":
+            del values["0,1"]
+        values[key] = huge
+        text = '{"players": 2, "values": {%s}}' % ", ".join(f'"{k}": {v}' for k, v in values.items())
+        for source in (text, json.loads(text)):  # the parsed text holds a Python int
+            with pytest.raises(ValueError, match=f"^key '{key}' has a value too large for a float$"):
+                load_characteristic(source)
+
     def test_number_subclass_loads_from_a_dict(self):
         class Steps(float):
             pass
@@ -420,6 +436,13 @@ class TestLoaderPaths:
             assert walks == [3]  # only the padded document walked
         if raw is True or raw in ("7", " 3 "):
             assert outcomes["canonical"] == f"key KEY has non-numeric value {raw!r}"
+
+    def test_integer_too_large_for_a_float_falls_through_to_the_walk(self, walks):
+        doc = {"players": 1, "values": {"0": 10**400}}
+        with pytest.raises(ValueError) as err:
+            load_characteristic(doc)
+        assert str(err.value) == "key '0' has a value too large for a float"
+        assert walks == [1]  # the canonical passes gave the document to the walk
 
     @pytest.mark.parametrize("spelling", ["canonical", "descending"])
     @pytest.mark.parametrize("reverse", [False, True], ids=["in-order", "reversed"])

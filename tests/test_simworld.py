@@ -30,7 +30,7 @@ from fairbandit.bandit import (
     team_disparity_sum,
     write_decisions_jsonl,
 )
-from fairbandit.experiment import ExperimentSpec, _run_seed, run_experiment
+from fairbandit.experiment import ExperimentSpec, _run_seed, replication_seeds, run_experiment
 from fairbandit.rng import SplitMix64
 from fairbandit.scenarios import BUNDLED, load_scenario
 from fairbandit.simworld import (
@@ -1062,17 +1062,14 @@ def shared_world_spec(draw) -> ExperimentSpec:
 @settings(max_examples=60, deadline=None)
 @given(spec=shared_world_spec())
 def test_shared_world_matches_standalone_studies(spec):
-    """Every log of an experiment, whose conditions share each seed's
-    world draws when they share a prefix, equals the study run alone at
-    its seed."""
-    result = run_experiment(spec, "unused", write_artifacts=False)
-    for cfg in spec.conditions:
-        logs = result.logs[cfg.condition.value]
-        assert [log.name for log in logs] == [
-            f"{cfg.condition.value}/rep_{k:04d}" for k in range(spec.replications)
-        ]
-        for k, log in enumerate(logs):
-            alone = replace(cfg, seed=spec.base_seed + k)
+    """Every log of an experiment's seed task, whose conditions share the
+    seed's world draws when they share a prefix, equals the study run
+    alone at its seed."""
+    for seed in replication_seeds(spec):
+        logs = _run_seed(spec.conditions, seed)
+        assert len(logs) == len(spec.conditions)
+        for cfg, log in zip(spec.conditions, logs):
+            alone = replace(cfg, seed=seed)
             assert_same_log(log, run_study(alone), alone)
 
 
@@ -1200,9 +1197,10 @@ def test_run_seed_shares_a_prefix_only_between_matching_conditions(monkeypatch):
 
 
 def test_the_forced_rows_of_a_seed_are_shared_by_its_conditions():
-    result = run_experiment(load_scenario("conflict-cohort", 3), "unused", write_artifacts=False)
-    by_seed = zip(*(result.logs[c.value] for c in Condition))
-    for logs in by_seed:
+    spec = load_scenario("conflict-cohort", 3)
+    assert [cfg.condition for cfg in spec.conditions] == list(Condition)
+    for seed in replication_seeds(spec):
+        logs = _run_seed(spec.conditions, seed)
         forced = TEAM_SIZE * logs[0].intervention_start - TEAM_SIZE
         assert forced == 18
         for log in logs[1:]:
@@ -1265,18 +1263,82 @@ def test_summary_json_is_a_function_of_log_csv(tmp_path, scenario, replications)
             assert again.read_bytes() == (rep / "summary.json").read_bytes(), rep
 
 
-def test_in_memory_experiment_holds_only_rows():
-    """An in-memory run keeps each log's rows and no per-day record: the
-    tracemalloc peak of conflict-cohort 3 x 100 is about 3 MB (7.7 MB
-    when every log also held a decision record per day)."""
-    spec = load_scenario("conflict-cohort", replications=100)
+def test_in_memory_experiment_holds_no_log_past_its_seed():
+    """An in-memory run tallies each seed's logs and drops them before the
+    next seed runs: the tracemalloc peak of conflict-cohort 3 x 200 is
+    about 1.1 MB, mostly the tallies (4.4 MB when the run held every log)."""
+    spec = load_scenario("conflict-cohort", replications=200)
     tracemalloc.start()
     try:
         run_experiment(spec, "unused", write_artifacts=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5e6
+    assert peak <= 1.5e6
+
+
+class TestReplicationLogs:
+    """`ExperimentResult.logs[condition]` holds the config and the seeds
+    alone, and runs a study each time a log is read."""
+
+    SPEC = load_scenario("study-protocol", replications=4, base_seed=900)
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return run_experiment(self.SPEC, "unused", write_artifacts=False)
+
+    def test_length_and_names(self, result):
+        assert list(result.logs) == [cfg.condition.value for cfg in self.SPEC.conditions]
+        for name, logs in result.logs.items():
+            assert len(logs) == 4
+            assert [log.name for log in logs] == [f"{name}/rep_{k:04d}" for k in range(4)]
+
+    def test_each_log_is_the_study_at_its_seed(self, result):
+        for cfg in self.SPEC.conditions:
+            logs = result.logs[cfg.condition.value]
+            for k in range(4):
+                alone = replace(cfg, seed=900 + k)
+                log = logs[k]
+                assert (log.condition, log.seed) == (cfg.condition, 900 + k)
+                assert log.intervention_start == alone.intervention_start
+                assert_same_log(log, run_study(alone), alone)
+                assert log is not logs[k]  # nothing is kept between reads
+
+    def test_slices_and_negative_indices(self, result):
+        logs = result.logs["greedy"]
+        assert logs[-1].name == "greedy/rep_0003"
+        assert logs[-4].name == "greedy/rep_0000"
+        assert_same_log(logs[-2], logs[2], self.SPEC.conditions[1])
+        tail = logs[1:]
+        assert len(tail) == 3
+        assert [log.name for log in tail] == [f"greedy/rep_{k:04d}" for k in (1, 2, 3)]
+        assert tail[-1].name == "greedy/rep_0003"
+        assert [log.name for log in logs[::-2]] == ["greedy/rep_0003", "greedy/rep_0001"]
+        assert [log.seed for log in logs[1:][1:2]] == [902]
+        assert len(logs[4:]) == 0 and list(logs[4:]) == []
+
+    @pytest.mark.parametrize("index", [4, 5, -5])
+    def test_index_past_either_end_raises(self, result, index):
+        with pytest.raises(IndexError):
+            result.logs["control"][index]
+
+    def test_is_read_only(self, result):
+        logs = result.logs["shapley"]
+        with pytest.raises(TypeError):
+            logs[0] = logs[1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            logs.base_seed = 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_log_writes_its_artifact_after_a_run_at_jobs(self, tmp_path, jobs):
+        spec = load_scenario("conflict-cohort", replications=3)
+        result = run_experiment(spec, tmp_path / "run", jobs=jobs)
+        for name, logs in result.logs.items():
+            assert len(logs) == 3
+            for k, log in enumerate(logs):
+                write_log_csv(log, tmp_path / "again.csv")
+                rep = tmp_path / "run" / name / f"rep_{k:04d}"
+                assert (tmp_path / "again.csv").read_bytes() == (rep / "log.csv").read_bytes()
 
 
 finite_or_inf = st.floats(allow_nan=False)
