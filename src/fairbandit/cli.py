@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .analysis import disparity_report, write_report_csv, write_report_json
+from .analysis import disparity_report, log_metrics, write_report_csv, write_report_json
 from .experiment import ExperimentSpec, run_experiment
 from .scenarios import BUNDLED, load_scenario
 from .simworld import ConfigError, SchemaError, read_log_csv
@@ -129,21 +129,28 @@ def _cmd_analyze(args) -> int:
     except OSError as exc:
         print(f"analyze: cannot create output directory {out}: {exc.strerror}", file=sys.stderr)
         return 2
-    logs = []
-    for path, name in zip(args.logs, _log_names(args.logs)):
+    # Each log is tallied as it is read and dropped before the next, so
+    # the rows of one log at most are held at a time.
+    names = _log_names(args.logs)
+    tallies = []
+    windows = {}
+    for path, name in zip(args.logs, names):
         try:
-            logs.append(read_log_csv(path, name=name))
+            log = read_log_csv(path, name=name)
         except (SchemaError, OSError) as exc:
             print(f"analyze: {path}: {exc}", file=sys.stderr)
             return 2
-    windows = {log.intervention_start: path for path, log in zip(args.logs, logs)}
+        windows[log.intervention_start] = path
+        if args.intervention_start is not None:
+            log = replace(log, intervention_start=args.intervention_start)
+        tallies.append(log_metrics(log))
     if args.intervention_start is None and len(windows) > 1:
         (day, path), (other_day, other) = list(windows.items())[:2]
         print(f"analyze: {path} starts its window on day {day} but {other} on day {other_day};"
               " pass --intervention-start", file=sys.stderr)
         return 2
     try:
-        report = disparity_report(logs, args.intervention_start)
+        report = disparity_report(names, tallies=tallies)
     except ValueError as exc:
         print(f"analyze: {exc}", file=sys.stderr)
         return 2

@@ -4,8 +4,10 @@ import hashlib
 import io
 import json
 import math
+import shutil
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -14,11 +16,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fairbandit.analysis import disparity_report
+from fairbandit.analysis import disparity_report, write_report_csv, write_report_json
 from fairbandit.cli import main
 from fairbandit.experiment import ExperimentSpec, run_experiment
 from fairbandit.scenarios import load_scenario
-from fairbandit.simworld import Condition, ConfigError, SimPlayer, StudyConfig
+from fairbandit.simworld import Condition, ConfigError, SimPlayer, StudyConfig, read_log_csv
 from fairbandit import verification
 from fairbandit.verification import run_axiom_suite
 
@@ -448,6 +450,88 @@ class TestAnalyze:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["analyze", str(day4), str(day7), "--out", str(out),
                          "--intervention-start", "5"]) == 0
+
+    @pytest.fixture(scope="class")
+    def windows(self, tmp_path_factory):
+        """Two logs whose window starts on day 4 and one on day 7, in the
+        order day 4, day 7, day 4."""
+        root = tmp_path_factory.mktemp("windows")
+        forced3 = self.forced_run(root, 3, "forced3") / "greedy"
+        forced6 = self.forced_run(root, 6, "forced6") / "greedy"
+        return [
+            forced3 / "rep_0000" / "log.csv",
+            forced6 / "rep_0001" / "log.csv",
+            forced3 / "rep_0002" / "log.csv",
+        ]
+
+    def test_a_schema_error_is_named_before_windows_are_judged(
+        self, tmp_path, capsys, windows
+    ):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("day,player,steps\n1,0,100\n")
+        out = tmp_path / "r"
+        assert main(["analyze", *map(str, windows[:2]), str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"analyze: {bad}: ")
+        assert "missing columns" in err
+        assert "window" not in err
+        assert not (out / "report.json").exists()
+
+    def test_three_logs_in_two_windows_name_the_last_log_of_the_first(
+        self, tmp_path, capsys, windows
+    ):
+        day4, day7, day4_again = windows
+        assert main(["analyze", *map(str, windows), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == (
+            f"analyze: {day4_again} starts its window on day 4 but {day7} on day 7;"
+            " pass --intervention-start\n"
+        )
+
+    def test_intervention_start_matches_the_in_memory_report(self, tmp_path, windows):
+        out = tmp_path / "r"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["analyze", *map(str, windows), "--out", str(out),
+                         "--intervention-start", "5"]) == 0
+        root = windows[0].parents[3]
+        logs = [
+            read_log_csv(path, name=path.relative_to(root).with_suffix("").as_posix())
+            for path in windows
+        ]
+        report = disparity_report(logs, 5)
+        write_report_csv(report, tmp_path / "want.csv")
+        write_report_json(report, tmp_path / "want.json")
+        assert (out / "report.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert (out / "report.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+    def test_analyze_holds_no_log_past_its_tally(self, tmp_path):
+        """Each log is read, tallied and dropped before the next is read:
+        the tracemalloc peak over 300 conflict-cohort logs is about 0.7 MB
+        (3.0 MB when every log was held until the report)."""
+        run = tmp_path / "run"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", "--scenario", "conflict-cohort", "--replications", "1",
+                         "--out", str(run)]) == 0
+        sources = sorted(run.glob("*/rep_0000/log.csv"))
+        assert len(sources) == 3
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        paths = [str(corpus / f"log_{k:03d}.csv") for k in range(300)]
+        for k, path in enumerate(paths):
+            shutil.copyfile(sources[k % 3], path)
+        out = tmp_path / "r"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["analyze", *paths[:3], "--out", str(tmp_path / "warm")]) == 0
+            tracemalloc.start()
+            try:
+                code = main(["analyze", *paths, "--out", str(out)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 1.5e6
+        logs = [read_log_csv(path, name=Path(path).stem) for path in paths]
+        write_report_json(disparity_report(logs), tmp_path / "want.json")
+        assert (out / "report.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
 
 FUZZ_VALUES = st.one_of(

@@ -4,7 +4,11 @@ A change to any artifact byte fails here, so a refactor that claims to
 preserve behaviour has to preserve these digests, and a change that
 moves an artifact on purpose has to update `golden_digests.json` and
 declare why. Each run is checked serially and at `--jobs 2` against
-the same digests.
+the same digests. The report that `fairbandit analyze` writes over the
+15 logs of the conflict-cohort run is pinned too, once over each log's
+own window and once with `--intervention-start 12`; the logs share the
+file name `log.csv`, so the report labels them by their path below the
+run.
 
 Run as a script, this module needs only the standard library, so any
 interpreter can check the digests:
@@ -35,16 +39,33 @@ RUNS = {
     "study-protocol-3x3": ["--scenario", "study-protocol", "--replications", "3"],
 }
 JOBS = (1, 2)
+# `fairbandit analyze` over every `*/rep_*/log.csv` of ANALYZED_RUN.
+ANALYZED_RUN = "conflict-cohort-3x5"
+ANALYSES = {
+    "analyze-conflict-cohort-3x5": [],
+    "analyze-conflict-cohort-3x5-start12": ["--intervention-start", "12"],
+}
 
 
-def run_digests(args, out: Path) -> dict[str, str]:
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["run", *args, "--out", str(out)]) == 0
+def tree_digests(out: Path) -> dict[str, str]:
     return {
         p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(out.rglob("*"))
         if p.is_file()
     }
+
+
+def run_digests(args, out: Path) -> dict[str, str]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", *args, "--out", str(out)]) == 0
+    return tree_digests(out)
+
+
+def analyze_digests(run_out: Path, flags, out: Path) -> dict[str, str]:
+    logs = sorted(str(p) for p in run_out.glob("*/rep_*/log.csv"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["analyze", *logs, *flags, "--out", str(out)]) == 0
+    return tree_digests(out)
 
 
 def pytest_generate_tests(metafunc):
@@ -63,6 +84,17 @@ def test_artifact_digests_match_golden(run, jobs, tmp_path):
     assert not changed, f"{len(changed)} artifact(s) changed, first {changed[:5]}"
 
 
+def test_analyze_digests_match_golden(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    run_out = tmp_path / ANALYZED_RUN
+    run_digests(RUNS[ANALYZED_RUN], run_out)
+    got = {
+        analysis: analyze_digests(run_out, flags, tmp_path / analysis)
+        for analysis, flags in ANALYSES.items()
+    }
+    assert got == {analysis: golden[analysis] for analysis in ANALYSES}
+
+
 def test_source_reads_no_builtin_sum():
     """The builtin `sum` compensates float addition from CPython 3.12, which
     moves the last bits of artifact values. Totals are folded left to right
@@ -78,28 +110,39 @@ def test_source_reads_no_builtin_sum():
     assert not uses, f"builtin sum read at {uses}"
 
 
+def differs(label: str, want: dict[str, str], got: dict[str, str]) -> bool:
+    """Print each file that differs, is missing or is new; True if any is."""
+    changed = sorted(p for p in want.keys() | got.keys() if want.get(p) != got.get(p))
+    print(f"{label}: {len(changed)} of {len(want)} file(s) differ")
+    for path in changed:
+        print(f"  {path}")
+    return bool(changed)
+
+
 def check() -> int:
-    """Compare every run at every job count with the stored digests,
-    print each file that differs, is missing or is new, and return 1 if
-    any does."""
+    """Compare every run at every job count, and every analysis of the
+    serial run, with the stored digests, and return 1 if any file
+    differs."""
     golden = json.loads(GOLDEN.read_text())
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         for jobs in JOBS:
             for run in sorted(RUNS):
-                want = golden[run]
                 got = run_digests([*RUNS[run], "--jobs", str(jobs)], Path(tmp) / f"{run}-{jobs}")
-                changed = sorted(p for p in want.keys() | got.keys() if want.get(p) != got.get(p))
-                print(f"{run} --jobs {jobs}: {len(changed)} of {len(want)} file(s) differ")
-                for path in changed:
-                    print(f"  {path}")
-                failed = failed or bool(changed)
+                failed |= differs(f"{run} --jobs {jobs}", golden[run], got)
+        for analysis, flags in ANALYSES.items():
+            got = analyze_digests(Path(tmp) / f"{ANALYZED_RUN}-1", flags, Path(tmp) / analysis)
+            failed |= differs(analysis, golden[analysis], got)
     return 1 if failed else 0
 
 
 def write() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         digests = {run: run_digests(args, Path(tmp) / run) for run, args in RUNS.items()}
+        digests.update(
+            (analysis, analyze_digests(Path(tmp) / ANALYZED_RUN, flags, Path(tmp) / analysis))
+            for analysis, flags in ANALYSES.items()
+        )
     GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}", file=sys.stderr)
     return 0
