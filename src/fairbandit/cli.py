@@ -17,9 +17,9 @@ from pathlib import Path
 
 from .analysis import disparity_report, log_metrics, write_report_csv, write_report_json
 from .experiment import ExperimentSpec, run_experiment
+from .logs import SchemaError, read_log_csv
 from .scenarios import BUNDLED, load_scenario
-from .simworld import ConfigError, SchemaError, read_log_csv
-from .verification import run_axiom_suite, verify_worked_example
+from .simworld import ConfigError
 
 
 def _cmd_run(args) -> int:
@@ -75,6 +75,8 @@ def _positive_int(raw: str) -> int:
 
 
 def _cmd_worked_example(args) -> int:
+    from .verification import verify_worked_example
+
     result = verify_worked_example()
     for line in result.lines():
         print(line)
@@ -83,6 +85,8 @@ def _cmd_worked_example(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
+    from .verification import run_axiom_suite
+
     try:
         result = run_axiom_suite(trials=args.trials, max_n=args.max_n, seed=args.seed)
     except ValueError as exc:

@@ -45,19 +45,8 @@ from .analysis import (
 )
 from .analysis import effort, miss_likelihood  # noqa: F401  patched by name in benchmarks/spans.py
 from .bandit import _total, write_decisions_jsonl
-from .simworld import (
-    ConfigError,
-    StudyConfig,
-    StudyLog,
-    TEAM_SIZE,
-    check_doc,
-    decision_records,
-    prefix_key,
-    run_study,
-    study_prefix,
-    write_log_csv,
-    write_log_summary,
-)
+from .logs import StudyLog, decision_records, write_log_csv, write_log_summary
+from .simworld import ConfigError, StudyConfig, TEAM_SIZE, check_doc, prefix_key, run_study, study_prefix
 
 BATCH_SIZE = 10
 

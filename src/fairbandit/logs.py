@@ -1,0 +1,409 @@
+"""The session-log format: the rows a study writes and `analyze` reads.
+
+A log is one row per player and session day under `LOG_COLUMNS`.
+`write_log_csv` writes it, `read_log_csv` reads it back and names the
+line and column of the first problem, and `decision_records` and
+`log_summary` derive a study's per-day records and JSON summary from its
+rows. The simulator builds `SessionRow`s and `StudyLog`s; nothing here
+runs a study.
+"""
+from __future__ import annotations
+
+import csv
+import io
+import json
+import locale
+import math
+from dataclasses import dataclass, field
+from itertools import compress, groupby
+from typing import TYPE_CHECKING, Iterator, NamedTuple
+
+from .analysis import PlayerTally, audit_sum_sd, log_metrics
+from .bandit import Arm, Mode, _total, combined_reward
+
+if TYPE_CHECKING:
+    from .simworld import Condition
+
+
+class SessionRow(NamedTuple):
+    day: int
+    player: int
+    steps: float | None
+    missed: bool
+    pre_motivation: int | None
+    post_motivation: int | None
+    arm: Arm
+    mode: Mode
+    catered_player: int | None
+    artificial_steps: float
+    best_arm: Arm
+    worst_arm: Arm
+    baseline_mean: float
+
+
+@dataclass
+class StudyLog:
+    """One simulated team study's session rows, from which `log_metrics` derives its figures."""
+
+    rows: list[SessionRow]
+    condition: Condition | None = None
+    seed: int | None = None
+    name: str = ""
+    intervention_start: int = field(kw_only=True)  # the analysis window's first day
+
+    @property
+    def final_sum_sd(self) -> float | None:
+        """The team disparity sum audited at the end of the study."""
+        return audit_sum_sd(log_metrics(self))
+
+
+def decision_records(log: StudyLog, step_scale: float, motivation_weight: float) -> Iterator[dict]:
+    """Each session day's record, rebuilt from the log's rows in day order.
+    Every row of a day carries its decision; `csv` adds attended steps as
+    `shapley_update` does, `tc` counts exploit days catered to each player
+    and `rewards` holds each attending player's combined reward."""
+    n = 1 + max((row.player for row in log.rows), default=-1)
+    contributions, treatments = [0.0] * n, [0] * n
+    for day, day_rows in groupby(log.rows, lambda row: row.day):
+        rewards = {}
+        for row in day_rows:
+            if not row.missed:
+                contributions[row.player] += row.steps
+                deltas = row.steps - row.baseline_mean, float(row.post_motivation - row.pre_motivation)
+                rewards[row.player] = combined_reward(*deltas, step_scale, motivation_weight)
+        if row.mode is Mode.EXPLOIT and row.catered_player is not None:
+            treatments[row.catered_player] += 1
+        yield {
+            "day": day, "mode": row.mode.value, "arm": row.arm.letter,
+            "catered_player": row.catered_player, "csv": list(contributions),
+            "tc": list(treatments), "rewards": {str(p): rewards[p] for p in sorted(rewards)},
+        }
+
+
+LOG_COLUMNS = [
+    "day",
+    "player",
+    "steps",
+    "missed",
+    "pre_motivation",
+    "post_motivation",
+    "arm",
+    "mode",
+    "catered_player",
+    "artificial_steps",
+    "best_arm",
+    "worst_arm",
+    "baseline_mean",
+]
+
+
+class SchemaError(ValueError):
+    pass
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return str(value)
+
+
+def write_log_csv(log: StudyLog, path) -> None:
+    """One row per player-day under the documented stable header."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(LOG_COLUMNS)
+        for row in log.rows:
+            writer.writerow(
+                [
+                    row.day,
+                    row.player,
+                    _fmt(row.steps),
+                    _fmt(row.missed),
+                    _fmt(row.pre_motivation),
+                    _fmt(row.post_motivation),
+                    row.arm.letter,
+                    row.mode.value,
+                    _fmt(row.catered_player),
+                    _fmt(row.artificial_steps),
+                    row.best_arm.letter,
+                    row.worst_arm.letter,
+                    _fmt(row.baseline_mean),
+                ]
+            )
+
+
+def _flag(raw: str) -> bool:
+    if raw == "1":
+        return True
+    if raw == "0":
+        return False
+    raise ValueError(f"expected 0 or 1, got {raw!r}")
+
+
+def _opt_int(raw: str) -> int | None:
+    return int(raw) if raw else None
+
+
+def _opt_score(raw: str) -> int | None:
+    """A motivation score on the 1-5 scale, or None for an empty field."""
+    if not raw:
+        return None
+    score = int(raw)
+    if not 1 <= score <= 5:
+        raise ValueError(f"score {score} is outside the 1-5 scale")
+    return score
+
+
+def _opt_float(raw: str) -> float | None:
+    return float(raw) if raw else None
+
+
+_MODE_BY_VALUE = {mode.value: mode for mode in Mode}
+
+
+def _mode(raw: str) -> Mode:
+    try:
+        return _MODE_BY_VALUE[raw]
+    except KeyError:
+        raise ValueError(f"{raw!r} is not a valid Mode") from None
+
+
+# One parser per LOG_COLUMNS entry, in that order; each raises ValueError.
+_PARSERS = (
+    int,
+    int,
+    _opt_float,
+    _flag,
+    _opt_score,
+    _opt_score,
+    Arm.from_letter,
+    _mode,
+    _opt_int,
+    float,
+    Arm.from_letter,
+    Arm.from_letter,
+    float,
+)
+
+
+def _row_error(row: SessionRow) -> tuple[str, str] | None:
+    """(column, reason) for a parsed row that no simulation can write:
+    a day below 1, a step count that is negative or not finite, or a
+    missed session with data (or an attended one without steps)."""
+    if row.day < 1:
+        return "day", f"day {row.day} is below 1"
+    if row.missed:
+        if row.steps is not None:
+            return "steps", "a missed session has steps"
+        if row.pre_motivation is not None or row.post_motivation is not None:
+            column = "pre_motivation" if row.pre_motivation is not None else "post_motivation"
+            return column, "a missed session has motivation scores"
+    elif row.steps is None:
+        return "steps", "an attended session has no steps"
+    elif not 0.0 <= row.steps < math.inf:
+        return "steps", f"{row.steps!r} is not a finite non-negative step count"
+    if not 0.0 <= row.artificial_steps < math.inf:
+        return "artificial_steps", f"{row.artificial_steps!r} is not a finite non-negative step count"
+    if not 0.0 <= row.baseline_mean < math.inf:
+        return "baseline_mean", f"{row.baseline_mean!r} is not a finite non-negative step count"
+    return None
+
+
+def _read_records(path) -> tuple[str, list[list[str]], SchemaError | None]:
+    """The text of the log at `path` and its CSV records, read and
+    decoded once, and the SchemaError for bytes that are not text in the
+    encoding `open` defaults to, or for CSV the reader cannot split. The
+    text and records stop before the line that raised it, as a
+    line-at-a-time reader's would."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    encoding = locale.getpreferredencoding(False)
+    try:
+        text, cut = data.decode(encoding), None
+    except UnicodeDecodeError as exc:
+        text = data[: data.rfind(b"\n", 0, exc.start) + 1].decode(encoding)
+        line = data.count(b"\n", 0, exc.start) + 1
+        cut = SchemaError(f"line {line}: not {encoding} text ({exc.reason})")
+    reader = csv.reader(_lines_then_raise(text, cut))
+    records = []
+    try:
+        for record in reader:
+            records.append(record)
+    except csv.Error as exc:
+        cut = SchemaError(f"line {_line_numbers(text)[reader.line_num - 1]}: {exc}")
+    except SchemaError:
+        pass
+    return text, records, cut
+
+
+def _lines_then_raise(text: str, error: SchemaError | None):
+    """The lines of `text` as a file opened with newline="" yields them,
+    then `error`, so that the CSV reader drops a record it cut open."""
+    yield from io.StringIO(text, newline="")
+    if error is not None:
+        raise error
+
+
+def _line_numbers(text: str) -> list[int]:
+    """The physical line of each line that the CSV reader reads from
+    `text`, then the line after the last. Only "\n" ends a physical
+    line; a bare "\r" ends a CSV line too."""
+    numbers, number = [], 1
+    for line in io.StringIO(text, newline=""):
+        numbers.append(number)
+        number += line.endswith("\n")
+    numbers.append(number)
+    return numbers
+
+
+def _record_lines(text: str) -> list[int]:
+    """The physical line on which each CSV record of `text` starts, the
+    header first. A quoted field can hold line breaks, so a record can
+    span lines."""
+    numbers = _line_numbers(text)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    starts = [numbers[0]]
+    try:
+        for _ in reader:
+            starts.append(numbers[reader.line_num])
+    except csv.Error:
+        pass
+    return starts
+
+
+def read_log_csv(path, name: str = "") -> StudyLog:
+    """Parse a session log CSV, validating the documented schema.
+
+    Header mismatches, unparseable values, a day below 1, step counts
+    that are negative or not finite, motivation scores outside 1-5, a
+    missed session with data or an attended one without steps, a
+    repeated (day, player) pair, a `catered_player` that has no rows and
+    a row that is not forced on a day before the last `forced` row's
+    raise SchemaError naming the offending line and column. So do bytes
+    that are not text in the locale's encoding and CSV the reader cannot
+    split (a field over the csv module's size limit), naming the line.
+    The error raised is the first problem in line order, except that the
+    last two are only named when nothing else is wrong, as they take the
+    whole log to find. Lines are physical lines of the file: a record
+    names the line it starts on. The log's `intervention_start` is the
+    day after its last `forced` row, or day 1 if it has none.
+
+    A log repeats a handful of strings in most columns, so each column
+    parses every distinct string once and maps its fields through the
+    results. The rows are walked one at a time only to name a problem
+    that a check over the whole log found.
+    """
+    text, records, cut = _read_records(path)
+    if not records:
+        raise cut or SchemaError("empty file: missing header")
+    header, *records = records
+    if header != LOG_COLUMNS:
+        missing = [c for c in LOG_COLUMNS if c not in header]
+        extra = [c for c in header if c not in LOG_COLUMNS]
+        detail = []
+        if missing:
+            detail.append(f"missing columns {missing}")
+        if extra:
+            detail.append(f"unexpected columns {extra}")
+        if not detail:
+            detail.append(f"column order must be {LOG_COLUMNS}")
+        raise SchemaError("bad header: " + "; ".join(detail))
+    starts: list[int] = []
+
+    def line(k: int) -> int:
+        """The physical line of data record `k`, found only for an error."""
+        if not starts:
+            starts.extend(_record_lines(text)[1:])
+        return starts[k]
+
+    # Like a read error, a record of the wrong width or with a field that
+    # does not parse ends the rows: only a problem on an earlier line, or
+    # an earlier such record, is named before it.
+    width = len(LOG_COLUMNS)
+    stop = next((k for k, record in enumerate(records) if len(record) != width), len(records))
+    if stop < len(records):
+        cut = SchemaError(f"line {line(stop)}: expected {width} fields, got {len(records[stop])}")
+    raw_columns = list(zip(*records[:stop])) or [()] * width
+    values = []
+    for column, parse, raws in zip(LOG_COLUMNS, _PARSERS, raw_columns):
+        parsed, failed = {}, {}
+        for raw in set(raws):
+            try:
+                parsed[raw] = parse(raw)
+            except ValueError as exc:
+                failed[raw] = exc
+        values.append(parsed)
+        if failed:
+            bad = next(k for k, raw in enumerate(raws) if raw in failed)
+            if bad < stop:
+                stop = bad
+                cut = SchemaError(f"line {line(bad)}, column {column!r}: {failed[raws[bad]]}")
+    columns = [
+        list(map(parsed.__getitem__, raws[:stop])) for parsed, raws in zip(values, raw_columns)
+    ]
+    rows = list(map(SessionRow._make, zip(*columns)))
+    days, players, catered = columns[0], columns[1], columns[8]
+    if any(map(_row_error, rows)) or len(set(zip(days, players))) != len(rows):
+        raise _first_row_problem(rows, line)
+    if cut is not None:
+        raise cut
+    strays = set(catered).difference(players, (None,))
+    if strays:
+        k = next(k for k, player in enumerate(catered) if player in strays)
+        raise SchemaError(
+            f"line {line(k)}, column 'catered_player': player {catered[k]}"
+            " has no rows in the log"
+        )
+    forced = [mode is Mode.FORCED for mode in columns[7]]
+    start = 1 + max(compress(days, forced), default=0)
+    late = next((k for k, day in enumerate(days) if day < start and not forced[k]), None)
+    if late is not None:
+        raise SchemaError(
+            f"line {line(late)}, column 'mode': day {days[late]} is not forced, day {start - 1} is"
+        )
+    return StudyLog(rows=rows, name=name, intervention_start=start)
+
+
+def _first_row_problem(rows: list[SessionRow], line) -> SchemaError:
+    """The error for the first row that `_row_error` rejects or whose
+    (day, player) pair repeats an earlier row's; `line(k)` is the
+    physical line of row `k`."""
+    first_row: dict[tuple[int, int], int] = {}
+    for k, row in enumerate(rows):
+        problem = _row_error(row)
+        if problem is not None:
+            return SchemaError(f"line {line(k)}, column {problem[0]!r}: {problem[1]}")
+        first = first_row.setdefault((row.day, row.player), k)
+        if first != k:
+            return SchemaError(
+                f"line {line(k)}, columns 'day', 'player': day {row.day} player"
+                f" {row.player} repeats line {line(first)}"
+            )
+    raise AssertionError("every row is valid and unique")
+
+
+def log_summary(log: StudyLog, tallies: dict[int, PlayerTally]) -> dict:
+    """Per-study JSON summary: baselines, final strategy state and the
+    headline per-player outcomes. `tallies` is the log's `log_metrics`
+    over the analysis window, from which every figure is taken."""
+    post = [score for tally in tallies.values() for score in tally.post_motivation]
+    return {
+        "condition": log.condition.value if log.condition else None,
+        "seed": log.seed,
+        "baseline_means": [t.baseline_mean for t in tallies.values()],
+        "final_csv": [t.contribution for t in tallies.values()],
+        "final_tc": [t.catered for t in tallies.values()],
+        "final_tc_effective": [t.given_best for t in tallies.values()],
+        "final_sum_sd": audit_sum_sd(tallies),
+        "steps_vs_baseline": {str(p): t.steps_vs_baseline for p, t in tallies.items()},
+        "post_motivation_mean": _total(post) / len(post) if post else None,
+        "miss_likelihood": {str(p): t.miss_likelihood for p, t in tallies.items()},
+    }
+
+
+def write_log_summary(log: StudyLog, path, tallies: dict[int, PlayerTally]) -> None:
+    with open(path, "w", newline="\n") as fh:
+        json.dump(log_summary(log, tallies), fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -1,9 +1,12 @@
-"""Standard-library modules that importing a fairbandit module must not load.
+"""Modules that importing a fairbandit module must not load.
 
 The exact engine's two record types are plain classes, so `shapley`
 needs neither `dataclasses` nor `inspect`. `experiment` takes its median
 itself and imports `hashlib` only to write a manifest, so it loads
 neither `statistics` (with `decimal` and `fractions`) nor `hashlib`.
+The session-log format runs no study, so `logs` loads neither the
+simulator, the batch runner nor the process pool. `cli` imports the
+attribution checks only for the two commands that run them.
 
 Each import runs in a fresh interpreter, as a test process has imported
 every module already. The standard library's own imports differ from
@@ -22,6 +25,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 NOT_LOADED = {
     "fairbandit.shapley": ("dataclasses", "inspect"),
     "fairbandit.experiment": ("statistics", "decimal", "fractions", "hashlib"),
+    "fairbandit.logs": ("fairbandit.simworld", "fairbandit.experiment", "concurrent.futures"),
+    "fairbandit.cli": ("fairbandit.verification",),
 }
 
 

@@ -22,7 +22,8 @@ from fairbandit.analysis import (
 )
 from fairbandit.bandit import Arm, Mode
 from fairbandit.scenarios import load_scenario
-from fairbandit.simworld import Condition, SessionRow, StudyLog, run_study
+from fairbandit.logs import SessionRow, StudyLog
+from fairbandit.simworld import Condition, run_study
 
 
 def make_row(day, player, steps, missed=False, arm=Arm.ABOVE_HIGHER,

@@ -26,7 +26,7 @@ from fairbandit.bandit import (
 )
 from fairbandit.rng import SplitMix64
 from fairbandit.shapley import AdditiveSteps, Coalition, shapley_all
-from fairbandit.simworld import SessionRow, StudyLog, decision_records
+from fairbandit.logs import SessionRow, StudyLog, decision_records
 
 
 def model_with_means(means: dict[int, dict[Arm, float]]) -> RewardModel:

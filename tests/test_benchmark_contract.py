@@ -2,8 +2,11 @@
 
 `benchmarks/spans.py` looks each name up in its module's namespace; a
 name that a refactor removes or renames makes every traced benchmark
-operation fail. This test resolves every name it lists.
+operation fail. This test resolves every name it lists, and every name
+that a benchmark file imports from a fairbandit module.
 """
+import ast
+import contextlib
 import importlib
 import importlib.util
 from pathlib import Path
@@ -31,6 +34,25 @@ def test_traced_name_is_bound(module_name, attr):
     module = importlib.import_module(module_name)
     assert attr in module.__dict__, f"{module_name}.{attr} is patched by {SPANS.name} but missing"
     assert callable(module.__dict__[attr])
+
+
+def benchmark_imports():
+    """(file, module, name) for each `from fairbandit... import name` in
+    `benchmarks/*.py`, including the imports inside functions."""
+    for path in sorted(SPANS.parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), path.name)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fairbandit":
+                for alias in node.names:
+                    yield path.name, node.module, alias.name
+
+
+@pytest.mark.parametrize("file, module_name, name", sorted(set(benchmark_imports())))
+def test_benchmark_import_is_bound(file, module_name, name):
+    module = importlib.import_module(module_name)
+    if name not in module.__dict__ and hasattr(module, "__path__"):
+        with contextlib.suppress(ModuleNotFoundError):  # `from package import submodule`
+            importlib.import_module(f"{module_name}.{name}")
+    assert name in module.__dict__, f"{file} imports {name} from {module_name}, which does not bind it"
 
 
 def test_pool_class_is_bound():

@@ -20,7 +20,8 @@ from fairbandit.analysis import disparity_report, write_report_csv, write_report
 from fairbandit.cli import main
 from fairbandit.experiment import ExperimentSpec, run_experiment
 from fairbandit.scenarios import load_scenario
-from fairbandit.simworld import Condition, ConfigError, SimPlayer, StudyConfig, read_log_csv
+from fairbandit.logs import read_log_csv
+from fairbandit.simworld import Condition, ConfigError, SimPlayer, StudyConfig
 from fairbandit import verification
 from fairbandit.verification import run_axiom_suite
 

@@ -33,35 +33,37 @@ from fairbandit.bandit import (
 from fairbandit.experiment import ExperimentSpec, _run_seed, replication_seeds, run_experiment
 from fairbandit.rng import SplitMix64
 from fairbandit.scenarios import BUNDLED, load_scenario
-from fairbandit.simworld import (
+from fairbandit.logs import (
     LOG_COLUMNS,
-    Condition,
-    ConfigError,
     SchemaError,
     SessionRow,
+    StudyLog,
+    _PARSERS,
+    _row_error,
+    decision_records,
+    log_summary,
+    read_log_csv,
+    write_log_csv,
+    write_log_summary,
+)
+from fairbandit.simworld import (
+    Condition,
+    ConfigError,
     SimPlayer,
     StudyConfig,
-    StudyLog,
     PrefixMismatchError,
     StudyPrefix,
     TEAM_SIZE,
-    _PARSERS,
     _forced_schedule,
+    _miss_probability,
     _pair_ranks,
-    _row_error,
     comparison_sign,
-    decision_records,
-    log_summary,
     logistic,
-    miss_decision,
     motivation_response,
-    read_log_csv,
     run_study,
     sign_alignment,
     step_response,
     study_prefix,
-    write_log_csv,
-    write_log_summary,
 )
 from test_bandit import reference_argbest
 
@@ -157,7 +159,7 @@ class TestMissDecision:
         p = player(adherence_intercept=-1.1, adherence_slope=0.0)
         rng = SplitMix64(6)
         draws = ((d, rng.random()) for d in (-1.0, 0.0, 1.0) for _ in range(5000))
-        misses = sum(miss_decision(p, d, u) for d, u in draws)
+        misses = sum(u < _miss_probability(p, d) for d, u in draws)
         assert misses / 15000 == pytest.approx(logistic(-1.1), abs=0.01)
 
     def test_logistic_value_against_direct_arithmetic(self):
@@ -165,20 +167,20 @@ class TestMissDecision:
         assert logistic(-0.1) == pytest.approx(0.475, abs=0.001)
         p = player(adherence_intercept=-1.1, adherence_slope=2.0)
         rng = SplitMix64(7)
-        rate = sum(miss_decision(p, 0.5, rng.random()) for _ in range(20000)) / 20000
+        rate = sum(rng.random() < _miss_probability(p, 0.5) for _ in range(20000)) / 20000
         assert rate == pytest.approx(0.475, abs=0.01)
 
     def test_monotone_in_disparity(self):
         p = player(adherence_intercept=-1.1, adherence_slope=50.0)
         rng = SplitMix64(8)
-        low = sum(miss_decision(p, -1.0, rng.random()) for _ in range(2000)) / 2000
-        high = sum(miss_decision(p, 1.0, rng.random()) for _ in range(2000)) / 2000
+        low = sum(rng.random() < _miss_probability(p, -1.0) for _ in range(2000)) / 2000
+        high = sum(rng.random() < _miss_probability(p, 1.0) for _ in range(2000)) / 2000
         assert low == pytest.approx(logistic(-1.1 - 50.0), abs=0.01)
         assert high == pytest.approx(logistic(-1.1 + 50.0), abs=0.01)
 
     def test_disparity_domain(self):
         with pytest.raises(ValueError):
-            miss_decision(player(), 1.5, 0.5)
+            _miss_probability(player(), 1.5)
 
     def test_extreme_logistic_does_not_overflow(self):
         assert logistic(-1000.0) == 0.0
