@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .bandit import Mode, _total, team_disparity_sum
@@ -107,8 +107,10 @@ class PlayerTally:
     """One player's counts from a single pass over a log's rows.
 
     The window sums cover days from the intervention start on, the rest
-    every session, in row order. `contribution` is the final CSV, `catered`
-    the final TC, `given_best` the exploit days given the predicted-best arm.
+    every session, in row order. `post_sum` adds the window's post-session
+    motivation scores and `post_count` counts them. `contribution` is the
+    final CSV, `catered` the final TC, `given_best` the exploit days given
+    the predicted-best arm.
     """
 
     baseline_mean: float
@@ -117,7 +119,8 @@ class PlayerTally:
     net_top_treatment: int = 0
     misses: int = 0
     sessions: int = 0
-    post_motivation: list[int] = field(default_factory=list)
+    post_sum: int = 0
+    post_count: int = 0
     contribution: float = 0.0
     catered: int = 0
     given_best: int = 0
@@ -161,7 +164,8 @@ def log_metrics(log) -> dict[int, PlayerTally]:
             tally.step_sum += steps
             tally.attended += 1
             if post is not None:
-                tally.post_motivation.append(post)
+                tally.post_sum += post
+                tally.post_count += 1
     return dict(sorted(tallies.items()))
 
 

@@ -18,7 +18,6 @@ or downward comparison target for each human.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -192,10 +191,6 @@ class ShapleyBanditState:
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must be in [0, 1]")
 
-    @classmethod
-    def fresh(cls, n_players: int, epsilon: float = 0.01) -> "ShapleyBanditState":
-        return cls(csv=[0.0] * n_players, tc=[0] * n_players, epsilon=epsilon)
-
 
 def _total(values: Iterable[float]) -> float:
     """`values` added left to right from 0.0, the same bits on every CPython
@@ -293,9 +288,3 @@ def _shapley_fold(state: ShapleyBanditState, decision: Decision, step_rewards: M
         state.csv[player] += steps
     if decision.mode is _EXPLOIT and decision.catered_player is not None:
         state.tc[decision.catered_player] += 1
-
-
-def write_decisions_jsonl(records: Iterable[dict], path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=False) + "\n")

@@ -27,7 +27,7 @@ import csv
 import json
 import sys
 from collections.abc import Sequence
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -44,8 +44,8 @@ from .analysis import (
     write_report_json,
 )
 from .analysis import effort, miss_likelihood  # noqa: F401  patched by name in benchmarks/spans.py
-from .bandit import _total, write_decisions_jsonl
-from .logs import StudyLog, decision_records, write_log_csv, write_log_summary
+from .bandit import _total
+from .logs import StudyLog, decision_records, write_decisions_jsonl, write_log_csv, write_log_summary
 from .simworld import ConfigError, StudyConfig, TEAM_SIZE, check_doc, prefix_key, run_study, study_prefix
 
 BATCH_SIZE = 10
@@ -157,12 +157,9 @@ def _run_seed(configs: Sequence[StudyConfig], seed: int) -> list[StudyLog]:
     return logs
 
 
-def run_condition(
-    config: StudyConfig, seeds: Sequence[int], pool: Executor | None = None
-) -> list[StudyLog]:
-    """One log per seed, named `<condition>/rep_NNNN`, run in `pool` when one is given."""
-    by_seed = (pool.map if pool is not None else map)(partial(_run_seed, (config,)), seeds)
-    logs = [seed_logs[0] for seed_logs in by_seed]
+def run_condition(config: StudyConfig, seeds: Sequence[int]) -> list[StudyLog]:
+    """One log per seed, named `<condition>/rep_NNNN`."""
+    logs = [_run_seed((config,), seed)[0] for seed in seeds]
     for k, log in enumerate(logs):
         log.name = _rep_name(config, k)
     return logs
@@ -230,19 +227,20 @@ def _condition_summary(
 ) -> dict:
     steps_vs_baseline = []
     miss_rates = []
-    post_scores = []
+    post_sum = post_count = 0
     for log_tallies in tallies:
         for tally in log_tallies.values():
             if tally.steps_vs_baseline is not None:
                 steps_vs_baseline.append(tally.steps_vs_baseline)
             miss_rates.append(tally.miss_likelihood)
-            post_scores.extend(tally.post_motivation)
+            post_sum += tally.post_sum
+            post_count += tally.post_count
     mean = lambda xs: _total(xs) / len(xs) if xs else None
     return {
         "condition": condition,
         "replications": len(tallies),
         "steps_vs_baseline": mean(steps_vs_baseline),
-        "post_motivation_mean": mean(post_scores),
+        "post_motivation_mean": post_sum / post_count if post_count else None,
         "miss_rate": mean(miss_rates),
         "mean_sum_sd": mean([sd for sd in sum_sds if sd is not None]),
         "disparity_miss_r": report.correlation.r if report else None,

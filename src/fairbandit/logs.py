@@ -4,8 +4,8 @@ A log is one row per player and session day under `LOG_COLUMNS`.
 `write_log_csv` writes it, `read_log_csv` reads it back and names the
 line and column of the first problem, and `decision_records` and
 `log_summary` derive a study's per-day records and JSON summary from its
-rows. The simulator builds `SessionRow`s and `StudyLog`s; nothing here
-runs a study.
+rows (`write_decisions_jsonl` writes the records). The simulator builds
+`SessionRow`s and `StudyLog`s; nothing here runs a study.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import locale
 import math
 from dataclasses import dataclass, field
 from itertools import compress, groupby
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .analysis import PlayerTally, audit_sum_sd, log_metrics
 from .bandit import Arm, Mode, _total, combined_reward
@@ -80,6 +80,12 @@ def decision_records(log: StudyLog, step_scale: float, motivation_weight: float)
         }
 
 
+def write_decisions_jsonl(records: Iterable[dict], path) -> None:
+    with open(path, "w", newline="\n") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=False) + "\n")
+
+
 LOG_COLUMNS = [
     "day",
     "player",
@@ -101,37 +107,18 @@ class SchemaError(ValueError):
     pass
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    return str(value)
-
-
 def write_log_csv(log: StudyLog, path) -> None:
-    """One row per player-day under the documented stable header."""
+    """One row per player-day under the documented stable header. The csv
+    module writes None as an empty field and a float as its repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(LOG_COLUMNS)
-        for row in log.rows:
-            writer.writerow(
-                [
-                    row.day,
-                    row.player,
-                    _fmt(row.steps),
-                    _fmt(row.missed),
-                    _fmt(row.pre_motivation),
-                    _fmt(row.post_motivation),
-                    row.arm.letter,
-                    row.mode.value,
-                    _fmt(row.catered_player),
-                    _fmt(row.artificial_steps),
-                    row.best_arm.letter,
-                    row.worst_arm.letter,
-                    _fmt(row.baseline_mean),
-                ]
-            )
+        writer.writerows(
+            [row.day, row.player, row.steps, int(row.missed), row.pre_motivation, row.post_motivation,
+             row.arm.letter, row.mode.value, row.catered_player, row.artificial_steps,
+             row.best_arm.letter, row.worst_arm.letter, row.baseline_mean]
+            for row in log.rows
+        )
 
 
 def _flag(raw: str) -> bool:
@@ -211,12 +198,12 @@ def _row_error(row: SessionRow) -> tuple[str, str] | None:
     return None
 
 
-def _read_records(path) -> tuple[str, list[list[str]], SchemaError | None]:
-    """The text of the log at `path` and its CSV records, read and
-    decoded once, and the SchemaError for bytes that are not text in the
-    encoding `open` defaults to, or for CSV the reader cannot split. The
-    text and records stop before the line that raised it, as a
-    line-at-a-time reader's would."""
+def _read_records(path) -> tuple[str, list[list[str]], list[int], SchemaError | None]:
+    """The text of the log at `path`, its CSV records from one parse, the
+    count of CSV lines read at the end of each record, and the SchemaError
+    for bytes that are not text in the encoding `open` defaults to, or for
+    CSV the reader cannot split. The text and records stop before the line
+    that raised it, as a line-at-a-time reader's would."""
     with open(path, "rb") as fh:
         data = fh.read()
     encoding = locale.getpreferredencoding(False)
@@ -227,15 +214,16 @@ def _read_records(path) -> tuple[str, list[list[str]], SchemaError | None]:
         line = data.count(b"\n", 0, exc.start) + 1
         cut = SchemaError(f"line {line}: not {encoding} text ({exc.reason})")
     reader = csv.reader(_lines_then_raise(text, cut))
-    records = []
+    records, ends = [], []
     try:
         for record in reader:
             records.append(record)
+            ends.append(reader.line_num)
     except csv.Error as exc:
         cut = SchemaError(f"line {_line_numbers(text)[reader.line_num - 1]}: {exc}")
     except SchemaError:
         pass
-    return text, records, cut
+    return text, records, ends, cut
 
 
 def _lines_then_raise(text: str, error: SchemaError | None):
@@ -256,21 +244,6 @@ def _line_numbers(text: str) -> list[int]:
         number += line.endswith("\n")
     numbers.append(number)
     return numbers
-
-
-def _record_lines(text: str) -> list[int]:
-    """The physical line on which each CSV record of `text` starts, the
-    header first. A quoted field can hold line breaks, so a record can
-    span lines."""
-    numbers = _line_numbers(text)
-    reader = csv.reader(io.StringIO(text, newline=""))
-    starts = [numbers[0]]
-    try:
-        for _ in reader:
-            starts.append(numbers[reader.line_num])
-    except csv.Error:
-        pass
-    return starts
 
 
 def read_log_csv(path, name: str = "") -> StudyLog:
@@ -295,7 +268,7 @@ def read_log_csv(path, name: str = "") -> StudyLog:
     results. The rows are walked one at a time only to name a problem
     that a check over the whole log found.
     """
-    text, records, cut = _read_records(path)
+    text, records, ends, cut = _read_records(path)
     if not records:
         raise cut or SchemaError("empty file: missing header")
     header, *records = records
@@ -310,13 +283,10 @@ def read_log_csv(path, name: str = "") -> StudyLog:
         if not detail:
             detail.append(f"column order must be {LOG_COLUMNS}")
         raise SchemaError("bad header: " + "; ".join(detail))
-    starts: list[int] = []
 
     def line(k: int) -> int:
-        """The physical line of data record `k`, found only for an error."""
-        if not starts:
-            starts.extend(_record_lines(text)[1:])
-        return starts[k]
+        """The physical line on which data record `k` starts."""
+        return _line_numbers(text)[ends[k]]
 
     # Like a read error, a record of the wrong width or with a field that
     # does not parse ends the rows: only a problem on an earlier line, or
@@ -388,7 +358,8 @@ def log_summary(log: StudyLog, tallies: dict[int, PlayerTally]) -> dict:
     """Per-study JSON summary: baselines, final strategy state and the
     headline per-player outcomes. `tallies` is the log's `log_metrics`
     over the analysis window, from which every figure is taken."""
-    post = [score for tally in tallies.values() for score in tally.post_motivation]
+    post_sum = _total(tally.post_sum for tally in tallies.values())
+    post_count = _total(tally.post_count for tally in tallies.values())
     return {
         "condition": log.condition.value if log.condition else None,
         "seed": log.seed,
@@ -398,7 +369,7 @@ def log_summary(log: StudyLog, tallies: dict[int, PlayerTally]) -> dict:
         "final_tc_effective": [t.given_best for t in tallies.values()],
         "final_sum_sd": audit_sum_sd(tallies),
         "steps_vs_baseline": {str(p): t.steps_vs_baseline for p, t in tallies.items()},
-        "post_motivation_mean": _total(post) / len(post) if post else None,
+        "post_motivation_mean": post_sum / post_count if post_count else None,
         "miss_likelihood": {str(p): t.miss_likelihood for p, t in tallies.items()},
     }
 

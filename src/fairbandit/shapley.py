@@ -16,9 +16,9 @@ n * 2^(n-1) multiply-adds: for each player, slices of the table list
 v(S) and v(S + player) for the 2^(n-1) masks S without their bit, in
 ascending order, and one loop adds the weighted marginals. The k-th
 such S has as many members as k has bits, so every player shares one
-list of weights. Enumeration is exact; coalitions larger than a
-configurable maximum (default 16) are rejected, before any table is
-built, rather than approximated.
+list of weights. Enumeration is exact; coalitions larger than
+`MAX_EXACT_PLAYERS` (16) are rejected, before any table is built,
+rather than approximated.
 
 The permutation oracle shares the table but not the algorithm: it
 averages each player's marginal over all n! arrival orders, so an error
@@ -147,16 +147,6 @@ class _SumCharacteristic(CharacteristicFunction):
 
     def by_mask(self, n: int) -> list[float]:
         return [x + y for x, y in zip(self.a.by_mask(n), self.b.by_mask(n))]
-
-
-class CallableCharacteristic(CharacteristicFunction):
-    """Adapter for a caller-supplied evaluator function."""
-
-    def __init__(self, fn: Callable[[frozenset[PlayerId]], float]):
-        self._fn = fn
-
-    def value(self, subset: frozenset[PlayerId]) -> float:
-        return float(self._fn(subset))
 
 
 class AdditiveSteps(CharacteristicFunction):

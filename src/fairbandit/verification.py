@@ -25,6 +25,7 @@ from .bandit import (
 )
 from .rng import SplitMix64
 from .shapley import (
+    ORACLE_MAX_PLAYERS,
     REL_TOL,
     AxiomReport,
     Coalition,
@@ -152,7 +153,7 @@ def run_axiom_suite(
     the axioms or diverges from the permutation oracle must make the
     suite fail.
     """
-    if max_n > 8:
+    if max_n > ORACLE_MAX_PLAYERS:
         raise ValueError("max_n above 8 makes the permutation oracle infeasible")
     if max_n < 2:
         raise ValueError("max_n must be at least 2")

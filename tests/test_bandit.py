@@ -22,11 +22,10 @@ from fairbandit.bandit import (
     shapley_select,
     shapley_update,
     team_disparity_sum,
-    write_decisions_jsonl,
 )
 from fairbandit.rng import SplitMix64
 from fairbandit.shapley import AdditiveSteps, Coalition, shapley_all
-from fairbandit.logs import SessionRow, StudyLog, decision_records
+from fairbandit.logs import SessionRow, StudyLog, decision_records, write_decisions_jsonl
 
 
 def model_with_means(means: dict[int, dict[Arm, float]]) -> RewardModel:
@@ -368,14 +367,14 @@ class TestShapleySelect:
 
 class TestShapleyUpdate:
     def test_additive_collapse_and_tc(self):
-        state = ShapleyBanditState.fresh(2)
+        state = ShapleyBanditState([0.0] * 2, [0] * 2, 0.01)
         decision = Decision(arm=Arm.ABOVE_HIGHER, catered_player=0, mode=Mode.EXPLOIT)
         shapley_update(state, decision, {0: 6000.0, 1: 8000.0})
         assert state.csv == pytest.approx([6000.0, 8000.0])
         assert state.tc == [1, 0]
 
     def test_explore_updates_csv_but_not_tc(self):
-        state = ShapleyBanditState.fresh(2)
+        state = ShapleyBanditState([0.0] * 2, [0] * 2, 0.01)
         decision = Decision(arm=Arm.BETWEEN, catered_player=None, mode=Mode.EXPLORE)
         shapley_update(state, decision, {0: 100.0, 1: 200.0})
         assert state.csv == pytest.approx([100.0, 200.0])
@@ -397,13 +396,13 @@ class TestShapleyUpdate:
         assert state.tc == [1, 2]
 
     def test_missing_player_gets_no_credit(self):
-        state = ShapleyBanditState.fresh(2)
+        state = ShapleyBanditState([0.0] * 2, [0] * 2, 0.01)
         decision = Decision(arm=Arm.BETWEEN, catered_player=None, mode=Mode.FORCED)
         shapley_update(state, decision, {1: 500.0})
         assert state.csv == pytest.approx([0.0, 500.0])
 
     def test_nine_rounds_reproduce_worked_example_state(self):
-        state = ShapleyBanditState.fresh(2)
+        state = ShapleyBanditState([0.0] * 2, [0] * 2, 0.01)
         per_round = [(27500.0 / 9, 32800.0 / 9)] * 9
         catered = [0, 1, 0, 1, 0, 1, 0, 0, 1]  # five rounds for p0, four for p1
         for (s0, s1), who in zip(per_round, catered):
@@ -415,7 +414,7 @@ class TestShapleyUpdate:
         assert disparity_sum_if_catered(state, 1) == pytest.approx(0.088, abs=1e-3)
 
     def test_negative_steps_rejected(self):
-        state = ShapleyBanditState.fresh(2)
+        state = ShapleyBanditState([0.0] * 2, [0] * 2, 0.01)
         decision = Decision(arm=Arm.BETWEEN, catered_player=None, mode=Mode.FORCED)
         with pytest.raises(ValueError):
             shapley_update(state, decision, {0: -5.0})
@@ -427,7 +426,7 @@ class TestShapleyUpdate:
     )
     @settings(max_examples=100)
     def test_closed_form_matches_exact_engine(self, step_rewards):
-        state = ShapleyBanditState.fresh(2)
+        state = ShapleyBanditState([0.0] * 2, [0] * 2, 0.01)
         decision = Decision(arm=Arm.BETWEEN, catered_player=None, mode=Mode.FORCED)
         shapley_update(state, decision, step_rewards)
         present = sorted(step_rewards)

@@ -24,8 +24,8 @@ from fairbandit.shapley import (
     _without_bit,
     AdditiveSteps,
     AxiomReport,
-    CallableCharacteristic,
     MAX_EXACT_PLAYERS,
+    CharacteristicFunction,
     Coalition,
     CoalitionTooLargeError,
     PlayerNotInCoalitionError,
@@ -45,6 +45,16 @@ TWO_PLAYER_SUPERADDITIVE = TableBacked(
 )
 
 
+class LambdaGame(CharacteristicFunction):
+    """A game whose v is a function of the subset."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def value(self, subset):
+        return float(self.fn(subset))
+
+
 def rel_close(a, b, rel=1e-9):
     return abs(a - b) <= rel * max(1.0, abs(a), abs(b))
 
@@ -56,7 +66,7 @@ class TestShapleyValue:
         assert shapley_value(v, Coalition.of_size(2), 1) == pytest.approx(20.0)
 
     def test_majority_game_splits_evenly(self):
-        v = CallableCharacteristic(lambda s: 1.0 if len(s) >= 2 else 0.0)
+        v = LambdaGame(lambda s: 1.0 if len(s) >= 2 else 0.0)
         n = Coalition.of_size(3)
         for i in range(3):
             assert shapley_value(v, n, i) == pytest.approx(1 / 3)
@@ -88,7 +98,7 @@ class TestShapleyAll:
     def test_squared_size_game(self):
         # |S|^2 over 3 players: brute force over all 6 orders gives equal
         # attributions; efficiency forces the sum to v(N) = 9.
-        v = CallableCharacteristic(lambda s: float(len(s)) ** 2)
+        v = LambdaGame(lambda s: float(len(s)) ** 2)
         values = shapley_all(v, Coalition.of_size(3))
         assert values == pytest.approx([3.0, 3.0, 3.0])
 
@@ -106,7 +116,7 @@ class TestPermutationOracle:
     def test_veto_pair_with_null_player(self):
         # v = 1 only when both 0 and 1 are present: hand enumeration over
         # the 6 orders gives 0.5 / 0.5 / 0 (player 2 is null).
-        v = CallableCharacteristic(lambda s: 1.0 if {0, 1} <= s else 0.0)
+        v = LambdaGame(lambda s: 1.0 if {0, 1} <= s else 0.0)
         oracle = shapley_oracle_permutations(v, Coalition.of_size(3))
         assert oracle == pytest.approx([0.5, 0.5, 0.0])
 
@@ -157,7 +167,7 @@ class TestInvariants:
         rng = SplitMix64(seed)
         n = 2 + rng.randrange(3)
         v = random_table_game(n, rng)
-        scaled = CallableCharacteristic(lambda s: c * v(s))
+        scaled = LambdaGame(lambda s: c * v(s))
         phi = shapley_all(v, Coalition.of_size(n))
         phi_scaled = shapley_all(scaled, Coalition.of_size(n))
         for a, b in zip(phi, phi_scaled):
@@ -173,7 +183,7 @@ class TestAxioms:
 
     def test_dummy_player_gets_zero(self):
         # player 2 never changes the value of any coalition
-        v = CallableCharacteristic(lambda s: float(len(s - {2})))
+        v = LambdaGame(lambda s: float(len(s - {2})))
         report = check_axioms(v, Coalition.of_size(3))
         assert report.nullity
         assert report.witnesses["null_players"] == [2]
@@ -190,7 +200,7 @@ class TestAxioms:
     def test_detects_broken_symmetry(self):
         # symmetric game, asymmetric attribution would fail; here we check
         # the report flags symmetric pairs on a fully symmetric game
-        v = CallableCharacteristic(lambda s: float(len(s)))
+        v = LambdaGame(lambda s: float(len(s)))
         report = check_axioms(v, Coalition.of_size(4))
         assert report.symmetry
         assert len(report.witnesses["interchangeable_pairs"]) == 6
@@ -515,7 +525,7 @@ def _games(n, seed):
         "sum": v + partner,
         "nested-sum": v + steps + partner,
         "additive": steps,
-        "callable": CallableCharacteristic(_callable_game),
+        "callable": LambdaGame(_callable_game),
     }
 
 

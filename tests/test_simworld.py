@@ -28,7 +28,6 @@ from fairbandit.bandit import (
     shapley_select,
     shapley_update,
     team_disparity_sum,
-    write_decisions_jsonl,
 )
 from fairbandit.experiment import ExperimentSpec, _run_seed, replication_seeds, run_experiment
 from fairbandit.rng import SplitMix64
@@ -43,6 +42,7 @@ from fairbandit.logs import (
     decision_records,
     log_summary,
     read_log_csv,
+    write_decisions_jsonl,
     write_log_csv,
     write_log_summary,
 )
@@ -626,6 +626,31 @@ class TestLogSerialization:
                 read_log_csv(path)
         assert opened == [path]
 
+    def test_failing_log_is_parsed_once(self, tmp_path, monkeypatch):
+        steps = LOG_COLUMNS.index("steps")
+
+        def edit(lines):
+            # The first record's quoted steps run on to line 3, so the
+            # second record starts on line 4.
+            lines[:] = [lines[0], *[cells for cells in lines[1:] if cells[3] == "0"][:2]]
+            lines[1][steps] = '"100\n"'
+            lines[2][steps] = "x"
+
+        path = self.write_edited(tmp_path, edit)
+        calls = []
+        real_reader = csv.reader
+
+        def counting_reader(*args, **kwargs):
+            calls.append(args)
+            return real_reader(*args, **kwargs)
+
+        monkeypatch.setattr(csv, "reader", counting_reader)
+        message = "line 4, column 'steps': could not convert string to float: 'x'"
+        with pytest.raises(SchemaError) as raised:
+            read_log_csv(path)
+        assert str(raised.value) == message
+        assert len(calls) == 1
+
     def test_log_holds_only_its_rows_and_names(self):
         assert [f.name for f in dataclasses.fields(StudyLog)] == [
             "rows", "condition", "seed", "name", "intervention_start"
@@ -794,7 +819,7 @@ def run_study_by_objects(config: StudyConfig) -> tuple[StudyLog, list[dict], dic
 
     schedule = _forced_schedule(config.forced_exploration_days, decision_rng)
     model = RewardModel()
-    state = ShapleyBanditState.fresh(n, epsilon=config.epsilon)
+    state = ShapleyBanditState([0.0] * n, [0] * n, config.epsilon)
     players = list(range(n))
     tc_effective = [0] * n
     observed_steps: list[list[float]] = [[] for _ in range(n)]
