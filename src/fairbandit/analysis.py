@@ -215,26 +215,30 @@ class DisparityReport:
     mean_abs_disparity: float
 
 
-def cohort_metrics(
-    logs: Sequence, tallies: Sequence[dict[int, PlayerTally]] | None = None
-) -> list[PlayerMetrics]:
-    """Per-player metrics pooled over every log in the cohort, each over
-    its own window. Players with no attended intervention days are
-    excluded. Percentile ranks (and hence disparities) are computed
-    within the pooled cohort. A mean step count that overflows raises
-    ValueError.
-
-    `tallies`, when given, is each log's `log_metrics`, in log order, and
-    `logs` may then be the logs' names alone; otherwise it is computed here.
-    """
+def disparity_report(
+    logs: Sequence,
+    intervention_start: int | None = None,
+    tallies: Sequence[dict[int, PlayerTally]] | None = None,
+) -> DisparityReport:
+    """The report pooled over every log, each read over its own window, or
+    from `intervention_start` on when one is given. Players with no
+    attended window days are excluded; percentile ranks (and hence
+    disparities) are computed within the pooled cohort. Fewer than 3 such
+    players, or a mean step count that overflows, raise ValueError.
+    `tallies`, when given, is each log's `log_metrics`, in log order, taken
+    over a window already, and `logs` are then the logs' names."""
     if tallies is None:
-        tallies = [log_metrics(log) for log in logs]
-    labels: list[str] = []
-    efforts: list[float] = []
-    treatments: list[int] = []
-    misses: list[float] = []
-    for log, log_tallies in zip(logs, tallies, strict=True):
-        name = log if isinstance(log, str) else getattr(log, "name", "")
+        if intervention_start is not None:
+            logs = (replace(log, intervention_start=intervention_start) for log in logs)
+        named_tallies = ((log.name, log_metrics(log)) for log in logs)
+    elif intervention_start is None:
+        named_tallies = zip(logs, tallies, strict=True)
+    else:
+        raise ValueError("tallies have their logs' windows; give the logs to move the window")
+    labels, efforts, treatments, misses = [], [], [], []
+    for name, log_tallies in named_tallies:
+        if not isinstance(name, str):
+            raise TypeError(f"with tallies, give each log's name, not a {type(name).__name__}")
         prefix = f"{name}:" if name else ""
         for player, tally in log_tallies.items():
             if tally.effort is None:
@@ -245,36 +249,16 @@ def cohort_metrics(
             efforts.append(tally.effort)
             treatments.append(tally.net_top_treatment)
             misses.append(tally.miss_likelihood)
-    if not labels:
-        return []
+    if len(labels) < 3:
+        raise ValueError(f"need at least 3 analyzable players, got {len(labels)}")
     pr_effort = percentile_rank(efforts)
     pr_treatment = percentile_rank([float(t) for t in treatments])
-    return [
-        PlayerMetrics(
-            player=labels[i],
-            effort=efforts[i],
-            net_top_treatment=treatments[i],
-            miss_likelihood=misses[i],
-            disparity=pr_effort[i] - pr_treatment[i],
+    metrics = [
+        PlayerMetrics(label, effort, treatment, miss, pe - pt)
+        for label, effort, treatment, miss, pe, pt in zip(
+            labels, efforts, treatments, misses, pr_effort, pr_treatment
         )
-        for i in range(len(labels))
     ]
-
-
-def disparity_report(
-    logs: Sequence,
-    intervention_start: int | None = None,
-    tallies: Sequence[dict[int, PlayerTally]] | None = None,
-) -> DisparityReport:
-    """The pooled report over each log's own window, or over the window
-    from `intervention_start` for every log when one is given. `tallies`
-    is as for `cohort_metrics`, over the same windows; with `tallies` and no
-    `intervention_start`, `logs` may be the logs' names alone."""
-    if intervention_start is not None:
-        logs = [replace(log, intervention_start=intervention_start) for log in logs]
-    metrics = cohort_metrics(logs, tallies)
-    if len(metrics) < 3:
-        raise ValueError(f"need at least 3 analyzable players, got {len(metrics)}")
     metrics.sort(key=lambda m: (m.disparity, m.player))
     disparities = [m.disparity for m in metrics]
     r = pearson_r(disparities, [m.miss_likelihood for m in metrics])

@@ -41,8 +41,13 @@ def _cmd_run(args) -> int:
     out = Path(args.out or spec.output_dir or f"out-{spec.scenario}")
     try:
         out.mkdir(parents=True, exist_ok=True)
+        used = any(out.iterdir())
     except OSError as exc:
-        print(f"run: cannot create output directory {out}: {exc.strerror}", file=sys.stderr)
+        print(f"run: cannot use output directory {out}: {exc.strerror}", file=sys.stderr)
+        return 2
+    if used:
+        # Another run's files would stay beside this run's, outside its manifest.
+        print(f"run: output directory {out} is not empty; give a new or empty --out", file=sys.stderr)
         return 2
     result = run_experiment(spec, out, jobs=args.jobs)
     print(f"scenario {spec.scenario}: {spec.replications} replication(s) per condition")

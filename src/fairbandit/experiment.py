@@ -72,6 +72,9 @@ class ExperimentSpec:
         # replication, none over the study's peak steps in size.
         terms = self.replications * TEAM_SIZE
         for c in self.conditions:
+            if c.seed != 0:
+                raise ConfigError(f"condition {c.condition.value}: seed {c.seed} would be ignored,"
+                                  " as replication k runs at base_seed + k; set base_seed")
             if terms > sys.float_info.max / c.peak_steps:
                 raise ConfigError(
                     f"condition {c.condition.value}: {self.replications} replications x"
@@ -142,9 +145,10 @@ def _rep_name(config: StudyConfig, k: int) -> str:
     return f"{config.condition.value}/rep_{k:04d}"
 
 
-def _run_seed(configs: Sequence[StudyConfig], seed: int) -> list[StudyLog]:
-    """Each config's study at `seed`. Configs that differ only in condition
-    and epsilon share one `study_prefix`: the world's draws, taken once
+def _run_seed(configs: Sequence[StudyConfig], seed: int, k: int) -> list[StudyLog]:
+    """Each config's study at `seed`, named as replication `k`
+    (`<condition>/rep_NNNN`). Configs that differ only in condition and
+    epsilon share one `study_prefix`: the world's draws, taken once
     (common random numbers), and the forced days, run once. A config that
     shares its prefix with no other runs in one pass, with no snapshot."""
     seeded = [_seeded(config, seed) for config in configs]
@@ -153,26 +157,25 @@ def _run_seed(configs: Sequence[StudyConfig], seed: int) -> list[StudyLog]:
     for config, key in zip(seeded, keys):
         if key not in prefixes and keys.count(key) > 1:
             prefixes[key] = study_prefix(config)
-        logs.append(run_study(config, prefix=prefixes.get(key)))
+        log = run_study(config, prefix=prefixes.get(key))
+        log.name = _rep_name(config, k)
+        logs.append(log)
     return logs
 
 
 def run_condition(config: StudyConfig, seeds: Sequence[int]) -> list[StudyLog]:
-    """One log per seed, named `<condition>/rep_NNNN`."""
-    logs = [_run_seed((config,), seed)[0] for seed in seeds]
-    for k, log in enumerate(logs):
-        log.name = _rep_name(config, k)
-    return logs
+    """One log per seed, the k-th named `<condition>/rep_NNNN`."""
+    return [_run_seed((config,), seed, k)[0] for k, seed in enumerate(seeds)]
 
 
 @dataclass(frozen=True)
 class ReplicationLogs(Sequence):
     """A condition's logs, replication k's at seed `base_seed + k` for each
     k in `reps`, as a read-only sequence that holds no log. Each access
-    runs `run_study` for that seed alone and names the log
+    runs that replication's study alone and names the log
     `<condition>/rep_NNNN`: a log is a pure function of its config and
     seed, so it equals the one the experiment ran, on a shared prefix or
-    not. A slice is another `ReplicationLogs`."""
+    not. It takes integer indices only; `list(logs)[a:b]` slices."""
 
     config: StudyConfig
     base_seed: int
@@ -181,31 +184,25 @@ class ReplicationLogs(Sequence):
     def __len__(self) -> int:
         return len(self.reps)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return ReplicationLogs(self.config, self.base_seed, self.reps[index])
-        k = self.reps[index]  # IndexError past either end
-        log = run_study(_seeded(self.config, self.base_seed + k))
-        log.name = _rep_name(self.config, k)
-        return log
+    def __getitem__(self, index: int) -> StudyLog:
+        k = self.reps[index]  # IndexError past either end, TypeError for a slice
+        return _run_seed((self.config,), self.base_seed + k, k)[0]
 
 
-def batch_median_r(
-    logs: Sequence[StudyLog | str], tallies: Sequence[dict[int, PlayerTally]]
-) -> float | None:
+def batch_median_r(names: Sequence[str], tallies: Sequence[dict[int, PlayerTally]]) -> float | None:
     """Median disparity-vs-miss correlation over batches of replications.
 
     A single 2-player study cannot support a correlation, so consecutive
     replications are pooled into cohorts of `BATCH_SIZE` studies and the
     correlation is computed per cohort; batches that are degenerate
     (constant disparity or misses) are skipped. `tallies` is each log's
-    `log_metrics`, in log order, and `logs` the logs or their names.
+    `log_metrics`, in log order, and `names` the logs' names.
     """
     rs = []
-    for start in range(0, len(logs) - BATCH_SIZE + 1, BATCH_SIZE):
+    for start in range(0, len(names) - BATCH_SIZE + 1, BATCH_SIZE):
         batch = slice(start, start + BATCH_SIZE)
         try:
-            rs.append(disparity_report(logs[batch], tallies=tallies[batch]).correlation.r)
+            rs.append(disparity_report(names[batch], tallies=tallies[batch]).correlation.r)
         except ValueError:
             continue
     return _median(rs) if rs else None
@@ -221,7 +218,6 @@ def _median(values: list[float]) -> float:
 def _condition_summary(
     condition: str,
     tallies: Sequence[dict[int, PlayerTally]],
-    sum_sds: Sequence[float | None],
     report: DisparityReport | None,
     batch_r: float | None,
 ) -> dict:
@@ -242,7 +238,7 @@ def _condition_summary(
         "steps_vs_baseline": mean(steps_vs_baseline),
         "post_motivation_mean": post_sum / post_count if post_count else None,
         "miss_rate": mean(miss_rates),
-        "mean_sum_sd": mean([sd for sd in sum_sds if sd is not None]),
+        "mean_sum_sd": mean([sd for sd in map(audit_sum_sd, tallies) if sd is not None]),
         "disparity_miss_r": report.correlation.r if report else None,
         "disparity_miss_n": report.correlation.n if report else None,
         "batch_median_r": batch_r,
@@ -280,8 +276,11 @@ class ExperimentResult:
         }
 
 
-def _paired_sum_sd(greedy: Sequence[float | None], shapley: Sequence[float | None]) -> dict:
-    pairs = [(g, s) for g, s in zip(greedy, shapley) if g is not None and s is not None]
+def _paired_sum_sd(
+    greedy: Sequence[dict[int, PlayerTally]], shapley: Sequence[dict[int, PlayerTally]]
+) -> dict:
+    sds = zip(map(audit_sum_sd, greedy), map(audit_sum_sd, shapley))
+    pairs = [(g, s) for g, s in sds if g is not None and s is not None]
     lower = [s < g for g, s in pairs].count(True)
     return {
         "paired_replications": len(pairs),
@@ -310,20 +309,18 @@ def run_experiment(
     names = [config.condition.value for config in spec.conditions]
     files: list[str] = []
     tallies: dict[str, list[dict[int, PlayerTally]]] = {name: [] for name in names}
-    sum_sds: dict[str, list[float | None]] = {name: [] for name in names}
     reports: dict[str, DisparityReport | None] = {}
     summaries: list[dict] = []
 
     workers = min(jobs, len(seeds))
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
-        by_seed = (pool.map if pool is not None else map)(partial(_run_seed, spec.conditions), seeds)
-        for k, seed_logs in enumerate(by_seed):
+        run_seed = partial(_run_seed, spec.conditions)
+        by_seed = (pool.map if pool is not None else map)(run_seed, seeds, range(len(seeds)))
+        for seed_logs in by_seed:
             for config, log in zip(spec.conditions, seed_logs):
                 name = config.condition.value
-                log.name = _rep_name(config, k)
                 log_tallies = log_metrics(log)
                 tallies[name].append(log_tallies)
-                sum_sds[name].append(audit_sum_sd(log_tallies))
                 if write_artifacts:
                     rep_dir = out / log.name
                     rep_dir.mkdir(parents=True, exist_ok=True)
@@ -343,15 +340,15 @@ def run_experiment(
         except ValueError:
             reports[name] = None
         batch_r = batch_median_r(rep_names, tallies[name])
-        summaries.append(_condition_summary(name, tallies[name], sum_sds[name], reports[name], batch_r))
+        summaries.append(_condition_summary(name, tallies[name], reports[name], batch_r))
         if write_artifacts and reports[name] is not None:
             write_report_csv(reports[name], out / name / "report.csv")
             write_report_json(reports[name], out / name / "report.json")
             files += [f"{name}/report.csv", f"{name}/report.json"]
 
     comparison = None
-    if "greedy" in sum_sds and "shapley" in sum_sds:
-        comparison = _paired_sum_sd(sum_sds["greedy"], sum_sds["shapley"])
+    if "greedy" in tallies and "shapley" in tallies:
+        comparison = _paired_sum_sd(tallies["greedy"], tallies["shapley"])
         rg, rs_ = reports.get("greedy"), reports.get("shapley")
         if rg is not None and rs_ is not None:
             try:

@@ -147,16 +147,6 @@ def _opt_float(raw: str) -> float | None:
     return float(raw) if raw else None
 
 
-_MODE_BY_VALUE = {mode.value: mode for mode in Mode}
-
-
-def _mode(raw: str) -> Mode:
-    try:
-        return _MODE_BY_VALUE[raw]
-    except KeyError:
-        raise ValueError(f"{raw!r} is not a valid Mode") from None
-
-
 # One parser per LOG_COLUMNS entry, in that order; each raises ValueError.
 _PARSERS = (
     int,
@@ -166,7 +156,7 @@ _PARSERS = (
     _opt_score,
     _opt_score,
     Arm.from_letter,
-    _mode,
+    Mode,
     _opt_int,
     float,
     Arm.from_letter,

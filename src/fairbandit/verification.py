@@ -11,7 +11,6 @@ caters to player 2 and pulls that player's best arm (C).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .bandit import (
     Arm,
@@ -144,22 +143,14 @@ def random_table_game(n: int, rng: SplitMix64) -> TableBacked:
     return TableBacked._of_table(n, table)
 
 
-def run_axiom_suite(
-    trials: int, max_n: int, seed: int, shapley_fn: Callable[..., list[float]] | None = None
-) -> AxiomSuiteResult:
-    """Check the four axioms and oracle equivalence on random games.
-
-    `shapley_fn` exists as a test hook: an implementation that violates
-    the axioms or diverges from the permutation oracle must make the
-    suite fail.
-    """
+def run_axiom_suite(trials: int, max_n: int, seed: int) -> AxiomSuiteResult:
+    """Check the four axioms and oracle equivalence on random games."""
     if max_n > ORACLE_MAX_PLAYERS:
         raise ValueError("max_n above 8 makes the permutation oracle infeasible")
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")
-    fn = shapley_fn if shapley_fn is not None else shapley_all
     result = AxiomSuiteResult(trials=trials)
     if trials == 0:
         result.warning = "0 trials requested: vacuous pass"
@@ -178,7 +169,7 @@ def run_axiom_suite(
                 if not getattr(report, name)
             ]
             result.failures.append(f"trial {t}: axioms failed: {', '.join(failed)} (n={n})")
-        phi = fn(v, coalition)
+        phi = shapley_all(v, coalition)
         oracle = shapley_oracle_permutations(v, coalition)
         for i, (a, b) in enumerate(zip(phi, oracle)):
             if abs(a - b) > REL_TOL * max(1.0, abs(a), abs(b)):

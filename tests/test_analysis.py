@@ -12,6 +12,7 @@ from fairbandit.analysis import (
     disparity_report,
     effort,
     fisher_z,
+    log_metrics,
     miss_likelihood,
     net_top_treatment,
     normal_cdf,
@@ -304,6 +305,19 @@ class TestDisparityReport:
         log = hand_crafted_cohort()
         assert disparity_report([log], 1) != disparity_report([log])
         assert log.intervention_start == 3
+
+    @pytest.mark.parametrize("named", [False, True])
+    def test_a_window_with_tallies_is_refused(self, named):
+        log = hand_crafted_cohort()
+        logs = ["cohort"] if named else [log]
+        with pytest.raises(ValueError, match="tallies"):
+            disparity_report(logs, 1, tallies=[log_metrics(log)])
+
+    def test_tallies_take_names_not_logs(self):
+        log = hand_crafted_cohort()
+        with pytest.raises(TypeError, match="name, not a StudyLog"):
+            disparity_report([log], tallies=[log_metrics(log)])
+        assert disparity_report(["cohort"], tallies=[log_metrics(log)]).rows[0].player == "cohort:p0"
 
     def test_log_without_a_window_is_refused(self):
         with pytest.raises(TypeError, match="intervention_start"):

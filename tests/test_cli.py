@@ -120,6 +120,19 @@ class TestRun:
         assert str(out) in capsys.readouterr().err
         assert out.read_text() == "not a directory\n"
 
+    def test_used_out_exits_2_before_writing(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(tiny_spec_dict(replications=2)))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["run", "--spec", str(spec_path), "--out", str(out)]) == 0
+        before = tree_hashes(out)
+        capsys.readouterr()
+        argv = ["run", "--scenario", "study-protocol", "--replications", "1", "--out", str(out)]
+        assert main(argv) == 2
+        assert f"run: output directory {out} is not empty" in capsys.readouterr().err
+        assert tree_hashes(out) == before
+
     def test_duplicate_condition_names_rejected(self, tmp_path, capsys):
         doc = tiny_spec_dict()
         doc["conditions"] = [doc["conditions"][1], doc["conditions"][1]]
@@ -217,12 +230,13 @@ class TestAxioms:
     def test_max_n_larger_than_oracle_limit_rejected(self, capsys):
         assert main(["axioms", "--max-n", "9"]) == 2
 
-    def test_broken_implementation_detected(self):
+    def test_broken_implementation_detected(self, monkeypatch):
         # injected non-efficient attribution must fail the suite
         def broken(v, coalition):
             return [0.0 for _ in coalition]
 
-        result = run_axiom_suite(trials=10, max_n=4, seed=1, shapley_fn=broken)
+        monkeypatch.setattr(verification, "shapley_all", broken)
+        result = run_axiom_suite(trials=10, max_n=4, seed=1)
         assert not result.passed
         assert any("oracle" in f for f in result.failures)
 
@@ -805,6 +819,21 @@ class TestSpecLoading:
         assert exit_code(["run", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
         assert "run: total_sessions must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_condition_seed_is_config_error(self, tmp_path, capsys):
+        # Replication k runs every condition at base_seed + k, so a condition's
+        # own seed would change the spec hash and nothing else.
+        doc = tiny_spec_dict()
+        doc["conditions"][1]["seed"] = 5
+        with pytest.raises(ConfigError, match="condition greedy: seed 5"):
+            ExperimentSpec.from_dict(doc)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
+        assert "run: condition greedy: seed 5" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        doc["conditions"][1]["seed"] = 0
+        assert ExperimentSpec.from_dict(doc) == ExperimentSpec.from_dict(tiny_spec_dict())
 
     def test_spec_round_trip(self):
         spec = ExperimentSpec(

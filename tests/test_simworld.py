@@ -1074,7 +1074,7 @@ def shared_world_spec(draw) -> ExperimentSpec:
     baseline_days, total_sessions = draw(st.integers(1, 4)), draw(st.integers(9, 24))
     configs = []
     for condition in conditions:
-        cfg = replace(draw(study_config()), condition=condition)
+        cfg = replace(draw(study_config()), condition=condition, seed=0)
         if draw(st.booleans()):
             cfg = replace(cfg, baseline_days=baseline_days, total_sessions=total_sessions)
         configs.append(cfg)
@@ -1092,8 +1092,8 @@ def test_shared_world_matches_standalone_studies(spec):
     """Every log of an experiment's seed task, whose conditions share the
     seed's world draws when they share a prefix, equals the study run
     alone at its seed."""
-    for seed in replication_seeds(spec):
-        logs = _run_seed(spec.conditions, seed)
+    for k, seed in enumerate(replication_seeds(spec)):
+        logs = _run_seed(spec.conditions, seed, k)
         assert len(logs) == len(spec.conditions)
         for cfg, log in zip(spec.conditions, logs):
             alone = replace(cfg, seed=seed)
@@ -1214,7 +1214,7 @@ def test_run_seed_shares_a_prefix_only_between_matching_conditions(monkeypatch):
     ]
     for seed in range(5):
         built.clear()
-        logs = _run_seed(configs, seed)
+        logs = _run_seed(configs, seed, 0)
         assert [cfg.condition for cfg in built] == [Condition.CONTROL]
         for cfg, log in zip(configs, logs):
             alone = replace(cfg, seed=seed)
@@ -1226,8 +1226,8 @@ def test_run_seed_shares_a_prefix_only_between_matching_conditions(monkeypatch):
 def test_the_forced_rows_of_a_seed_are_shared_by_its_conditions():
     spec = load_scenario("conflict-cohort", 3)
     assert [cfg.condition for cfg in spec.conditions] == list(Condition)
-    for seed in replication_seeds(spec):
-        logs = _run_seed(spec.conditions, seed)
+    for k, seed in enumerate(replication_seeds(spec)):
+        logs = _run_seed(spec.conditions, seed, k)
         forced = TEAM_SIZE * logs[0].intervention_start - TEAM_SIZE
         assert forced == 18
         for log in logs[1:]:
@@ -1336,13 +1336,8 @@ class TestReplicationLogs:
         assert logs[-1].name == "greedy/rep_0003"
         assert logs[-4].name == "greedy/rep_0000"
         assert_same_log(logs[-2], logs[2], self.SPEC.conditions[1])
-        tail = logs[1:]
-        assert len(tail) == 3
-        assert [log.name for log in tail] == [f"greedy/rep_{k:04d}" for k in (1, 2, 3)]
-        assert tail[-1].name == "greedy/rep_0003"
-        assert [log.name for log in logs[::-2]] == ["greedy/rep_0003", "greedy/rep_0001"]
-        assert [log.seed for log in logs[1:][1:2]] == [902]
-        assert len(logs[4:]) == 0 and list(logs[4:]) == []
+        with pytest.raises(TypeError):
+            logs[1:]
 
     @pytest.mark.parametrize("index", [4, 5, -5])
     def test_index_past_either_end_raises(self, result, index):
