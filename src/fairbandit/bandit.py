@@ -122,10 +122,6 @@ class RewardModel:
     def observe_scalar(self, player: PlayerId, arm: Arm, value: float) -> None:
         if not math.isfinite(value):
             raise ValueError(f"reward must be finite, got {value}")
-        self._observe(player, arm, value)
-
-    def _observe(self, player: PlayerId, arm: Arm, value: float) -> None:
-        """`observe_scalar` without the check, for callers whose rewards are finite."""
         sums = self._sums.get(player)
         if sums is None:
             sums = self._sums[player] = [0.0] * len(_ARMS)
@@ -279,11 +275,6 @@ def shapley_update(
     for player, steps in step_rewards.items():
         if not math.isfinite(steps) or steps < 0:
             raise ValueError(f"step reward for player {player} must be finite and >= 0")
-    _shapley_fold(state, decision, step_rewards)
-
-
-def _shapley_fold(state: ShapleyBanditState, decision: Decision, step_rewards: Mapping) -> None:
-    """`shapley_update` without its check, for steps known to be finite and >= 0."""
     for player, steps in step_rewards.items():
         state.csv[player] += steps
     if decision.mode is _EXPLOIT and decision.catered_player is not None:

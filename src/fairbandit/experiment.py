@@ -185,7 +185,9 @@ class ReplicationLogs(Sequence):
         return len(self.reps)
 
     def __getitem__(self, index: int) -> StudyLog:
-        k = self.reps[index]  # IndexError past either end, TypeError for a slice
+        if isinstance(index, slice):
+            raise TypeError("ReplicationLogs takes an integer index; list(logs)[a:b] slices")
+        k = self.reps[index]  # IndexError past either end
         return _run_seed((self.config,), self.base_seed + k, k)[0]
 
 

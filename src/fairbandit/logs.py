@@ -19,7 +19,7 @@ from itertools import compress, groupby
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .analysis import PlayerTally, audit_sum_sd, log_metrics
-from .bandit import Arm, Mode, _total, combined_reward
+from .bandit import Arm, Decision, Mode, ShapleyBanditState, _total, combined_reward, shapley_update
 
 if TYPE_CHECKING:
     from .simworld import Condition
@@ -59,24 +59,23 @@ class StudyLog:
 
 def decision_records(log: StudyLog, step_scale: float, motivation_weight: float) -> Iterator[dict]:
     """Each session day's record, rebuilt from the log's rows in day order.
-    Every row of a day carries its decision; `csv` adds attended steps as
-    `shapley_update` does, `tc` counts exploit days catered to each player
-    and `rewards` holds each attending player's combined reward."""
+    Every row of a day carries its decision, which `shapley_update` folds
+    with the day's attended steps into `csv` and `tc`; `rewards` holds each
+    attending player's combined reward."""
     n = 1 + max((row.player for row in log.rows), default=-1)
-    contributions, treatments = [0.0] * n, [0] * n
+    state = ShapleyBanditState([0.0] * n, [0] * n)
     for day, day_rows in groupby(log.rows, lambda row: row.day):
-        rewards = {}
+        steps, rewards = {}, {}
         for row in day_rows:
             if not row.missed:
-                contributions[row.player] += row.steps
+                steps[row.player] = row.steps
                 deltas = row.steps - row.baseline_mean, float(row.post_motivation - row.pre_motivation)
                 rewards[row.player] = combined_reward(*deltas, step_scale, motivation_weight)
-        if row.mode is Mode.EXPLOIT and row.catered_player is not None:
-            treatments[row.catered_player] += 1
+        shapley_update(state, Decision(row.arm, row.catered_player, row.mode), steps)
         yield {
             "day": day, "mode": row.mode.value, "arm": row.arm.letter,
-            "catered_player": row.catered_player, "csv": list(contributions),
-            "tc": list(treatments), "rewards": {str(p): rewards[p] for p in sorted(rewards)},
+            "catered_player": row.catered_player, "csv": list(state.csv),
+            "tc": list(state.tc), "rewards": {str(p): rewards[p] for p in sorted(rewards)},
         }
 
 

@@ -58,10 +58,6 @@ class CoalitionTooLargeError(ValueError):
     """Exact subset enumeration refused for oversized coalitions."""
 
 
-class PlayerNotInCoalitionError(ValueError):
-    pass
-
-
 def _close(a: float, b: float) -> bool:
     return abs(a - b) <= REL_TOL * max(1.0, abs(a), abs(b))
 
@@ -125,9 +121,6 @@ class CharacteristicFunction:
             return 0.0
         return self.value(s)
 
-    def __add__(self, other: "CharacteristicFunction") -> "CharacteristicFunction":
-        return _SumCharacteristic(self, other)
-
     def by_mask(self, n: int) -> list[float]:
         """v of every subset of players 0..n-1, indexed by bitmask: entry m
         is v({i : bit i of m is set}), so entry 0 is 0."""
@@ -135,18 +128,6 @@ class CharacteristicFunction:
         for mask in range(1, 1 << n):
             table[mask] = self(frozenset(i for i in range(n) if mask >> i & 1))
         return table
-
-
-class _SumCharacteristic(CharacteristicFunction):
-    def __init__(self, a: CharacteristicFunction, b: CharacteristicFunction):
-        self.a = a
-        self.b = b
-
-    def value(self, subset: frozenset[PlayerId]) -> float:
-        return self.a(subset) + self.b(subset)
-
-    def by_mask(self, n: int) -> list[float]:
-        return [x + y for x, y in zip(self.a.by_mask(n), self.b.by_mask(n))]
 
 
 class AdditiveSteps(CharacteristicFunction):
@@ -386,16 +367,6 @@ def _attribution(table: list[float], weights: list[float], player: PlayerId) -> 
     return total
 
 
-def shapley_value(v: CharacteristicFunction, coalition: Coalition, player: PlayerId) -> float:
-    """Exact attribution for one player: the weighted average, over all
-    subsets S excluding them, of the marginal value v(S + player) - v(S)."""
-    n = len(coalition)
-    _check_size(n, MAX_EXACT_PLAYERS)
-    if player not in coalition:
-        raise PlayerNotInCoalitionError(f"player {player} not in coalition of {n}")
-    return _attribution(v.by_mask(n), _mask_weights(n), player)
-
-
 def shapley_all(v: CharacteristicFunction, coalition: Coalition) -> list[float]:
     """Attribution vector for every member; sums to v(full coalition)."""
     n = len(coalition)
@@ -479,12 +450,13 @@ def check_axioms(
 
     Symmetry and nullity are checked for every interchangeable pair /
     null player actually present in v (vacuously true when none exist).
-    Additivity compares the attribution of (v + partner) against the
-    sum of the separate attributions; when no partner is supplied, an
-    additive game built from v's singleton values is used.
+    Additivity compares the attribution of the game whose by-mask table is
+    v's plus the partner's against the sum of the separate attributions;
+    when no partner is supplied, an additive game of v's singletons is used.
     """
     phi = shapley_all(v, coalition)
-    table = v.by_mask(len(coalition))
+    n = len(coalition)
+    table = v.by_mask(n)
     grand = table[-1]
     witnesses: dict = {"interchangeable_pairs": [], "null_players": []}
 
@@ -513,8 +485,9 @@ def check_axioms(
 
     if additivity_partner is None:
         additivity_partner = AdditiveSteps([table[1 << i] for i in coalition])
-    phi_sum = shapley_all(v + additivity_partner, coalition)
-    phi_partner = shapley_all(additivity_partner, coalition)
+    partner = additivity_partner.by_mask(n)
+    phi_sum = shapley_all(TableBacked._of_table(n, [a + b for a, b in zip(table, partner)]), coalition)
+    phi_partner = shapley_all(TableBacked._of_table(n, partner), coalition)
     additivity = all(
         _close(phi_sum[i], phi[i] + phi_partner[i]) for i in coalition
     )

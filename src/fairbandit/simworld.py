@@ -38,7 +38,6 @@ from .bandit import (
     Mode,
     RewardModel,
     ShapleyBanditState,
-    _shapley_fold,
     _total,
     combined_reward,
     greedy_select,
@@ -46,7 +45,7 @@ from .bandit import (
     predict_arms,
     random_select,
     shapley_select,
-    shapley_update,  # noqa: F401  patched by name in benchmarks/spans.py
+    shapley_update,
 )
 from .logs import SessionRow, StudyLog
 from .logs import write_log_csv  # noqa: F401  imported by benchmarks/corpus.py
@@ -386,8 +385,8 @@ def _run_days(config: StudyConfig, at: StudyPrefix, last_day: int) -> tuple:
     day after `at`'s last row. A forced day takes its decision from `at`'s
     schedule, a later day from `config`'s strategy. Returns the rows, the
     reward model, `StudyPrefix.tallies` as lists and the decision and
-    jitter streams. Rewards and steps fold in unchecked, as
-    `StudyConfig`'s overflow bound keeps them finite."""
+    jitter streams. Rewards and steps fold in through the validated
+    updates, which `StudyConfig`'s overflow bound keeps from raising."""
     n = len(config.players)
     model = RewardModel()
     model._sums, model._counts, model._means = ({p: list(v) for p, v in cells} for cells in at.estimates)
@@ -405,7 +404,7 @@ def _run_days(config: StudyConfig, at: StudyPrefix, last_day: int) -> tuple:
     schedule, forced_days = at.schedule, len(at.schedule)
     rows, best_given, worst_given = list(at.rows), [0] * n, [0] * n
     any_exploit, exploit, no_disparity = False, Mode.EXPLOIT, [0.0] * n
-    observe, new_row = model._observe, tuple.__new__
+    observe, new_row = model.observe_scalar, tuple.__new__
     jitter = jitter_rng if config.jitter else None
     intervention_start = config.intervention_start
     scale, weight = config.step_scale, config.motivation_weight
@@ -453,7 +452,7 @@ def _run_days(config: StudyConfig, at: StudyPrefix, last_day: int) -> tuple:
 
         # The CSV adds each attended player's steps from 0.0, so it is
         # also the running step total that effort reads.
-        _shapley_fold(state, decision, day_steps)
+        shapley_update(state, decision, day_steps)
         for i, steps in day_steps.items():
             step_counts[i] += 1
             last_steps[i] = steps

@@ -113,8 +113,8 @@ class TestRewardModel:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_nonfinite_reward_is_rejected_before_any_cell_moves(self, value):
-        """The day loop folds rewards through the unchecked internal; the
-        public method keeps the check in front of it."""
+        """The day loop folds rewards through this method, which keeps the
+        check in front of any cell change."""
         model = RewardModel()
         model.observe_scalar(0, Arm.BETWEEN, 2.0)
         with pytest.raises(ValueError, match="reward must be finite"):
@@ -384,8 +384,8 @@ class TestShapleyUpdate:
     @pytest.mark.parametrize("bad_player", [0, 1])
     def test_bad_step_is_rejected_before_any_player_is_folded(self, bad, bad_player):
         """Every step is checked before any CSV or TC moves, whichever
-        player carries the bad one: the day loop folds through the
-        unchecked internal, and this public path must stay all or nothing."""
+        player carries the bad one: the day loop and `decision_records` fold
+        through this path, so it must stay all or nothing."""
         state = ShapleyBanditState(csv=[10.0, 20.0], tc=[1, 2])
         decision = Decision(arm=Arm.ABOVE_HIGHER, catered_player=0, mode=Mode.EXPLOIT)
         steps = {0: 100.0, 1: 200.0}

@@ -8,12 +8,16 @@ This test pins each function's results over 100,000 inputs from a fixed
 SplitMix64 stream, in the form in which the package calls it. A failure
 means the golden digests will not reproduce on this libm; it is not a
 defect in the package.
+
+Run as a script, this module needs only the standard library, and exits
+1 naming each function whose results differ:
+
+    PYTHONPATH=src python tests/test_libm.py
 """
 import hashlib
 import math
 import struct
-
-import pytest
+import sys
 
 from fairbandit.rng import SplitMix64
 
@@ -57,13 +61,33 @@ LIBM = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(LIBM))
-def test_libm_results_are_the_pinned_ones(name):
+def mismatch(name: str) -> str | None:
+    """Why `math.<name>`'s results differ from the pinned ones, or None."""
     draw, artifacts, pinned = LIBM[name]
     rng = SplitMix64(0)
     values = [draw(rng) for _ in range(INPUTS)]
-    digest = hashlib.sha256(struct.pack(f"<{INPUTS}d", *values)).hexdigest()
-    assert digest == pinned, (
+    if hashlib.sha256(struct.pack(f"<{INPUTS}d", *values)).hexdigest() == pinned:
+        return None
+    return (
         f"math.{name} rounds differently from the libm the golden digests were made on;"
         f" it feeds {artifacts}, which will not reproduce"
     )
+
+
+def pytest_generate_tests(metafunc):
+    # A hook rather than a mark, so that the script below runs without pytest.
+    if metafunc.function is test_libm_results_are_the_pinned_ones:
+        metafunc.parametrize("name", sorted(LIBM))
+
+
+def test_libm_results_are_the_pinned_ones(name):
+    problem = mismatch(name)
+    assert problem is None, problem
+
+
+if __name__ == "__main__":
+    problems = [problem for problem in map(mismatch, sorted(LIBM)) if problem]
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    print(f"{sys.version.split()[0]}: {len(LIBM) - len(problems)} of {len(LIBM)} libm functions match")
+    sys.exit(1 if problems else 0)

@@ -28,13 +28,11 @@ from fairbandit.shapley import (
     CharacteristicFunction,
     Coalition,
     CoalitionTooLargeError,
-    PlayerNotInCoalitionError,
     TableBacked,
     check_axioms,
     load_characteristic,
     shapley_all,
     shapley_oracle_permutations,
-    shapley_value,
     subset_weight,
 )
 from fairbandit.strictjson import RepeatedKeyError
@@ -62,32 +60,28 @@ def rel_close(a, b, rel=1e-9):
 class TestShapleyValue:
     def test_additive_two_players(self):
         v = AdditiveSteps([10.0, 20.0])
-        assert shapley_value(v, Coalition.of_size(2), 0) == pytest.approx(10.0)
-        assert shapley_value(v, Coalition.of_size(2), 1) == pytest.approx(20.0)
+        assert shapley_all(v, Coalition.of_size(2))[0] == pytest.approx(10.0)
+        assert shapley_all(v, Coalition.of_size(2))[1] == pytest.approx(20.0)
 
     def test_majority_game_splits_evenly(self):
         v = LambdaGame(lambda s: 1.0 if len(s) >= 2 else 0.0)
         n = Coalition.of_size(3)
         for i in range(3):
-            assert shapley_value(v, n, i) == pytest.approx(1 / 3)
+            assert shapley_all(v, n)[i] == pytest.approx(1 / 3)
 
     def test_superadditive_pair(self):
         # Oracle derivation: two arrival orders give marginals
         # (10000, 13000) and (11000, 12000), averaging to 10500 / 12500.
         n = Coalition.of_size(2)
-        assert shapley_value(TWO_PLAYER_SUPERADDITIVE, n, 0) == pytest.approx(10500.0)
-        assert shapley_value(TWO_PLAYER_SUPERADDITIVE, n, 1) == pytest.approx(12500.0)
+        assert shapley_all(TWO_PLAYER_SUPERADDITIVE, n)[0] == pytest.approx(10500.0)
+        assert shapley_all(TWO_PLAYER_SUPERADDITIVE, n)[1] == pytest.approx(12500.0)
         oracle = shapley_oracle_permutations(TWO_PLAYER_SUPERADDITIVE, n)
         assert oracle == pytest.approx([10500.0, 12500.0])
-
-    def test_player_not_in_coalition(self):
-        with pytest.raises(PlayerNotInCoalitionError):
-            shapley_value(AdditiveSteps([1.0, 2.0]), Coalition.of_size(2), 5)
 
     def test_coalition_too_large(self):
         v = AdditiveSteps([1.0] * 17)
         with pytest.raises(CoalitionTooLargeError):
-            shapley_value(v, Coalition.of_size(17), 0)
+            shapley_all(v, Coalition.of_size(17))[0]
 
 
 class TestShapleyAll:
@@ -187,7 +181,7 @@ class TestAxioms:
         report = check_axioms(v, Coalition.of_size(3))
         assert report.nullity
         assert report.witnesses["null_players"] == [2]
-        assert shapley_value(v, Coalition.of_size(3), 2) == pytest.approx(0.0)
+        assert shapley_all(v, Coalition.of_size(3))[2] == pytest.approx(0.0)
 
     def test_additivity_on_random_pairs(self):
         rng = SplitMix64(22)
@@ -517,14 +511,9 @@ def _callable_game(s):
 def _games(n, seed):
     """One game of every characteristic-function subclass at size n."""
     rng = SplitMix64(seed)
-    v = random_table_game(n, rng)
-    partner = random_table_game(n, rng)
-    steps = AdditiveSteps([rng.uniform(0.0, 20000.0) for _ in range(n)])
     return {
-        "table": v,
-        "sum": v + partner,
-        "nested-sum": v + steps + partner,
-        "additive": steps,
+        "table": random_table_game(n, rng),
+        "additive": AdditiveSteps([rng.uniform(0.0, 20000.0) for _ in range(n)]),
         "callable": LambdaGame(_callable_game),
     }
 
@@ -551,8 +540,6 @@ class TestMaskTable:
         for name, v in _games(n, 60 + n).items():
             want = [_old_shapley_value(v, coalition, i) for i in coalition]
             assert shapley_all(v, coalition) == want, name
-            for i in coalition:
-                assert shapley_value(v, coalition, i) == want[i], (name, i)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_oracle_bit_identical(self, n):
@@ -668,7 +655,6 @@ class TestEdgeFloatBits:
         coalition = Coalition.of_size(n)
         want = _hexes(_branchy_attribution(v.by_mask(n), i) for i in coalition)
         assert _hexes(shapley_all(v, coalition)) == want
-        assert _hexes(shapley_value(v, coalition, i) for i in coalition) == want
 
     @settings(max_examples=60, deadline=None)
     @given(

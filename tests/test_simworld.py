@@ -718,6 +718,30 @@ def test_random_draws_per_study_unchanged(monkeypatch, scenario, condition):
     assert got == DRAWS_PER_STUDY[scenario, condition]
 
 
+@pytest.mark.parametrize("condition", list(Condition))
+def test_day_loop_folds_through_the_validated_updates(monkeypatch, condition):
+    # The day loop folds each day into CSV/TC by `simworld.shapley_update`,
+    # the name the benchmark's tracer wraps, and each attended player-day
+    # into the estimates by `RewardModel.observe_scalar`.
+    calls = {"fold": 0, "observe": 0}
+    fold, observe = shapley_update, RewardModel.observe_scalar
+
+    def counting_fold(*args):
+        calls["fold"] += 1
+        return fold(*args)
+
+    def counting_observe(*args):
+        calls["observe"] += 1
+        return observe(*args)
+
+    monkeypatch.setattr("fairbandit.simworld.shapley_update", counting_fold)
+    monkeypatch.setattr(RewardModel, "observe_scalar", counting_observe)
+    cfg = next(c for c in load_scenario("conflict-cohort").conditions if c.condition is condition)
+    log = run_study(cfg)
+    assert calls["fold"] == cfg.total_sessions
+    assert calls["observe"] == sum(not row.missed for row in log.rows) > 0
+
+
 class Direction(str, Enum):
     """A comparison target's direction, as the simulator once named it."""
 
@@ -1336,7 +1360,7 @@ class TestReplicationLogs:
         assert logs[-1].name == "greedy/rep_0003"
         assert logs[-4].name == "greedy/rep_0000"
         assert_same_log(logs[-2], logs[2], self.SPEC.conditions[1])
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=r"integer index; list\(logs\)\[a:b\] slices"):
             logs[1:]
 
     @pytest.mark.parametrize("index", [4, 5, -5])
