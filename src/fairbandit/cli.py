@@ -27,14 +27,11 @@ def _cmd_run(args) -> int:
         print("run: provide exactly one of --spec or --scenario", file=sys.stderr)
         return 2
     try:
-        if args.spec:
-            spec = ExperimentSpec.from_json(args.spec)
-            if args.replications is not None:
-                spec = replace(spec, replications=args.replications)
-            if args.seed is not None:
-                spec = replace(spec, base_seed=args.seed)
-        else:
-            spec = load_scenario(args.scenario, args.replications, args.seed)
+        spec = ExperimentSpec.from_json(args.spec) if args.spec else load_scenario(args.scenario)
+        if args.replications is not None:
+            spec = replace(spec, replications=args.replications)
+        if args.seed is not None:
+            spec = replace(spec, base_seed=args.seed)
     except (ConfigError, ValueError) as exc:
         print(f"run: {exc}", file=sys.stderr)
         return 2

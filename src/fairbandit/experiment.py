@@ -28,7 +28,7 @@ import json
 import sys
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -83,31 +83,14 @@ class ExperimentSpec:
                 )
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "replications": self.replications,
-            "base_seed": self.base_seed,
-            "output_dir": self.output_dir,
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {
             "conditions": [c.to_dict() for c in self.conditions],
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentSpec":
         check_doc(cls, doc, "experiment spec")
-        if not isinstance(doc.get("conditions", []), list):
-            raise ConfigError(
-                f"experiment spec: conditions must be a list of objects, got {doc['conditions']!r}"
-            )
-        try:
-            return cls(
-                scenario=doc["scenario"],
-                conditions=tuple(StudyConfig.from_dict(c) for c in doc["conditions"]),
-                replications=doc["replications"],
-                base_seed=doc.get("base_seed", 0),
-                output_dir=doc.get("output_dir"),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"experiment spec missing key: {exc}") from exc
+        return cls(**doc | {"conditions": tuple(StudyConfig.from_dict(c) for c in doc["conditions"])})
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":

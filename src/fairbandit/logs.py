@@ -85,21 +85,7 @@ def write_decisions_jsonl(records: Iterable[dict], path) -> None:
             fh.write(json.dumps(record, sort_keys=False) + "\n")
 
 
-LOG_COLUMNS = [
-    "day",
-    "player",
-    "steps",
-    "missed",
-    "pre_motivation",
-    "post_motivation",
-    "arm",
-    "mode",
-    "catered_player",
-    "artificial_steps",
-    "best_arm",
-    "worst_arm",
-    "baseline_mean",
-]
+LOG_COLUMNS = list(SessionRow._fields)
 
 
 class SchemaError(ValueError):

@@ -20,98 +20,71 @@ from __future__ import annotations
 from .experiment import ExperimentSpec
 from .simworld import Condition, SimPlayer, StudyConfig
 
-
-def _three_conditions(players: tuple[SimPlayer, ...], **overrides) -> tuple[StudyConfig, ...]:
-    return tuple(
-        StudyConfig(condition=cond, players=players, **overrides)
-        for cond in (Condition.CONTROL, Condition.GREEDY, Condition.SHAPLEY)
-    )
-
-
-def null_cohort(replications: int = 50, base_seed: int = 7000) -> ExperimentSpec:
-    players = (
-        SimPlayer(baseline_steps=9000.0, noise_sd=0.0, sco=0.0, effect_size=0.0),
-        SimPlayer(baseline_steps=9000.0, noise_sd=0.0, sco=0.0, effect_size=0.0),
-    )
-    return ExperimentSpec(
-        scenario="null-cohort",
-        conditions=_three_conditions(players),
-        replications=replications,
-        base_seed=base_seed,
-    )
-
-
-def conflict_cohort(replications: int = 200, base_seed: int = 4100) -> ExperimentSpec:
-    players = (
-        SimPlayer(
-            baseline_steps=10600.0,
-            noise_sd=1000.0,
-            sco=0.9,
-            effect_size=400.0,
-            adherence_intercept=-1.1,
-            adherence_slope=2.0,
-        ),
-        SimPlayer(
-            baseline_steps=8400.0,
-            noise_sd=1000.0,
-            sco=-0.9,
-            effect_size=1700.0,
-            adherence_intercept=-1.1,
-            adherence_slope=2.0,
-        ),
-    )
-    return ExperimentSpec(
-        scenario="conflict-cohort",
-        conditions=_three_conditions(players),
-        replications=replications,
-        base_seed=base_seed,
-    )
-
-
-def study_protocol(replications: int = 30, base_seed: int = 9900) -> ExperimentSpec:
-    players = (
-        SimPlayer(
-            baseline_steps=10000.0,
-            noise_sd=2500.0,
-            sco=0.5,
-            effect_size=900.0,
-            adherence_intercept=-1.1,
-            adherence_slope=1.0,
-        ),
-        SimPlayer(
-            baseline_steps=8000.0,
-            noise_sd=2500.0,
-            sco=-0.4,
-            effect_size=600.0,
-            adherence_intercept=-1.1,
-            adherence_slope=1.0,
-        ),
-    )
-    return ExperimentSpec(
-        scenario="study-protocol",
-        conditions=_three_conditions(players, jitter=True),
-        replications=replications,
-        base_seed=base_seed,
-    )
-
-
+# Each scenario's default replications and base seed, and the StudyConfig
+# fields that every one of its conditions sets.
 BUNDLED = {
-    "null-cohort": null_cohort,
-    "conflict-cohort": conflict_cohort,
-    "study-protocol": study_protocol,
+    "null-cohort": (50, 7000, {
+        "players": (
+            SimPlayer(baseline_steps=9000.0, noise_sd=0.0, sco=0.0, effect_size=0.0),
+            SimPlayer(baseline_steps=9000.0, noise_sd=0.0, sco=0.0, effect_size=0.0),
+        ),
+    }),
+    "conflict-cohort": (200, 4100, {
+        "players": (
+            SimPlayer(
+                baseline_steps=10600.0,
+                noise_sd=1000.0,
+                sco=0.9,
+                effect_size=400.0,
+                adherence_intercept=-1.1,
+                adherence_slope=2.0,
+            ),
+            SimPlayer(
+                baseline_steps=8400.0,
+                noise_sd=1000.0,
+                sco=-0.9,
+                effect_size=1700.0,
+                adherence_intercept=-1.1,
+                adherence_slope=2.0,
+            ),
+        ),
+    }),
+    "study-protocol": (30, 9900, {
+        "players": (
+            SimPlayer(
+                baseline_steps=10000.0,
+                noise_sd=2500.0,
+                sco=0.5,
+                effect_size=900.0,
+                adherence_intercept=-1.1,
+                adherence_slope=1.0,
+            ),
+            SimPlayer(
+                baseline_steps=8000.0,
+                noise_sd=2500.0,
+                sco=-0.4,
+                effect_size=600.0,
+                adherence_intercept=-1.1,
+                adherence_slope=1.0,
+            ),
+        ),
+        "jitter": True,
+    }),
 }
 
 
 def load_scenario(name: str, replications: int | None = None, base_seed: int | None = None) -> ExperimentSpec:
+    """The bundled scenario `name` with one condition per `Condition`, at
+    its own replications and base seed unless others are given."""
     try:
-        builder = BUNDLED[name]
+        default_replications, default_seed, config = BUNDLED[name]
     except KeyError:
         raise ValueError(
             f"unknown scenario {name!r}; bundled: {', '.join(sorted(BUNDLED))}"
         ) from None
-    kwargs = {}
-    if replications is not None:
-        kwargs["replications"] = replications
-    if base_seed is not None:
-        kwargs["base_seed"] = base_seed
-    return builder(**kwargs)
+    return ExperimentSpec(
+        scenario=name,
+        conditions=tuple(StudyConfig(condition=c, **config) for c in Condition),
+        replications=default_replications if replications is None else replications,
+        base_seed=default_seed if base_seed is None else base_seed,
+    )

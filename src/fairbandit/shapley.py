@@ -454,9 +454,10 @@ def check_axioms(
     v's plus the partner's against the sum of the separate attributions;
     when no partner is supplied, an additive game of v's singletons is used.
     """
-    phi = shapley_all(v, coalition)
     n = len(coalition)
+    _check_size(n, MAX_EXACT_PLAYERS)
     table = v.by_mask(n)
+    phi = shapley_all(TableBacked._of_table(n, table), coalition)
     grand = table[-1]
     witnesses: dict = {"interchangeable_pairs": [], "null_players": []}
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from functools import partial
 from operator import attrgetter
@@ -57,27 +57,43 @@ class ConfigError(ValueError):
     pass
 
 
-# What a JSON value must be to fill a field of each annotated type.
+class Condition(str, Enum):
+    CONTROL = "control"
+    GREEDY = "greedy"
+    SHAPLEY = "shapley"
+
+
+# What a JSON value must be to fill a field of each annotated type, by
+# the type's name up to any `[`: a tuple field takes a list of objects.
 _ACCEPTS = {
     "int": ("an integer", lambda v: is_number(v) and isinstance(v, int)),
     "float": ("a finite number", lambda v: is_number(v) and abs(v) <= sys.float_info.max),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "str": ("a string", lambda v: isinstance(v, str)),
     "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "Condition": (
+        f"one of {', '.join(c.value for c in Condition)}",
+        lambda v: v in [c.value for c in Condition],
+    ),
+    "tuple": ("a list of objects", lambda v: isinstance(v, list)),
 }
 
 
 def check_doc(cls, doc: dict, what: str) -> None:
-    """Reject keys of `doc` that name no field of the dataclass `cls`, and
-    values of its int, float, bool and str fields that are not of that type."""
+    """Reject keys of `doc` that name no field of the dataclass `cls`, a
+    field without a default that `doc` lacks, and values that `_ACCEPTS`
+    rejects for their field's type."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be a JSON object, got {type(doc).__name__}")
     unknown = sorted(set(doc) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"{what}: unknown key(s) {unknown}")
     for f in fields(cls):
-        if f.name in doc and f.type in _ACCEPTS:
-            expected, accepts = _ACCEPTS[f.type]
+        if f.default is MISSING and f.name not in doc:
+            raise ConfigError(f"{what} missing key: {f.name!r}")
+        rule = _ACCEPTS.get(f.type.partition("[")[0])
+        if f.name in doc and rule is not None:
+            expected, accepts = rule
             if not accepts(doc[f.name]):
                 raise ConfigError(f"{what}: {f.name} must be {expected}, got {doc[f.name]!r}")
 
@@ -90,12 +106,6 @@ def _check_finite(obj, *names: str) -> None:
         value = getattr(obj, name)
         if not accepts(value):
             raise ConfigError(f"{name} must be {expected}, got {value!r}")
-
-
-class Condition(str, Enum):
-    CONTROL = "control"
-    GREEDY = "greedy"
-    SHAPLEY = "shapley"
 
 
 @dataclass(frozen=True)
@@ -201,27 +211,15 @@ class StudyConfig:
         return self.forced_exploration_days + 1
 
     def to_dict(self) -> dict:
-        return {
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {
             "condition": self.condition.value,
             "players": [vars(p) | {} for p in self.players],
-            "seed": self.seed,
-            "baseline_days": self.baseline_days,
-            "forced_exploration_days": self.forced_exploration_days,
-            "total_sessions": self.total_sessions,
-            "epsilon": self.epsilon,
-            "step_scale": self.step_scale,
-            "motivation_weight": self.motivation_weight,
-            "jitter": self.jitter,
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StudyConfig":
         check_doc(cls, doc, "study config")
-        try:
-            players = tuple(SimPlayer.from_dict(p) for p in doc["players"])
-            return cls(**doc | {"condition": Condition(doc["condition"]), "players": players})
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"invalid study config: {exc}") from exc
+        return cls(**doc | {"players": tuple(SimPlayer.from_dict(p) for p in doc["players"])})
 
 
 def comparison_sign(own: float, target: float) -> int:

@@ -23,7 +23,7 @@ from fairbandit.bandit import (
 from fairbandit.cli import main
 from fairbandit.experiment import run_experiment
 from fairbandit.rng import SplitMix64
-from fairbandit.scenarios import conflict_cohort
+from fairbandit.scenarios import load_scenario
 from fairbandit.shapley import AdditiveSteps, Coalition, shapley_all
 from fairbandit.simworld import Condition, SimPlayer, StudyConfig, run_study
 from fairbandit.verification import run_axiom_suite, verify_worked_example
@@ -76,7 +76,7 @@ def test_criterion_3_additive_collapse():
 
 def test_criterion_4_greedy_bandit_problem_demonstration(tmp_path):
     t0 = time.perf_counter()
-    spec = conflict_cohort(replications=200)
+    spec = load_scenario("conflict-cohort", 200)
     result = run_experiment(spec, tmp_path, write_artifacts=False)
     elapsed = time.perf_counter() - t0
     rows = {r["condition"]: r for r in result.condition_summaries}

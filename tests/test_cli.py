@@ -664,6 +664,8 @@ class TestSpecLoading:
             ("condition", "step_scale", 0),
             ("player", "baseline_steps", float("inf")),
             ("player", "sco", False),
+            ("condition", "condition", "bogus"),
+            ("condition", "players", {"a": 1}),
         ],
     )
     def test_mistyped_value_is_config_error(self, tmp_path, capsys, where, key, value):
@@ -676,6 +678,21 @@ class TestSpecLoading:
         assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "o" / "greedy").exists()
+
+    @pytest.mark.parametrize(
+        "where, key",
+        [("spec", "scenario"), ("spec", "replications"), ("condition", "players"),
+         ("player", "baseline_steps")],
+    )
+    def test_missing_key_is_config_error(self, tmp_path, capsys, where, key):
+        doc = tiny_spec_dict()
+        target = {"spec": doc, "condition": doc["conditions"][1],
+                  "player": doc["conditions"][1]["players"][0]}[where]
+        del target[key]
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
+        assert f"missing key: '{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "player, condition, named",

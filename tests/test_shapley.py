@@ -199,6 +199,19 @@ class TestAxioms:
         assert report.symmetry
         assert len(report.witnesses["interchangeable_pairs"]) == 6
 
+    def test_game_is_evaluated_once_per_subset(self):
+        seen = []
+        v = LambdaGame(lambda s: seen.append(s) or len(s) ** 2)
+        check_axioms(v, Coalition.of_size(8))
+        assert len(seen) == 255 == len(set(seen))
+
+    def test_coalition_too_large_is_rejected_before_any_evaluation(self):
+        seen = []
+        v = LambdaGame(lambda s: seen.append(s) or 1.0)
+        with pytest.raises(CoalitionTooLargeError):
+            check_axioms(v, Coalition.of_size(17))
+        assert seen == []
+
 
 class TestTableBacked:
     def test_missing_subset_rejected(self):

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import json
 import locale
 import math
 import statistics
@@ -276,6 +277,66 @@ class TestConfigValidation:
         doc = config().to_dict() | {"epsilom": 0.5}
         with pytest.raises(ConfigError, match="epsilom"):
             StudyConfig.from_dict(doc)
+
+
+def _off_default(obj):
+    """`obj`, after checking that no field of it holds its default."""
+    for f in dataclasses.fields(obj):
+        assert getattr(obj, f.name) != f.default, f.name
+    return obj
+
+
+class TestEachFieldNamedOnce:
+    PLAYER = _off_default(SimPlayer(
+        baseline_steps=9500.0,
+        noise_sd=300.0,
+        sco=0.3,
+        effect_size=200.0,
+        adherence_intercept=-2.0,
+        adherence_slope=0.5,
+    ))
+    CONFIG = dict(
+        condition=Condition.SHAPLEY,
+        players=(PLAYER, player()),
+        baseline_days=4,
+        forced_exploration_days=6,
+        total_sessions=20,
+        epsilon=0.2,
+        step_scale=500.0,
+        motivation_weight=0.5,
+        jitter=True,
+    )
+    # A condition of a spec must keep seed 0, so only the config alone sets it.
+    SPEC = _off_default(ExperimentSpec(
+        scenario="every-field",
+        conditions=(StudyConfig(**CONFIG),),
+        replications=3,
+        base_seed=11,
+        output_dir="out-every-field",
+    ))
+
+    @pytest.mark.parametrize("cls, doc", [
+        (ExperimentSpec, SPEC.to_dict()),
+        (StudyConfig, SPEC.to_dict()["conditions"][0]),
+        (SimPlayer, SPEC.to_dict()["conditions"][0]["players"][0]),
+    ])
+    def test_to_dict_has_a_key_per_field(self, cls, doc):
+        assert list(doc) == [f.name for f in dataclasses.fields(cls)]
+
+    @pytest.mark.parametrize("obj", [SPEC, _off_default(StudyConfig(**CONFIG, seed=42))])
+    def test_from_dict_inverts_to_dict_through_json(self, obj):
+        assert type(obj).from_dict(json.loads(json.dumps(obj.to_dict()))) == obj
+
+    def test_log_columns_are_the_row_fields(self):
+        assert LOG_COLUMNS == list(SessionRow._fields)
+
+    @pytest.mark.parametrize("name", sorted(BUNDLED))
+    def test_load_scenario_overrides_by_replace(self, name):
+        spec = load_scenario(name)
+        assert spec.scenario == name
+        assert [c.condition for c in spec.conditions] == list(Condition)
+        overridden = replace(spec, replications=3, base_seed=5)
+        assert load_scenario(name, 3, 5) == overridden != spec
 
 
 class TestRunStudy:
