@@ -49,7 +49,7 @@ from .bandit import (
 )
 from .logs import SessionRow, StudyLog
 from .logs import write_log_csv  # noqa: F401  imported by benchmarks/corpus.py
-from .rng import SplitMix64
+from .rng import SplitMix64, world_draws
 from .strictjson import is_number
 
 
@@ -345,11 +345,12 @@ def _start(config: StudyConfig) -> StudyPrefix:
     decision_rng, world_rng, jitter_rng = base.spawn(), base.spawn(), base.spawn()
     normal, randrange, random = world_rng.normal, world_rng.randrange, world_rng.random
     n = len(config.players)
-    baseline_z = [normal() for _ in range(config.baseline_days * n)]
-    # Pre-session motivation is uniform over {2, 3, 4}.
-    draws = tuple(
+    # Pre-session motivation is uniform over {2, 3, 4}. The scalar draws
+    # below are the reference, taken when the block holds a rejected output.
+    drawn = world_draws(world_rng, config.baseline_days * n, config.total_sessions * n, 2, 3)
+    baseline_z, draws = drawn or ([normal() for _ in range(config.baseline_days * n)], tuple(
         [(normal(), 2 + randrange(3), random(), random()) for _ in range(config.total_sessions * n)]
-    )
+    ))
     # A baseline day has no comparison: alignment 0 adds nothing. Each
     # baseline day draws once per player, so player i's draws are [i::n].
     samples = [

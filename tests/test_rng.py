@@ -1,8 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairbandit.rng import SplitMix64
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Reference outputs of the published splitmix64 algorithm for seed 0.
 SEED0_OUTPUTS = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
@@ -90,3 +98,38 @@ def test_spawn_streams_are_decoupled():
     child1 = base.spawn()
     child2 = base.spawn()
     assert child1.next_u64() != child2.next_u64()
+
+
+GAMMA = 0x9E3779B97F4A7C15
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 222, 1000])
+@pytest.mark.parametrize("state", [0, 1, 2**64 - 1, -GAMMA % 2**64])
+def test_block_equals_scalar_outputs(state, count):
+    # At -gamma mod 2**64 the first lane's sum wraps to 0.
+    block, scalar = SplitMix64(state), SplitMix64(state)
+    assert block.block(count) == tuple(scalar.next_u64() for _ in range(count))
+    assert block._state == scalar._state
+
+
+@settings(max_examples=200, deadline=None)
+@given(state=st.integers(0, 2**64 - 1), count=st.integers(0, 300))
+def test_block_equals_scalar_outputs_at_any_state(state, count):
+    test_block_equals_scalar_outputs(state, count)
+
+
+def test_block_rejects_negative_count():
+    with pytest.raises(ValueError, match="non-negative"):
+        SplitMix64(0).block(-1)
+
+
+def test_randrange_rejects_a_bound_over_64_bits():
+    # The limit of a bound over 2**64 was 0, so randrange drew forever; a
+    # child process keeps a hang from stopping the suite.
+    code = "from fairbandit.rng import SplitMix64; SplitMix64(0).randrange(2**64 + 1)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 1 and "ValueError: randrange() bound must be at most 2**64" in done.stderr
+    assert 0 <= SplitMix64(0).randrange(2**64) < 2**64

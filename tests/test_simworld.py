@@ -747,7 +747,27 @@ class TestLogSerialization:
         assert summary["final_sum_sd"] is not None
 
 
-# next_u64 calls per run_study at seeds 0-4, recorded before the reward
+def count_outputs(mp: pytest.MonkeyPatch) -> list[int]:
+    """Patch `SplitMix64` through `mp` so that the returned one-item list
+    counts the outputs drawn from then on: 1 per `next_u64` call, `count`
+    per `block(count)`."""
+    drawn = [0]
+    next_u64, block = SplitMix64.next_u64, SplitMix64.block
+
+    def counting_next_u64(self):
+        drawn[0] += 1
+        return next_u64(self)
+
+    def counting_block(self, count):
+        drawn[0] += count
+        return block(self, count)
+
+    mp.setattr(SplitMix64, "next_u64", counting_next_u64)
+    mp.setattr(SplitMix64, "block", counting_block)
+    return drawn
+
+
+# Outputs drawn per run_study at seeds 0-4, recorded before the reward
 # model moved to per-player lists. The day loop may get cheaper, but
 # every draw stays: a faster engine has to consume this same budget.
 DRAWS_PER_STUDY = {
@@ -762,14 +782,7 @@ DRAWS_PER_STUDY = {
 
 @pytest.mark.parametrize("scenario, condition", sorted(DRAWS_PER_STUDY))
 def test_random_draws_per_study_unchanged(monkeypatch, scenario, condition):
-    draws = [0]
-    next_u64 = SplitMix64.next_u64
-
-    def counting(self):
-        draws[0] += 1
-        return next_u64(self)
-
-    monkeypatch.setattr(SplitMix64, "next_u64", counting)
+    draws = count_outputs(monkeypatch)
     cfg = next(c for c in load_scenario(scenario).conditions if c.condition.value == condition)
     got = []
     for seed in range(5):
@@ -1048,16 +1061,9 @@ def test_run_study_matches_object_oracle(cfg):
     figures derived from the rows that equal the oracle's live state, and
     the same number of draws as the oracle."""
     logs, draws = [], []
-    next_u64 = SplitMix64.next_u64
     for run in (run_study, run_study_by_objects):
-        count = [0]
-
-        def counting(self):
-            count[0] += 1
-            return next_u64(self)
-
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(SplitMix64, "next_u64", counting)
+            count = count_outputs(mp)
             logs.append(run(cfg))
         draws.append(count[0])
     got, (want, want_decisions, want_finals) = logs
@@ -1094,6 +1100,36 @@ def test_run_study_matches_object_oracle_on_bundled_configs(scenario):
                 assert [repr(summary[name]) for name in want_finals] == list(
                     map(repr, want_finals.values())
                 )
+
+
+# A seed whose world stream's 15th output is 2**64 - 1, the one output
+# that randrange(3) rejects. With 3 baseline days and two players it is
+# the first pre-session motivation draw: 12 outputs of baseline normals,
+# then the first session's normal. Found by inverting the mixer: undo
+# each xorshift and multiply by the modular inverse of each multiplier.
+REJECTED_SEED = 17351412821591554074
+
+
+def test_rejected_block_output_falls_back_to_the_scalar_draws():
+    """The block holds an output that the scalar randrange rejects, so the
+    study draws its world again through the scalar methods: every row
+    equals the oracle's, and the study draws the oracle's outputs plus the
+    one block it discarded."""
+    base = SplitMix64(REJECTED_SEED)
+    base.spawn()
+    assert base.spawn().block(15)[14] == 2**64 - 1
+    for cfg in load_scenario("conflict-cohort").conditions:
+        study = replace(cfg, seed=REJECTED_SEED)
+        assert (study.baseline_days, study.total_sessions, len(study.players)) == (3, 21, 2)
+        with pytest.MonkeyPatch.context() as mp:
+            count = count_outputs(mp)
+            got = run_study(study)
+            got_draws, count[0] = count[0], 0
+            want = run_study_by_objects(study)[0]
+        assert [list(map(exact, row)) for row in got.rows] == [
+            list(map(exact, row)) for row in want.rows
+        ], study.condition
+        assert got_draws == count[0] + 2 * 3 * 2 + 5 * 21 * 2
 
 
 MAGNITUDES = st.sampled_from([0.0, 1.0, 1e4, 1e150, 1e300, 1e306, 1e307, 1e308]) | st.floats(
@@ -1320,7 +1356,7 @@ def test_the_forced_rows_of_a_seed_are_shared_by_its_conditions():
             assert not any(a is b for a, b in zip(logs[0].rows[forced:], log.rows[forced:]))
 
 
-# next_u64 calls over an in-memory conflict-cohort run_experiment of
+# Outputs drawn over an in-memory conflict-cohort run_experiment of
 # 3 x 5, with each seed's one prefix (stream spawns, world draws and
 # forced shuffle) taken once for the three conditions. Drawing the world
 # again for every condition took 3615; running the forced days again for
@@ -1330,14 +1366,7 @@ EXPERIMENT_DRAWS = 1285
 
 
 def test_experiment_draws_each_world_once(monkeypatch):
-    draws = [0]
-    next_u64 = SplitMix64.next_u64
-
-    def counting(self):
-        draws[0] += 1
-        return next_u64(self)
-
-    monkeypatch.setattr(SplitMix64, "next_u64", counting)
+    draws = count_outputs(monkeypatch)
     spec = load_scenario("conflict-cohort", replications=5)
     run_experiment(spec, "unused", jobs=1, write_artifacts=False)
     assert draws[0] == EXPERIMENT_DRAWS
