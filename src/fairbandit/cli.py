@@ -28,10 +28,9 @@ def _cmd_run(args) -> int:
         return 2
     try:
         spec = ExperimentSpec.from_json(args.spec) if args.spec else load_scenario(args.scenario)
-        if args.replications is not None:
-            spec = replace(spec, replications=args.replications)
-        if args.seed is not None:
-            spec = replace(spec, base_seed=args.seed)
+        # One replace, so the spec is checked only with both overrides in.
+        overrides = {"replications": args.replications, "base_seed": args.seed}
+        spec = replace(spec, **{k: v for k, v in overrides.items() if v is not None})
     except (ConfigError, ValueError) as exc:
         print(f"run: {exc}", file=sys.stderr)
         return 2

@@ -81,6 +81,14 @@ class ExperimentSpec:
                     f" {TEAM_SIZE} players = {terms} steps_vs_baseline terms of up to"
                     f" peak_steps {c.peak_steps!r} overflow the condition's mean"
                 )
+        # SplitMix64 keeps a seed's low 64 bits: a seed outside them would
+        # silently run another seed's studies.
+        last = self.base_seed + self.replications - 1
+        if not 0 <= self.base_seed <= last < 1 << 64:
+            raise ConfigError(
+                f"seeds base_seed {self.base_seed} to base_seed + replications - 1 = {last}"
+                " must lie in [0, 2**64)"
+            )
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)} | {

@@ -24,10 +24,14 @@ The permutation oracle shares the table but not the algorithm: it
 averages each player's marginal over all n! arrival orders, so an error
 in the subset weights or the enumeration shows up as a disagreement
 between the two. The orders are walked once per n, in `permutations`
-order, into an arrival table that records, for every player and every
-order, the mask of the players who arrived before them. A call then
-forms each player's marginal gain over every mask and totals the gains
-the table lists, one per order.
+order, and counted: for every player and every mask, the number of
+orders in which exactly that mask's players arrived before them. A call
+weights each player's marginal gain over a mask by that count over n!,
+taken first so that no product exceeds its gain, and totals the
+weighted gains in ascending mask order. The count over n! is one
+correctly rounded int/int division, as `subset_weight` is, so the
+oracle reproduces `shapley_all` bit for bit while taking its masks and
+weights from the walk alone.
 
 Every total is a plain `total += term` loop from 0.0, left to right,
 so its bits are the same on every CPython: `sum()` compensates float
@@ -39,6 +43,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
@@ -377,16 +382,17 @@ def shapley_all(v: CharacteristicFunction, coalition: Coalition) -> list[float]:
 
 
 @lru_cache(maxsize=None)
-def _players_ahead(n: int) -> tuple[bytes, ...]:
-    """For each player, the mask of the players who arrived before them
-    in every arrival order of 0..n-1, listed in `permutations` order."""
+def _orders_ahead(n: int) -> tuple[tuple[int, ...], ...]:
+    """For each player, indexed by mask m: in how many arrival orders of
+    0..n-1 exactly the players of m arrived before them, counted over the
+    orders `permutations` yields."""
     ahead = [bytearray() for _ in range(n)]
     for order in permutations(range(n)):
         prefix = 0
         for player in order:
             ahead[player].append(prefix)
             prefix |= 1 << player
-    return tuple(bytes(masks) for masks in ahead)
+    return tuple(tuple(map(Counter(masks).__getitem__, range(1 << n))) for masks in ahead)
 
 
 def shapley_oracle_permutations(
@@ -399,15 +405,15 @@ def shapley_oracle_permutations(
     n = len(coalition)
     _check_size(n, ORACLE_MAX_PLAYERS)
     table = v.by_mask(n)
-    count = factorial(n)
+    orders = factorial(n)
     phi = []
-    for player, ahead in enumerate(_players_ahead(n)):
+    for player, counts in enumerate(_orders_ahead(n)):
         bit = 1 << player
-        gain = [table[mask | bit] - table[mask] for mask in range(len(table))]
         total = 0.0
-        for mask in ahead:
-            total += gain[mask]
-        phi.append(total / count)
+        for mask, count in enumerate(counts):
+            if count:
+                total += count / orders * (table[mask | bit] - table[mask])
+        phi.append(total)
     return phi
 
 

@@ -22,7 +22,7 @@ from .bandit import (
     shapley_disparity,
     shapley_select,
 )
-from .rng import SplitMix64
+from .rng import SplitMix64, unit
 from .shapley import (
     ORACLE_MAX_PLAYERS,
     REL_TOL,
@@ -137,9 +137,10 @@ class AxiomSuiteResult:
 
 
 def random_table_game(n: int, rng: SplitMix64) -> TableBacked:
-    """Random characteristic function with subset values uniform in [-100, 100)."""
+    """Random characteristic function with subset values uniform in [-100, 100):
+    the values `rng.uniform(-100.0, 100.0)` would give, from one block."""
     _check_players(n)
-    table = [0.0] + [rng.uniform(-100.0, 100.0) for _mask in range(1, 1 << n)]
+    table = [0.0] + [-100.0 + 200.0 * unit(u) for u in rng.block((1 << n) - 1)]
     return TableBacked._of_table(n, table)
 
 
@@ -151,6 +152,8 @@ def run_axiom_suite(trials: int, max_n: int, seed: int) -> AxiomSuiteResult:
         raise ValueError("max_n must be at least 2")
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     result = AxiomSuiteResult(trials=trials)
     if trials == 0:
         result.warning = "0 trials requested: vacuous pass"

@@ -111,6 +111,38 @@ class TestRun:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "seed, replications",
+        [(2**64, 1), (-1, 1), (-3, 2), (2**64 - 1, 2), (2**64 - 3, 4)],
+    )
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, seed, replications):
+        # SplitMix64 keeps a seed's low 64 bits, so 2**64 would run seed 0's
+        # studies and -1 seed 2**64 - 1's under another name.
+        out = tmp_path / "o"
+        argv = ["run", "--scenario", "study-protocol", "--replications", str(replications),
+                "--seed", str(seed), "--out", str(out)]
+        assert main(argv) == 2
+        assert "[0, 2**64)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_range_reaches_the_last_64_bit_seed(self, tmp_path):
+        out = tmp_path / "o"
+        argv = ["run", "--scenario", "study-protocol", "--replications", "2",
+                "--seed", str(2**64 - 2), "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads((out / "manifest.json").read_text())["seeds"] == [2**64 - 2, 2**64 - 1]
+
+    def test_seed_range_is_checked_after_both_overrides(self, tmp_path):
+        # The file's last seed is 2**64 - 1: three replications fit only
+        # once --seed moves the base.
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(tiny_spec_dict(replications=1, base_seed=2**64 - 1)))
+        out = tmp_path / "o"
+        argv = ["run", "--spec", str(spec_path), "--replications", "3", "--seed", "7",
+                "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads((out / "manifest.json").read_text())["seeds"] == [7, 8, 9]
+
     def test_out_naming_a_regular_file_exits_2(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(tiny_spec_dict()))
@@ -229,6 +261,15 @@ class TestAxioms:
 
     def test_max_n_larger_than_oracle_limit_rejected(self, capsys):
         assert main(["axioms", "--max-n", "9"]) == 2
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_seed_outside_64_bits_exits_2(self, capsys, seed):
+        assert main(["axioms", "--trials", "3", "--seed", str(seed)]) == 2
+        assert "[0, 2**64)" in capsys.readouterr().err
+
+    def test_last_64_bit_seed_runs(self, capsys):
+        assert main(["axioms", "--trials", "3", "--max-n", "4", "--seed", str(2**64 - 1)]) == 0
+        assert "PASS" in capsys.readouterr().out
 
     def test_broken_implementation_detected(self, monkeypatch):
         # injected non-efficient attribution must fail the suite

@@ -278,6 +278,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="epsilom"):
             StudyConfig.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "base_seed, replications",
+        [(-1, 1), (2**64, 1), (2**64 - 1, 2), (2**64 - 10, 11)],
+    )
+    def test_spec_seeds_must_lie_in_64_bits(self, base_seed, replications):
+        spec = load_scenario("study-protocol")
+        with pytest.raises(ConfigError, match=r"\[0, 2\*\*64\)"):
+            replace(spec, base_seed=base_seed, replications=replications)
+        assert replication_seeds(replace(spec, base_seed=2**64 - replications,
+                                         replications=replications))[-1] == 2**64 - 1
+
 
 def _off_default(obj):
     """`obj`, after checking that no field of it holds its default."""
