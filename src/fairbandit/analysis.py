@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .bandit import Mode, _total, team_disparity_sum
+from .bandit import Mode, ZeroTotalCSVError, _total, disparities
 
 REPORT_COLUMNS = ["player", "disparity", "miss_likelihood", "effort", "treatment"]
 
@@ -176,8 +176,8 @@ def audit_sum_sd(tallies: dict[int, PlayerTally]) -> float | None:
     if not any(treatments):
         treatments = [tally.given_best for tally in tallies.values()]
     try:
-        return team_disparity_sum([tally.contribution for tally in tallies.values()], treatments)
-    except ValueError:
+        return _total(disparities([tally.contribution for tally in tallies.values()], treatments))
+    except ZeroTotalCSVError:
         return None
 
 

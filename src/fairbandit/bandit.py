@@ -197,66 +197,39 @@ def _total(values: Iterable[float]) -> float:
     return total
 
 
-def _contribution_shares(csv: Sequence[float]) -> list[float]:
+def disparities(csv: Sequence[float], tc: Sequence[int], catered: PlayerId | None = None) -> list[float]:
+    """|contribution share - treatment share| per player, with the TC of
+    `catered` (if any) one higher. While every TC is zero the treatment
+    share is the uniform 1/n prior. Raises ZeroTotalCSVError while the
+    total CSV is not positive, as the contribution shares are undefined."""
     total_csv = _total(csv)
     if total_csv <= 0:
         raise ZeroTotalCSVError("total CSV is zero; contribution shares undefined")
-    return [c / total_csv for c in csv]
-
-
-def _disparities(csvr: Sequence[float], tc: Sequence[int], catered: int | None = None) -> list[float]:
-    """|contribution share - treatment share| per player, given the contribution
-    shares, with the TC of `catered` (if any) one higher."""
     if catered is not None:
         tc = list(tc)
         tc[catered] += 1
     total_tc = _total(tc)
-    tcr = [t / total_tc for t in tc] if total_tc > 0 else [1.0 / len(csvr)] * len(csvr)
-    return [abs(c - t) for c, t in zip(csvr, tcr)]
-
-
-def shapley_disparity(state: ShapleyBanditState, player: PlayerId) -> float:
-    """|contribution share - treatment share| for one player.
-
-    With no treatments recorded yet, the treatment share is taken as the
-    uniform 1/n prior. With zero total CSV the contribution share is
-    undefined and the caller must defer until rewards have arrived.
-    """
-    return _disparities(_contribution_shares(state.csv), state.tc)[player]
-
-
-def disparity_sum_if_catered(state: ShapleyBanditState, candidate: PlayerId) -> float:
-    """Team-total disparity that would result from catering to `candidate`
-    this round (their treatment counter incremented by one)."""
-    return _total(_disparities(_contribution_shares(state.csv), state.tc, candidate))
-
-
-def team_disparity_sum(csv: Sequence[float], tc: Sequence[int]) -> float:
-    """Current team-total disparity for arbitrary CSV/TC vectors."""
-    return _total(_disparities(_contribution_shares(csv), tc))
+    tcr = [t / total_tc for t in tc] if total_tc > 0 else [1.0 / len(csv)] * len(csv)
+    return [abs(c / total_csv - t) for c, t in zip(csv, tcr)]
 
 
 def shapley_select(
-    state: ShapleyBanditState,
-    model: RewardModel,
-    players: Iterable[PlayerId],
-    rng: SplitMix64,
+    state: ShapleyBanditState, predicted: Sequence[tuple[Arm, Arm]], rng: SplitMix64
 ) -> Decision:
-    """One round of the fairness-aware strategy.
+    """One round of the fairness-aware strategy, given each player's
+    `predict_arms` pair.
 
-    With probability epsilon, explore with a uniform-random arm.
-    Otherwise cater to the player whose hypothetical treatment yields
-    the lowest team-total disparity (ties to the lowest player id) and
-    pull the arm currently estimated best for that player.
+    While no CSV has accrued (every session missed so far), and otherwise
+    with probability epsilon, explore with a uniform-random arm. Else
+    cater to the player whose hypothetical treatment yields the lowest
+    team-total disparity (ties to the lowest player id) and pull the arm
+    predicted best for that player.
     """
-    players = sorted(players)
-    if not players:
-        raise ValueError("players must be nonempty")
-    if rng.random() < state.epsilon:
+    if _total(state.csv) <= 0 or rng.random() < state.epsilon:
         return random_select(rng)
-    csvr = _contribution_shares(state.csv)
-    _, catered = min((_total(_disparities(csvr, state.tc, p)), p) for p in players)
-    return Decision(predict_arms(model, catered)[0], catered, _EXPLOIT)
+    csv, tc = state.csv, state.tc
+    _, catered = min((_total(disparities(csv, tc, p)), p) for p in range(len(csv)))
+    return Decision(predicted[catered][0], catered, _EXPLOIT)
 
 
 def shapley_update(

@@ -25,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import os
 import sys
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -282,6 +283,14 @@ def _paired_sum_sd(
     }
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_experiment(
     spec: ExperimentSpec,
     out_dir,
@@ -293,10 +302,11 @@ def run_experiment(
     studies run as one task that takes the seed's world draws and forced
     days once for the conditions that differ only in strategy and epsilon;
     with `jobs` > 1 the tasks run in one process pool of at most one worker
-    per seed. The seeds are walked in order and no log outlives its own:
-    each is tallied once (`log_metrics`), its artifacts are written, and it
-    is dropped. The pooled analyses read the tallies and the logs' names.
-    `ExperimentResult.logs` runs a log again when it is read."""
+    per seed and per usable CPU. The seeds are walked in order and no log
+    outlives its own: each is tallied once (`log_metrics`), its artifacts
+    are written, and it is dropped. The pooled analyses read the tallies
+    and the logs' names. `ExperimentResult.logs` runs a log again when it
+    is read."""
     out = Path(out_dir)
     seeds = replication_seeds(spec)
     names = [config.condition.value for config in spec.conditions]
@@ -305,7 +315,7 @@ def run_experiment(
     reports: dict[str, DisparityReport | None] = {}
     summaries: list[dict] = []
 
-    workers = min(jobs, len(seeds))
+    workers = min(jobs, len(seeds), _usable_cpus())
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
         run_seed = partial(_run_seed, spec.conditions)
         by_seed = (pool.map if pool is not None else map)(run_seed, seeds, range(len(seeds)))

@@ -471,7 +471,7 @@ def check_axioms(
     for share in phi:
         sum_phi += share
     efficiency = _close(sum_phi, grand)
-    witnesses["efficiency"] = {"sum_phi": sum_phi, "grand_value": grand}
+    witnesses["efficiency"] = {"phi": phi, "sum_phi": sum_phi, "grand_value": grand}
 
     symmetry = True
     for i in coalition:

@@ -392,14 +392,12 @@ def _run_days(config: StudyConfig, at: StudyPrefix, last_day: int) -> tuple:
     csv, tc, step_counts, last_steps, predicted = tallies = list(map(list, at.tallies))
     state = ShapleyBanditState(csv, tc, config.epsilon)
     decision_rng, jitter_rng = rngs = list(map(SplitMix64, at.streams))
-    players = list(range(n))
     if config.condition is Condition.CONTROL:
         decide = partial(random_select, decision_rng)
     elif config.condition is Condition.GREEDY:
-        decide = partial(greedy_select, model, players)
-    else:  # with no contribution signal yet (every session missed so far), explore
-        decide = lambda: (random_select(decision_rng) if _total(state.csv) <= 0
-                          else shapley_select(state, model, players, decision_rng))
+        decide = partial(greedy_select, model, range(n))
+    else:
+        decide = partial(shapley_select, state, predicted, decision_rng)
     schedule, forced_days = at.schedule, len(at.schedule)
     rows, best_given, worst_given = list(at.rows), [0] * n, [0] * n
     any_exploit, exploit, no_disparity = False, Mode.EXPLOIT, [0.0] * n

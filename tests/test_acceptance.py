@@ -110,7 +110,7 @@ def test_criterion_5_conflict_witness():
         model.observe_scalar(1, arm, value)
     greedy = greedy_select(model, [0, 1])
     state = ShapleyBanditState(csv=[100.0, 100.0], tc=[3, 1], epsilon=0.0)
-    fair = shapley_select(state, model, [0, 1], SplitMix64(0))
+    fair = shapley_select(state, [predict_arms(model, p) for p in (0, 1)], SplitMix64(0))
     ok = (
         greedy.arm is Arm.ABOVE_HIGHER
         and fair.catered_player == 1
@@ -131,7 +131,7 @@ def test_criterion_6_strategy_contracts():
     rng = SplitMix64(606)
     exploits = 0
     for _ in range(400):
-        decision = shapley_select(state, model, [0, 1], rng)
+        decision = shapley_select(state, [predict_arms(model, p) for p in (0, 1)], rng)
         exploits += decision.mode is Mode.EXPLOIT
         shapley_update(state, decision, {0: 10.0, 1: 12.0})
     conservation_ok = sum(state.tc) == exploits
@@ -141,7 +141,7 @@ def test_criterion_6_strategy_contracts():
     counts = {arm: 0 for arm in Arm}
     rng = SplitMix64(607)
     for _ in range(10000):
-        counts[shapley_select(state1, model, [0, 1], rng).arm] += 1
+        counts[shapley_select(state1, [predict_arms(model, p) for p in (0, 1)], rng).arm] += 1
     explore_ok = all(abs(counts[a] / 10000 - 1 / 3) <= 0.02 for a in Arm)
 
     # argmax invariance under a constant shift of one player's means
@@ -160,7 +160,7 @@ def test_criterion_6_strategy_contracts():
         for arm, value in [(Arm.ABOVE_HIGHER, 1.0), (Arm.BELOW_LOWER, -1.0)]:
             m.observe_scalar(0, arm, value)
             m.observe_scalar(1, arm, -value)
-        d = shapley_select(s, m, [0, 1], SplitMix64(1))
+        d = shapley_select(s, [predict_arms(m, p) for p in (0, 1)], SplitMix64(1))
         choices.add((d.catered_player, d.arm))
     scale_ok = len(choices) == 1
 

@@ -12,16 +12,15 @@ from fairbandit.bandit import (
     RewardModel,
     ShapleyBanditState,
     ZeroTotalCSVError,
+    _total,
     combined_reward,
-    disparity_sum_if_catered,
+    disparities,
     greedy_select,
     place_artificial_steps,
     predict_arms,
     random_select,
-    shapley_disparity,
     shapley_select,
     shapley_update,
-    team_disparity_sum,
 )
 from fairbandit.rng import SplitMix64
 from fairbandit.shapley import AdditiveSteps, Coalition, shapley_all
@@ -34,6 +33,11 @@ def model_with_means(means: dict[int, dict[Arm, float]]) -> RewardModel:
         for arm, value in per_arm.items():
             model.observe_scalar(player, arm, value)
     return model
+
+
+def predictions(model: RewardModel, n: int = 2) -> list[tuple[Arm, Arm]]:
+    """Each player's `predict_arms` pair, as the day loop holds them."""
+    return [predict_arms(model, p) for p in range(n)]
 
 
 # The motivating conflict: arm A wins the summed estimate while hurting
@@ -246,24 +250,55 @@ class TestGreedySelect:
 
 class TestShapleyDisparity:
     def test_worked_example_values(self):
-        state = ShapleyBanditState(csv=[27500.0, 32800.0], tc=[5, 4])
-        assert shapley_disparity(state, 0) == pytest.approx(0.0995, abs=5e-4)
-        assert shapley_disparity(state, 1) == pytest.approx(0.0995, abs=5e-4)
+        assert disparities([27500.0, 32800.0], [5, 4]) == pytest.approx([0.0995] * 2, abs=5e-4)
 
     def test_equal_shares_are_zero(self):
-        state = ShapleyBanditState(csv=[100.0, 100.0], tc=[3, 3])
-        assert shapley_disparity(state, 0) == 0.0
-        assert shapley_disparity(state, 1) == 0.0
+        assert disparities([100.0, 100.0], [3, 3]) == [0.0, 0.0]
 
     def test_cold_start_uses_uniform_treatment_prior(self):
-        state = ShapleyBanditState(csv=[100.0, 100.0], tc=[0, 0])
-        assert shapley_disparity(state, 0) == 0.0
-        assert shapley_disparity(state, 1) == 0.0
+        assert disparities([100.0, 100.0], [0, 0]) == [0.0, 0.0]
+        assert disparities([100.0, 300.0], [0, 0]) == [0.25, 0.25]
 
     def test_zero_total_csv_raises(self):
-        state = ShapleyBanditState(csv=[0.0, 0.0], tc=[1, 1])
-        with pytest.raises(ZeroTotalCSVError):
-            shapley_disparity(state, 0)
+        for csv in ([0.0, 0.0], [], [1.0, -1.0]):
+            with pytest.raises(ZeroTotalCSVError):
+                disparities(csv, [1] * len(csv))
+
+    def test_catered_counts_one_more_treatment_without_moving_tc(self):
+        tc = [5, 4]
+        assert disparities([27500.0, 32800.0], tc, 1) == disparities([27500.0, 32800.0], [5, 5])
+        assert tc == [5, 4]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 1.0, 3.0, 2500.5, 1e300]) | st.floats(0.0, 1e6),
+                st.integers(0, 6),
+            ),
+            min_size=1, max_size=5,
+        ),
+        catered=st.none() | st.integers(0, 4),
+    )
+    def test_matches_shares_then_differences_bit_for_bit(self, data, catered):
+        """The one-pass form has the bits of the two-step form it replaced:
+        contribution shares over the total CSV first, then each share's
+        distance from the treatment share, with the TC of `catered` one
+        higher and the uniform 1/n prior while every TC is zero."""
+        csv, tc = [c for c, _ in data], [t for _, t in data]
+        if catered is not None and catered >= len(csv):
+            catered = None
+        total_csv = _total(csv)
+        if not 0 < total_csv < math.inf:
+            return
+        csvr = [c / total_csv for c in csv]
+        tc_after = list(tc)
+        if catered is not None:
+            tc_after[catered] += 1
+        total_tc = _total(tc_after)
+        tcr = [t / total_tc for t in tc_after] if total_tc > 0 else [1.0 / len(csvr)] * len(csvr)
+        expected = [abs(c - t) for c, t in zip(csvr, tcr)]
+        assert [d.hex() for d in disparities(csv, tc, catered)] == [e.hex() for e in expected]
 
 
 class TestShapleySelect:
@@ -280,11 +315,11 @@ class TestShapleySelect:
 
     def test_worked_example_hypothetical_sums(self):
         state = self.worked_state()
-        assert disparity_sum_if_catered(state, 0) == pytest.approx(0.288, abs=1e-3)
-        assert disparity_sum_if_catered(state, 1) == pytest.approx(0.088, abs=1e-3)
+        assert _total(disparities(state.csv, state.tc, 0)) == pytest.approx(0.288, abs=1e-3)
+        assert _total(disparities(state.csv, state.tc, 1)) == pytest.approx(0.088, abs=1e-3)
 
     def test_worked_example_decision(self):
-        decision = shapley_select(self.worked_state(), self.worked_model(), [0, 1], SplitMix64(0))
+        decision = shapley_select(self.worked_state(), predictions(self.worked_model()), SplitMix64(0))
         assert decision.mode is Mode.EXPLOIT
         assert decision.catered_player == 1
         assert decision.arm is Arm.BELOW_LOWER
@@ -296,8 +331,8 @@ class TestShapleySelect:
         tc=st.lists(st.integers(0, 6), min_size=5, max_size=5),
     )
     def test_one_pass_choice_matches_each_candidates_own_sum(self, csv, tc):
-        """Taking the contribution shares once per round picks the same
-        player, with the same bits in every candidate's sum, as the sums
+        """The strategy picks the same player, with the same bits in every
+        candidate's sum, as the sums
         built candidate by candidate: contribution shares over the total
         CSV, treatment shares with the candidate's TC one higher, each
         total added left to right. Ties go to the lowest id, and with
@@ -316,14 +351,14 @@ class TestShapleySelect:
             for c, t in zip(csv, catered):
                 disparity += abs(c / total - float(t) / float(1 + sum(tc)))
             sums.append((disparity, candidate))
-            assert disparity_sum_if_catered(state, candidate).hex() == disparity.hex()
-        decision = shapley_select(state, RewardModel(), range(len(csv)), SplitMix64(0))
+            assert _total(disparities(csv, tc, candidate)).hex() == disparity.hex()
+        decision = shapley_select(state, predictions(RewardModel(), len(csv)), SplitMix64(0))
         assert decision.catered_player == min(sums)[1]
         assert (state.csv, state.tc) == (csv, tc)
 
     def test_symmetric_state_tie_breaks_to_lowest_id(self):
         state = ShapleyBanditState(csv=[100.0, 100.0], tc=[4, 4], epsilon=0.0)
-        decision = shapley_select(state, self.worked_model(), [0, 1], SplitMix64(0))
+        decision = shapley_select(state, predictions(self.worked_model()), SplitMix64(0))
         assert decision.catered_player == 0
 
     def test_epsilon_one_explores_uniformly(self):
@@ -331,16 +366,30 @@ class TestShapleySelect:
         rng = SplitMix64(42)
         counts = {arm: 0 for arm in Arm}
         for _ in range(10000):
-            decision = shapley_select(state, RewardModel(), [0, 1], rng)
+            decision = shapley_select(state, predictions(RewardModel()), rng)
             assert decision.mode is Mode.EXPLORE
             counts[decision.arm] += 1
         for arm in Arm:
             assert abs(counts[arm] / 10000 - 1 / 3) < 0.02
 
-    def test_zero_csv_outside_exploration_raises(self):
-        state = ShapleyBanditState(csv=[0.0, 0.0], tc=[0, 0], epsilon=0.0)
-        with pytest.raises(ZeroTotalCSVError):
-            shapley_select(state, RewardModel(), [0, 1], SplitMix64(0))
+    @pytest.mark.parametrize(
+        "csv, epsilon, outputs", [([0.0, 0.0], 0.0, 1), ([0.0, 0.0], 1.0, 1), ([1.0, 0.0], 1.0, 2)]
+    )
+    def test_explores_while_no_csv_has_accrued(self, monkeypatch, csv, epsilon, outputs):
+        """With no CSV yet (every session missed so far) the strategy
+        explores without an epsilon draw: one decision-stream output, the
+        arm's. Once CSV has accrued, exploring takes the epsilon draw first."""
+        from test_simworld import count_outputs
+
+        state = ShapleyBanditState(csv=csv, tc=[0, 0], epsilon=epsilon)
+        rng, reference = SplitMix64(0), SplitMix64(0)
+        for _ in range(outputs - 1):
+            reference.next_u64()
+        drawn = count_outputs(monkeypatch)
+        decision = shapley_select(state, predictions(RewardModel()), rng)
+        assert drawn == [outputs]
+        assert decision == random_select(reference)
+        assert decision.mode is Mode.EXPLORE
 
     def test_scale_invariance_of_selection(self):
         model = self.worked_model()
@@ -348,7 +397,7 @@ class TestShapleySelect:
             state = ShapleyBanditState(
                 csv=[27500.0 * scale, 32800.0 * scale], tc=[5, 4], epsilon=0.0
             )
-            decision = shapley_select(state, model, [0, 1], SplitMix64(0))
+            decision = shapley_select(state, predictions(model), SplitMix64(0))
             assert decision.catered_player == 1
             assert decision.arm is Arm.BELOW_LOWER
 
@@ -358,7 +407,7 @@ class TestShapleySelect:
         model = model_with_means(CONFLICT_MEANS)
         state = ShapleyBanditState(csv=[100.0, 100.0], tc=[3, 1], epsilon=0.0)
         greedy = greedy_select(model, [0, 1])
-        fair = shapley_select(state, model, [0, 1], SplitMix64(0))
+        fair = shapley_select(state, predictions(model), SplitMix64(0))
         assert greedy.arm is Arm.ABOVE_HIGHER
         assert fair.catered_player == 1
         assert fair.arm is Arm.BELOW_LOWER
@@ -410,8 +459,8 @@ class TestShapleyUpdate:
             shapley_update(state, decision, {0: s0, 1: s1})
         assert state.csv == pytest.approx([27500.0, 32800.0])
         assert state.tc == [5, 4]
-        assert disparity_sum_if_catered(state, 0) == pytest.approx(0.288, abs=1e-3)
-        assert disparity_sum_if_catered(state, 1) == pytest.approx(0.088, abs=1e-3)
+        assert _total(disparities(state.csv, state.tc, 0)) == pytest.approx(0.288, abs=1e-3)
+        assert _total(disparities(state.csv, state.tc, 1)) == pytest.approx(0.088, abs=1e-3)
 
     def test_negative_steps_rejected(self):
         state = ShapleyBanditState([0.0] * 2, [0] * 2, 0.01)
@@ -458,7 +507,7 @@ class TestTCConservation:
         rng = SplitMix64(77)
         exploits = 0
         for _ in range(200):
-            decision = shapley_select(state, model, [0, 1], rng)
+            decision = shapley_select(state, predictions(model), rng)
             if decision.mode is Mode.EXPLOIT:
                 exploits += 1
             shapley_update(state, decision, {0: 10.0, 1: 12.0})
@@ -554,6 +603,6 @@ class TestDecisionRecord:
 
 
 def test_team_disparity_sum_matches_per_player():
-    state = ShapleyBanditState(csv=[27500.0, 32800.0], tc=[5, 4])
-    total = shapley_disparity(state, 0) + shapley_disparity(state, 1)
-    assert team_disparity_sum(state.csv, state.tc) == pytest.approx(total)
+    sd = disparities([27500.0, 32800.0], [5, 4])
+    assert _total(sd) == pytest.approx(2 * 0.0995, abs=1e-3)
+    assert _total(sd) == sd[0] + sd[1]

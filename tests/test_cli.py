@@ -276,7 +276,7 @@ class TestAxioms:
         def broken(v, coalition):
             return [0.0 for _ in coalition]
 
-        monkeypatch.setattr(verification, "shapley_all", broken)
+        monkeypatch.setattr("fairbandit.shapley.shapley_all", broken)
         result = run_axiom_suite(trials=10, max_n=4, seed=1)
         assert not result.passed
         assert any("oracle" in f for f in result.failures)
@@ -928,33 +928,12 @@ class TestSpecLoading:
         assert main(["run", "--spec", str(spec_path), "--out", str(parallel), "--jobs", "2"]) == 0
         assert tree_hashes(serial) == tree_hashes(parallel)
 
-    @pytest.mark.parametrize("jobs, pools", [(1, 0), (2, 1)])
-    def test_one_pool_per_run(self, tmp_path, monkeypatch, jobs, pools):
-        import fairbandit.experiment as experiment
-
-        started = []
-
-        class CountingPool(experiment.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                started.append(kwargs["max_workers"])
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(tiny_spec_dict(replications=4)))
-        argv = ["run", "--spec", str(spec_path), "--out", str(tmp_path / "o"), "--jobs", str(jobs)]
-        assert main(argv) == 0
-        assert started == [jobs] * pools
-
-    @pytest.mark.parametrize(
-        "jobs, replications, workers", [(64, 3, [3]), (2, 4, [2]), (5, 1, [])]
-    )
-    def test_pool_has_at_most_one_worker_per_seed(
-        self, tmp_path, monkeypatch, jobs, replications, workers
-    ):
-        # The fork start method starts all max_workers processes on the
-        # first submit, so a pool wider than the seeds forks idle workers.
-        # The fake pool records its width and maps in this process.
+    @staticmethod
+    def fake_pool(monkeypatch, cpus: int) -> list[int]:
+        """Patch the run's usable CPU count to `cpus` and its pool class to
+        one that records its width and maps in this process; return the
+        list of widths. (The fork start method starts all max_workers
+        processes on the first submit, so a test starts no real pool.)"""
         import fairbandit.experiment as experiment
 
         started = []
@@ -967,12 +946,47 @@ class TestSpecLoading:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+        return started
+
+    @pytest.mark.parametrize("jobs, cpus, pools", [(1, 8, []), (2, 8, [2]), (2, 1, []), (4, 3, [3])])
+    def test_one_pool_per_run(self, tmp_path, monkeypatch, jobs, cpus, pools):
+        started = self.fake_pool(monkeypatch, cpus)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(tiny_spec_dict(replications=4)))
+        argv = ["run", "--spec", str(spec_path), "--out", str(tmp_path / "o"), "--jobs", str(jobs)]
+        assert main(argv) == 0
+        assert started == pools
+
+    @pytest.mark.parametrize(
+        "jobs, replications, cpus, workers",
+        [(64, 3, 8, [3]), (2, 4, 8, [2]), (5, 1, 8, []), (5000, 6, 2, [2]), (4, 4, 1, [])],
+    )
+    def test_pool_has_at_most_one_worker_per_seed(
+        self, tmp_path, monkeypatch, jobs, replications, cpus, workers
+    ):
+        # A pool wider than the seeds or the usable CPUs would fork idle
+        # workers.
         spec = ExperimentSpec.from_dict(tiny_spec_dict(replications=replications))
         serial = run_experiment(spec, tmp_path, write_artifacts=False)
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+        started = self.fake_pool(monkeypatch, cpus)
         pooled = run_experiment(spec, tmp_path, jobs=jobs, write_artifacts=False)
         assert started == workers
         assert pooled.summary() == serial.summary()
+
+    def test_usable_cpus_is_the_affinity_set(self, monkeypatch):
+        import os
+
+        import fairbandit.experiment as experiment
+
+        if hasattr(os, "sched_getaffinity"):
+            assert experiment._usable_cpus() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert experiment._usable_cpus() == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert experiment._usable_cpus() == 6
 
 
 

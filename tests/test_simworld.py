@@ -23,12 +23,14 @@ from fairbandit.bandit import (
     Mode,
     RewardModel,
     ShapleyBanditState,
+    ZeroTotalCSVError,
+    _total,
+    disparities as shapley_disparities,
     greedy_select,
     place_artificial_steps,
     random_select,
     shapley_select,
     shapley_update,
-    team_disparity_sum,
 )
 from fairbandit.experiment import ExperimentSpec, _run_seed, replication_seeds, run_experiment
 from fairbandit.rng import SplitMix64
@@ -827,6 +829,20 @@ def test_day_loop_folds_through_the_validated_updates(monkeypatch, condition):
     assert calls["observe"] == sum(not row.missed for row in log.rows) > 0
 
 
+def test_shapley_select_reads_the_day_loops_predictions(monkeypatch):
+    # The day loop already holds each player's `predict_arms` pair, so the
+    # strategy takes the catered player's best arm from it and predicts none.
+    def refuse(*args):
+        raise AssertionError("shapley_select called predict_arms")
+
+    cfg = next(c for c in load_scenario("conflict-cohort").conditions if c.condition is Condition.SHAPLEY)
+    expected = run_study(cfg)
+    monkeypatch.setattr("fairbandit.bandit.predict_arms", refuse)
+    log = run_study(cfg)
+    assert log.rows == expected.rows
+    assert any(row.mode is Mode.EXPLOIT and row.catered_player is not None for row in log.rows)
+
+
 class Direction(str, Enum):
     """A comparison target's direction, as the simulator once named it."""
 
@@ -943,6 +959,8 @@ def run_study_by_objects(config: StudyConfig) -> tuple[StudyLog, list[dict], dic
         disparities = oracle_running_disparities(
             observed_steps, best_given, worst_given, any_exploit
         )
+        best_arms = [oracle_predict(model, p, True) for p in players]
+        worst_arms = [oracle_predict(model, p, False) for p in players]
         if day <= config.forced_exploration_days:
             decision = Decision(arm=schedule[day - 1], catered_player=None, mode=Mode.FORCED)
         elif config.condition is Condition.CONTROL:
@@ -952,11 +970,8 @@ def run_study_by_objects(config: StudyConfig) -> tuple[StudyLog, list[dict], dic
         elif sum(state.csv) <= 0:
             decision = random_select(decision_rng)
         else:
-            decision = shapley_select(state, model, players, decision_rng)
+            decision = shapley_select(state, list(zip(best_arms, worst_arms)), decision_rng)
         arm = decision.arm
-
-        best_arms = [oracle_predict(model, p, True) for p in players]
-        worst_arms = [oracle_predict(model, p, False) for p in players]
         artificial = place_artificial_steps(arm, last_steps[0], last_steps[1], jitter)
 
         day_rewards: dict[int, float] = {}
@@ -1012,8 +1027,8 @@ def run_study_by_objects(config: StudyConfig) -> tuple[StudyLog, list[dict], dic
 
     audit_tc = state.tc if config.condition is Condition.SHAPLEY else tc_effective
     try:
-        final_sum_sd = team_disparity_sum(state.csv, audit_tc)
-    except ValueError:
+        final_sum_sd = _total(shapley_disparities(state.csv, audit_tc))
+    except ZeroTotalCSVError:
         final_sum_sd = None
     finals = {
         "baseline_means": baseline_means,
