@@ -15,11 +15,21 @@ import json
 import locale
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import compress, groupby
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .analysis import PlayerTally, audit_sum_sd, log_metrics
-from .bandit import Arm, Decision, Mode, ShapleyBanditState, _total, combined_reward, shapley_update
+from .bandit import (
+    Arm,
+    Decision,
+    Mode,
+    ShapleyBanditState,
+    _ARM_BY_LETTER,
+    _total,
+    combined_reward,
+    shapley_update,
+)
 
 if TYPE_CHECKING:
     from .simworld import Condition
@@ -149,6 +159,32 @@ _PARSERS = (
     float,
 )
 
+_SCORES = {"": None, "1": 1, "2": 2, "3": 3, "4": 4, "5": 5}  # as the writer writes them
+
+# Per LOG_COLUMNS entry, a function that converts a whole column of the
+# writer's strings in one pass and raises on any other string, or None
+# where each distinct string goes through `_PARSERS` once. A column on
+# which it raises is parsed by `_PARSERS` instead, so that every spelling
+# `_PARSERS` accepts is accepted and every rejection names its field.
+_WRITER_PARSERS = (
+    int,
+    int,
+    None,
+    {"0": False, "1": True}.__getitem__,
+    _SCORES.__getitem__,
+    _SCORES.__getitem__,
+    _ARM_BY_LETTER.__getitem__,
+    {mode.value: mode for mode in Mode}.__getitem__,
+    None,
+    None,
+    _ARM_BY_LETTER.__getitem__,
+    _ARM_BY_LETTER.__getitem__,
+    None,
+)
+
+# `tuple.__new__` skips the named tuple's Python-level `__new__`.
+_new_row = partial(tuple.__new__, SessionRow)
+
 
 def _row_error(row: SessionRow) -> tuple[str, str] | None:
     """(column, reason) for a parsed row that no simulation can write:
@@ -173,12 +209,14 @@ def _row_error(row: SessionRow) -> tuple[str, str] | None:
     return None
 
 
-def _read_records(path) -> tuple[str, list[list[str]], list[int], SchemaError | None]:
-    """The text of the log at `path`, its CSV records from one parse, the
-    count of CSV lines read at the end of each record, and the SchemaError
-    for bytes that are not text in the encoding `open` defaults to, or for
-    CSV the reader cannot split. The text and records stop before the line
-    that raised it, as a line-at-a-time reader's would."""
+def _read_records(path) -> tuple[list[list[str]], Callable[[int], int], SchemaError | None]:
+    """The CSV records of the log at `path` (header first) from one parse,
+    `line(k)`, the physical line on which data record `k` starts, and the
+    SchemaError for bytes that are not text in the encoding `open`
+    defaults to, or for CSV the reader cannot split. The records stop
+    before the line that raised it, as a line-at-a-time reader's would.
+    Plain text is split as the csv module would split it: a blank line is
+    a record with no fields, and a final newline starts no record."""
     with open(path, "rb") as fh:
         data = fh.read()
     encoding = locale.getpreferredencoding(False)
@@ -188,6 +226,12 @@ def _read_records(path) -> tuple[str, list[list[str]], list[int], SchemaError | 
         text = data[: data.rfind(b"\n", 0, exc.start) + 1].decode(encoding)
         line = data.count(b"\n", 0, exc.start) + 1
         cut = SchemaError(f"line {line}: not {encoding} text ({exc.reason})")
+    if not ('"' in text or "\r" in text or "\0" in text or len(text) > csv.field_size_limit()):
+        lines = text.split("\n")
+        if not lines[-1]:
+            lines.pop()
+        # A record is one line, so data record k is on the line k + 2.
+        return [line.split(",") if line else [] for line in lines], lambda k: k + 2, cut
     reader = csv.reader(_lines_then_raise(text, cut))
     records, ends = [], []
     try:
@@ -198,7 +242,7 @@ def _read_records(path) -> tuple[str, list[list[str]], list[int], SchemaError | 
         cut = SchemaError(f"line {_line_numbers(text)[reader.line_num - 1]}: {exc}")
     except SchemaError:
         pass
-    return text, records, ends, cut
+    return records, lambda k: _line_numbers(text)[ends[k]], cut
 
 
 def _lines_then_raise(text: str, error: SchemaError | None):
@@ -238,12 +282,22 @@ def read_log_csv(path, name: str = "") -> StudyLog:
     names the line it starts on. The log's `intervention_start` is the
     day after its last `forced` row, or day 1 if it has none.
 
-    A log repeats a handful of strings in most columns, so each column
-    parses every distinct string once and maps its fields through the
-    results. The rows are walked one at a time only to name a problem
-    that a check over the whole log found.
+    Plain text, with no '"', "\\r" or NUL and no longer than
+    `csv.field_size_limit()`, is split at each "\\n" and ",".
+    `write_log_csv` writes no quote, "\\r" or NUL, so its logs are plain
+    up to that length. Any other text (CRLF line ends, quoted fields) is
+    split by the csv module. Both name the same line for the same
+    problem.
+
+    A log repeats a handful of strings in most columns. `day`, `player`
+    and the columns the writer fills from a few strings (`missed`, the
+    scores, the arms and `mode`) convert in one pass each, through `int`
+    or a table of the writer's spellings. Each other column, and one
+    holding another spelling, parses every distinct string once and maps
+    its fields through the results. The rows are walked one at a time
+    only to name a problem that a check over the whole log found.
     """
-    text, records, ends, cut = _read_records(path)
+    records, line, cut = _read_records(path)
     if not records:
         raise cut or SchemaError("empty file: missing header")
     header, *records = records
@@ -259,10 +313,6 @@ def read_log_csv(path, name: str = "") -> StudyLog:
             detail.append(f"column order must be {LOG_COLUMNS}")
         raise SchemaError("bad header: " + "; ".join(detail))
 
-    def line(k: int) -> int:
-        """The physical line on which data record `k` starts."""
-        return _line_numbers(text)[ends[k]]
-
     # Like a read error, a record of the wrong width or with a field that
     # does not parse ends the rows: only a problem on an earlier line, or
     # an earlier such record, is named before it.
@@ -271,24 +321,29 @@ def read_log_csv(path, name: str = "") -> StudyLog:
     if stop < len(records):
         cut = SchemaError(f"line {line(stop)}: expected {width} fields, got {len(records[stop])}")
     raw_columns = list(zip(*records[:stop])) or [()] * width
-    values = []
-    for column, parse, raws in zip(LOG_COLUMNS, _PARSERS, raw_columns):
+    columns = []
+    for column, fast, parse, raws in zip(LOG_COLUMNS, _WRITER_PARSERS, _PARSERS, raw_columns):
+        if fast is not None:
+            try:
+                columns.append(list(map(fast, raws)))
+                continue
+            except (KeyError, ValueError):
+                pass
         parsed, failed = {}, {}
         for raw in set(raws):
             try:
                 parsed[raw] = parse(raw)
             except ValueError as exc:
                 failed[raw] = exc
-        values.append(parsed)
+        columns.append(list(map(parsed.get, raws)))
         if failed:
             bad = next(k for k, raw in enumerate(raws) if raw in failed)
             if bad < stop:
                 stop = bad
                 cut = SchemaError(f"line {line(bad)}, column {column!r}: {failed[raws[bad]]}")
-    columns = [
-        list(map(parsed.__getitem__, raws[:stop])) for parsed, raws in zip(values, raw_columns)
-    ]
-    rows = list(map(SessionRow._make, zip(*columns)))
+    if stop < len(raw_columns[0]):
+        columns = [values[:stop] for values in columns]
+    rows = list(map(_new_row, zip(*columns)))
     days, players, catered = columns[0], columns[1], columns[8]
     if any(map(_row_error, rows)) or len(set(zip(days, players))) != len(rows):
         raise _first_row_problem(rows, line)

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -920,12 +921,27 @@ class TestSpecLoading:
             moved += row["disparity_miss_r"] != disparity_report(logs, 10).correlation.r
         assert moved
 
-    def test_parallel_jobs_match_serial(self, tmp_path):
+    def test_parallel_jobs_match_serial(self, tmp_path, monkeypatch):
+        """`--jobs 2` runs one real 2-worker pool, also on a host whose
+        affinity set holds one CPU, and writes the serial run's tree."""
+        import fairbandit.experiment as experiment
+
+        started = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(tiny_spec_dict(replications=4)))
         serial, parallel = tmp_path / "s", tmp_path / "p"
         assert main(["run", "--spec", str(spec_path), "--out", str(serial)]) == 0
+        assert started == []
         assert main(["run", "--spec", str(spec_path), "--out", str(parallel), "--jobs", "2"]) == 0
+        assert started == [2]
         assert tree_hashes(serial) == tree_hashes(parallel)
 
     @staticmethod
