@@ -50,6 +50,7 @@ from .logs import StudyLog, decision_records, write_decisions_jsonl, write_log_c
 from .simworld import ConfigError, StudyConfig, TEAM_SIZE, check_doc, prefix_key, run_study, study_prefix
 
 BATCH_SIZE = 10
+REP_FILES = ("log.csv", "decisions.jsonl", "summary.json")
 
 
 @dataclass(frozen=True)
@@ -291,6 +292,25 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _seed_task(
+    configs: Sequence[StudyConfig], out: Path | None, seed: int, k: int
+) -> list[dict[int, PlayerTally]]:
+    """Each config's tallies (`log_metrics`) of replication `k` at `seed`
+    (`_run_seed`), with the log's three rep files written under `out`
+    unless it is None. Returns no log, so a pooled task pickles no log."""
+    tallies = []
+    for config, log in zip(configs, _run_seed(configs, seed, k)):
+        tallies.append(log_metrics(log))
+        if out is not None:
+            rep_dir = out / log.name
+            rep_dir.mkdir(parents=True, exist_ok=True)
+            write_log_csv(log, rep_dir / "log.csv")
+            records = decision_records(log, config.step_scale, config.motivation_weight)
+            write_decisions_jsonl(records, rep_dir / "decisions.jsonl")
+            write_log_summary(log, rep_dir / "summary.json", tallies[-1])
+    return tallies
+
+
 def run_experiment(
     spec: ExperimentSpec,
     out_dir,
@@ -299,76 +319,56 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run every condition of `spec`, analysing each log over its own
     intervention window (`StudyConfig.intervention_start`). Each seed's
-    studies run as one task that takes the seed's world draws and forced
-    days once for the conditions that differ only in strategy and epsilon;
-    with `jobs` > 1 the tasks run in one process pool of at most one worker
-    per seed and per usable CPU. The seeds are walked in order and no log
-    outlives its own: each is tallied once (`log_metrics`), its artifacts
-    are written, and it is dropped. The pooled analyses read the tallies
-    and the logs' names. `ExperimentResult.logs` runs a log again when it
-    is read."""
+    task (`_seed_task`) takes the seed's world draws and forced days once
+    for the conditions that differ only in strategy and epsilon, tallies
+    and writes each log, and drops it. With `jobs` > 1 the tasks run in
+    one pool of at most one worker per seed and per usable CPU, in chunks
+    of a quarter of a worker's share of the seeds, and send back only
+    their tallies. This process takes them in seed order and writes the
+    reports, summaries and manifest. `ExperimentResult.logs` runs a log
+    again when it is read."""
     out = Path(out_dir)
     seeds = replication_seeds(spec)
+    reps = range(len(seeds))
     names = [config.condition.value for config in spec.conditions]
-    files: list[str] = []
     tallies: dict[str, list[dict[int, PlayerTally]]] = {name: [] for name in names}
-    reports: dict[str, DisparityReport | None] = {}
+    correlations = {}
     summaries: list[dict] = []
 
     workers = min(jobs, len(seeds), _usable_cpus())
+    task = partial(_seed_task, spec.conditions, out if write_artifacts else None)
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
-        run_seed = partial(_run_seed, spec.conditions)
-        by_seed = (pool.map if pool is not None else map)(run_seed, seeds, range(len(seeds)))
-        for seed_logs in by_seed:
-            for config, log in zip(spec.conditions, seed_logs):
-                name = config.condition.value
-                log_tallies = log_metrics(log)
+        chunked = partial(pool.map, chunksize=max(1, len(seeds) // (4 * workers))) if pool else map
+        for seed_tallies in chunked(task, seeds, reps):
+            for name, log_tallies in zip(names, seed_tallies):
                 tallies[name].append(log_tallies)
-                if write_artifacts:
-                    rep_dir = out / log.name
-                    rep_dir.mkdir(parents=True, exist_ok=True)
-                    write_log_csv(log, rep_dir / "log.csv")
-                    records = decision_records(log, config.step_scale, config.motivation_weight)
-                    write_decisions_jsonl(records, rep_dir / "decisions.jsonl")
-                    write_log_summary(log, rep_dir / "summary.json", log_tallies)
-                    files += [
-                        f"{log.name}/{fname}" for fname in ("log.csv", "decisions.jsonl", "summary.json")
-                    ]
-            del seed_logs, log
 
     for config, name in zip(spec.conditions, names):
-        rep_names = [_rep_name(config, k) for k in range(len(seeds))]
+        rep_names = [_rep_name(config, k) for k in reps]
         try:
-            reports[name] = disparity_report(rep_names, tallies=tallies[name])
+            report = disparity_report(rep_names, tallies=tallies[name])
         except ValueError:
-            reports[name] = None
+            report = None
         batch_r = batch_median_r(rep_names, tallies[name])
-        summaries.append(_condition_summary(name, tallies[name], reports[name], batch_r))
-        if write_artifacts and reports[name] is not None:
-            write_report_csv(reports[name], out / name / "report.csv")
-            write_report_json(reports[name], out / name / "report.json")
-            files += [f"{name}/report.csv", f"{name}/report.json"]
+        summaries.append(_condition_summary(name, tallies[name], report, batch_r))
+        if report is not None:
+            correlations[name] = report.correlation
+            if write_artifacts:
+                write_report_csv(report, out / name / "report.csv")
+                write_report_json(report, out / name / "report.json")
+        del report  # the comparison reads only the correlations
 
     comparison = None
     if "greedy" in tallies and "shapley" in tallies:
         comparison = _paired_sum_sd(tallies["greedy"], tallies["shapley"])
-        rg, rs_ = reports.get("greedy"), reports.get("shapley")
+        rg, rs_ = correlations.get("greedy"), correlations.get("shapley")
         if rg is not None and rs_ is not None:
             try:
-                z, p = correlation_diff_test(
-                    rg.correlation.r, rg.correlation.n, rs_.correlation.r, rs_.correlation.n
-                )
+                z, p = correlation_diff_test(rg.r, rg.n, rs_.r, rs_.n)
             except ValueError:
                 pass  # fewer than 4 players in a report, or |r| = 1: no Fisher test
             else:
-                comparison.update(
-                    {
-                        "greedy_r": rg.correlation.r,
-                        "shapley_r": rs_.correlation.r,
-                        "fisher_z": z,
-                        "p_value": p,
-                    }
-                )
+                comparison.update({"greedy_r": rg.r, "shapley_r": rs_.r, "fisher_z": z, "p_value": p})
 
     logs = {
         name: ReplicationLogs(config, spec.base_seed, range(spec.replications))
@@ -377,14 +377,14 @@ def run_experiment(
     result = ExperimentResult(spec, logs, summaries, comparison)
 
     if write_artifacts:
-        (out / "summary.json").write_text(
-            json.dumps(result.summary(), indent=2, sort_keys=True) + "\n"
-        )
+        (out / "summary.json").write_text(json.dumps(result.summary(), indent=2, sort_keys=True) + "\n")
         with open(out / "summary.csv", "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(SUMMARY_COLUMNS)
             for row in summaries:
                 writer.writerow([row[c] for c in SUMMARY_COLUMNS])
+        files = [f"{_rep_name(c, k)}/{f}" for c in spec.conditions for k in reps for f in REP_FILES]
+        files += [f"{name}/{f}" for name in correlations for f in ("report.csv", "report.json")]
         files += ["summary.json", "summary.csv", "manifest.json"]
         manifest = {
             "spec_hash": spec.spec_hash(),

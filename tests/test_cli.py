@@ -923,26 +923,35 @@ class TestSpecLoading:
 
     def test_parallel_jobs_match_serial(self, tmp_path, monkeypatch):
         """`--jobs 2` runs one real 2-worker pool, also on a host whose
-        affinity set holds one CPU, and writes the serial run's tree."""
+        affinity set holds one CPU, and writes the serial run's tree: at 4
+        replications one seed per task, at 19 two seeds per task with a
+        short last chunk."""
         import fairbandit.experiment as experiment
 
-        started = []
+        started, chunks = [], []
 
         class RecordingPool(ProcessPoolExecutor):
             def __init__(self, max_workers=None, *args, **kwargs):
                 started.append(max_workers)
                 super().__init__(max_workers, *args, **kwargs)
 
+            def map(self, fn, *iterables, chunksize=1, **kwargs):
+                chunks.append(chunksize)
+                return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
+
         monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(tiny_spec_dict(replications=4)))
-        serial, parallel = tmp_path / "s", tmp_path / "p"
-        assert main(["run", "--spec", str(spec_path), "--out", str(serial)]) == 0
-        assert started == []
-        assert main(["run", "--spec", str(spec_path), "--out", str(parallel), "--jobs", "2"]) == 0
-        assert started == [2]
-        assert tree_hashes(serial) == tree_hashes(parallel)
+        for replications, chunksize in [(4, 1), (19, 2)]:
+            started.clear()
+            chunks.clear()
+            spec_path = tmp_path / f"spec{replications}.json"
+            spec_path.write_text(json.dumps(tiny_spec_dict(replications=replications)))
+            serial, parallel = tmp_path / f"s{replications}", tmp_path / f"p{replications}"
+            assert main(["run", "--spec", str(spec_path), "--out", str(serial)]) == 0
+            assert started == []
+            assert main(["run", "--spec", str(spec_path), "--out", str(parallel), "--jobs", "2"]) == 0
+            assert (started, chunks) == ([2], [chunksize])
+            assert tree_hashes(serial) == tree_hashes(parallel)
 
     @staticmethod
     def fake_pool(monkeypatch, cpus: int) -> list[int]:
@@ -959,7 +968,7 @@ class TestSpecLoading:
                 started.append(max_workers)
                 super().__init__(self)
 
-            def map(self, fn, *iterables):
+            def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
         monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairbandit.analysis import log_metrics, percentile_rank
+from fairbandit.analysis import PlayerTally, log_metrics, percentile_rank
 from fairbandit.bandit import (
     Arm,
     Decision,
@@ -32,7 +32,13 @@ from fairbandit.bandit import (
     shapley_select,
     shapley_update,
 )
-from fairbandit.experiment import ExperimentSpec, _run_seed, replication_seeds, run_experiment
+from fairbandit.experiment import (
+    ExperimentSpec,
+    _run_seed,
+    _seed_task,
+    replication_seeds,
+    run_experiment,
+)
 from fairbandit.rng import SplitMix64
 from fairbandit.scenarios import BUNDLED, load_scenario
 from fairbandit.logs import (
@@ -1368,6 +1374,31 @@ def test_run_seed_shares_a_prefix_only_between_matching_conditions(monkeypatch):
             assert_same_log(log, run_study(alone), alone)
         assert all(a is b for a, b in zip(logs[0].rows, logs[3].rows[: 2 * 9]))
         assert not any(a is b for a, b in zip(logs[0].rows, logs[1].rows))
+
+
+@pytest.mark.parametrize("scenario", sorted(BUNDLED))
+def test_seed_task_returns_each_logs_tallies_and_no_log(tmp_path, scenario):
+    """A seed's task, with or without an output directory, returns one
+    tally per condition, each that of the study run alone at the seed,
+    as plain dicts of `PlayerTally`; with one, it writes the seed's
+    replication files and nothing else."""
+    spec = load_scenario(scenario, 2)
+    for k, seed in enumerate(replication_seeds(spec)):
+        want = [log_metrics(run_study(replace(cfg, seed=seed))) for cfg in spec.conditions]
+        out = tmp_path / f"seed{seed}"
+        for task_out in (None, out):
+            got = _seed_task(spec.conditions, task_out, seed, k)
+            assert got == want
+            assert all(
+                type(tallies) is dict and {type(t) for t in tallies.values()} == {PlayerTally}
+                for tallies in got
+            )
+        files = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+        assert files == sorted(
+            f"{cfg.condition.value}/rep_{k:04d}/{name}"
+            for cfg in spec.conditions
+            for name in ("log.csv", "decisions.jsonl", "summary.json")
+        )
 
 
 def test_the_forced_rows_of_a_seed_are_shared_by_its_conditions():
