@@ -28,7 +28,6 @@ import json
 import os
 import sys
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -284,6 +283,27 @@ def _paired_sum_sd(
     }
 
 
+class ProcessPoolExecutor:
+    """`concurrent.futures.ProcessPoolExecutor`, imported when a run starts
+    one: importing it loads `multiprocessing` and `logging`, which an
+    in-memory, `--jobs 1` or `analyze` run never uses. The name is a class
+    in this module so that a caller can put another pool in its place."""
+
+    def __init__(self, max_workers: int):
+        from concurrent.futures import ProcessPoolExecutor
+
+        self._pool = ProcessPoolExecutor(max_workers)
+
+    def map(self, fn, *iterables, chunksize: int = 1):
+        return self._pool.map(fn, *iterables, chunksize=chunksize)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._pool.shutdown()  # waits for the workers, as `Executor.__exit__` does
+
+
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity set where the
     platform has one, else the machine's count."""
@@ -324,9 +344,10 @@ def run_experiment(
     and writes each log, and drops it. With `jobs` > 1 the tasks run in
     one pool of at most one worker per seed and per usable CPU, in chunks
     of a quarter of a worker's share of the seeds, and send back only
-    their tallies. This process takes them in seed order and writes the
-    reports, summaries and manifest. `ExperimentResult.logs` runs a log
-    again when it is read."""
+    their tallies. A run that starts no pool imports no pool module
+    (`ProcessPoolExecutor`). This process takes the tallies in seed order
+    and writes the reports, summaries and manifest.
+    `ExperimentResult.logs` runs a log again when it is read."""
     out = Path(out_dir)
     seeds = replication_seeds(spec)
     reps = range(len(seeds))

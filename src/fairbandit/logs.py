@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import locale
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -217,6 +216,8 @@ def _read_records(path) -> tuple[list[list[str]], Callable[[int], int], SchemaEr
     before the line that raised it, as a line-at-a-time reader's would.
     Plain text is split as the csv module would split it: a blank line is
     a record with no fields, and a final newline starts no record."""
+    import locale  # only reading a log needs it; importing it costs every run's start-up
+
     with open(path, "rb") as fh:
         data = fh.read()
     encoding = locale.getpreferredencoding(False)

@@ -2,11 +2,14 @@
 
 The exact engine's two record types are plain classes, so `shapley`
 needs neither `dataclasses` nor `inspect`. `experiment` takes its median
-itself and imports `hashlib` only to write a manifest, so it loads
-neither `statistics` (with `decimal` and `fractions`) nor `hashlib`.
-The session-log format runs no study, so `logs` loads neither the
-simulator, the batch runner nor the process pool. `cli` imports the
-attribution checks only for the two commands that run them.
+itself, imports `hashlib` only to write a manifest and the process pool
+only to start one, and `logs` imports `locale` only to read a log, so
+`experiment` loads none of `statistics` (with `decimal` and
+`fractions`), `hashlib`, `concurrent.futures`, `multiprocessing` and
+`locale`. The session-log format runs no study, so `logs` loads neither
+the simulator, the batch runner nor the process pool. `cli` imports the
+attribution checks only for the two commands that run them, and loads
+the process pool only through a run that starts one.
 
 Each import runs in a fresh interpreter, as a test process has imported
 every module already. The standard library's own imports differ from
@@ -24,9 +27,17 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 NOT_LOADED = {
     "fairbandit.shapley": ("dataclasses", "inspect"),
-    "fairbandit.experiment": ("statistics", "decimal", "fractions", "hashlib"),
+    "fairbandit.experiment": (
+        "statistics",
+        "decimal",
+        "fractions",
+        "hashlib",
+        "concurrent.futures",
+        "multiprocessing",
+        "locale",
+    ),
     "fairbandit.logs": ("fairbandit.simworld", "fairbandit.experiment", "concurrent.futures"),
-    "fairbandit.cli": ("fairbandit.verification",),
+    "fairbandit.cli": ("fairbandit.verification", "concurrent.futures", "multiprocessing"),
 }
 
 

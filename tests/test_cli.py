@@ -4,9 +4,12 @@ import hashlib
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
 import sys
 import tempfile
+import textwrap
 import tracemalloc
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -952,6 +955,57 @@ class TestSpecLoading:
             assert main(["run", "--spec", str(spec_path), "--out", str(parallel), "--jobs", "2"]) == 0
             assert (started, chunks) == ([2], [chunksize])
             assert tree_hashes(serial) == tree_hashes(parallel)
+
+    def test_pool_module_loads_only_for_a_pool_and_leaves_no_worker(self, tmp_path):
+        """Through `experiment.ProcessPoolExecutor` itself, in a fresh
+        interpreter: an in-memory run and a `--jobs 1` run import no pool
+        module; a `--jobs 2` run imports it, writes the `--jobs 1` tree and
+        leaves no worker alive, also when a task raises."""
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(tiny_spec_dict(replications=4)))
+        blocked = tmp_path / "blocked"
+        blocked.mkdir()
+        (blocked / "control").write_text("")  # a rep directory cannot go under a file
+        code = textwrap.dedent("""\
+            import contextlib, io, json, sys
+            from fairbandit import experiment
+            from fairbandit.cli import main
+
+            spec, tmp = sys.argv[1], sys.argv[2]
+            experiment._usable_cpus = lambda: 2  # a pool also on a one-CPU host
+            seen = []
+
+            def pool_modules():
+                return [m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules]
+
+            experiment.run_experiment(experiment.ExperimentSpec.from_json(spec), tmp, write_artifacts=False)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["run", "--spec", spec, "--out", f"{tmp}/jobs1"]) == 0
+                seen.append(pool_modules())
+                assert main(["run", "--spec", spec, "--out", f"{tmp}/jobs2", "--jobs", "2"]) == 0
+            seen.append(pool_modules())
+
+            import multiprocessing
+
+            seen.append(len(multiprocessing.active_children()))
+            try:
+                experiment.run_experiment(experiment.ExperimentSpec.from_json(spec), f"{tmp}/blocked", jobs=2)
+            except NotADirectoryError as exc:
+                seen.append(type(exc).__name__)
+            seen.append(len(multiprocessing.active_children()))
+            print(json.dumps(seen))
+        """)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(spec_path), str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [
+            [], ["concurrent.futures", "multiprocessing"], 0, "NotADirectoryError", 0
+        ]
+        assert tree_hashes(tmp_path / "jobs1") == tree_hashes(tmp_path / "jobs2")
 
     @staticmethod
     def fake_pool(monkeypatch, cpus: int) -> list[int]:
